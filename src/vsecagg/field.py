@@ -1,15 +1,25 @@
 """Prime-field arithmetic over moduli up to 61 bits.
 
 Residues are kept canonical (non-negative, below the modulus) at every API
-boundary.  Vectors are numpy ``uint64`` arrays, which is safe because two
-canonical residues below 2^61 sum to less than 2^62.  Products can reach
-122 bits, so multiplication routes through Python integers (``object``
-dtype for vectors) instead of fixed-width words.
+boundary.  Vectors are numpy ``uint64`` arrays, and every vector kernel is
+exact in fixed-width words:
+
+- Sums: a canonical residue is below 2^61, so up to seven of them add
+  without wrapping (7 * (2^61 - 1) < 2^64).  ``vec_sum`` reduces once per
+  seven terms instead of after every addition.
+- Products: two residues multiply to as much as 122 bits, so ``dot``
+  splits each operand into three 21-bit limbs.  A limb product is below
+  2^42, and a block of fewer than 2^22 such products sums below 2^64, so
+  each of the nine limb-pair dot products of a block is exact in
+  ``uint64``.  Only the per-block partial sums become Python integers.
+
+Scalar operations use Python integers throughout.
 """
 
 from __future__ import annotations
 
 import struct
+from typing import Tuple
 
 import numpy as np
 
@@ -141,15 +151,31 @@ def vec_neg(a: np.ndarray, r: int) -> np.ndarray:
     return (np.uint64(r) - a) % np.uint64(r)
 
 
+# Canonical residues that fit in one uint64 accumulator: 7 * (2^61 - 1) < 2^64.
+_LAZY_TERMS = 7
+
+
 def vec_sum(vectors, r: int) -> np.ndarray:
-    """Modular sum of a non-empty sequence of equal-length vectors."""
+    """Modular sum of a non-empty iterable of equal-length canonical vectors.
+
+    The iterable is consumed once, so a generator streams its vectors
+    through one accumulator without holding them all.
+    """
     it = iter(vectors)
     try:
         acc = next(it).copy()
     except StopIteration:
         raise FieldError("cannot sum an empty sequence of vectors") from None
+    modulus = np.uint64(r)
+    terms = 1
     for v in it:
-        acc = vec_add(acc, v, r)
+        _check_lengths(acc, v)
+        if terms == _LAZY_TERMS:
+            acc %= modulus
+            terms = 1
+        acc += v
+        terms += 1
+    acc %= modulus
     return acc
 
 
@@ -157,7 +183,9 @@ def vec_to_signed(a: np.ndarray, r: int) -> np.ndarray:
     """Signed representatives as int64 (valid since r < 2^61)."""
     half = np.uint64((r - 1) // 2)
     out = a.astype(np.int64)
-    out[a > half] -= np.int64(r)
+    # Branch-free: a boolean-mask update is several times slower on the
+    # half-and-half masks that uniform residues give.
+    out -= (a > half) * np.int64(r)
     return out
 
 
@@ -166,15 +194,40 @@ def vec_from_signed(s: np.ndarray, r: int) -> np.ndarray:
     s = np.asarray(s, dtype=np.int64)
     if s.size and (int(s.max()) > half or int(s.min()) < -half):
         raise FieldError("signed vector outside the representable range")
-    return np.where(s < 0, s + np.int64(r), s).astype(np.uint64)
+    out = s.astype(np.uint64)  # a negative s wraps to 2^64 + s ...
+    out += (s < 0) * np.uint64(r)  # ... and adding r wraps it to s + r
+    return out
+
+
+_LIMB_BITS = 21
+_LIMB_MASK = np.uint64((1 << _LIMB_BITS) - 1)
+_LIMB_SHIFT = np.uint64(_LIMB_BITS)
+# Elements per block.  Exactness needs fewer than 2^22 (see the module
+# docstring); 2^14 keeps a block's six limb arrays inside L2 cache.
+_DOT_BLOCK = 1 << 14
+
+
+def _limbs(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    high = a >> _LIMB_SHIFT
+    return a & _LIMB_MASK, high & _LIMB_MASK, high >> _LIMB_SHIFT
 
 
 def dot(a: np.ndarray, b: np.ndarray, r: int) -> int:
-    """Modular dot product; exact via arbitrary-precision intermediates."""
+    """Modular dot product, exact for operands below 2^63."""
     _check_lengths(a, b)
     if a.size == 0:
         return 0
-    return int((a.astype(object) * b.astype(object)).sum() % r)
+    if max(int(a.max()), int(b.max())) >> (3 * _LIMB_BITS):
+        raise FieldError(f"dot operands must lie below 2^{3 * _LIMB_BITS}")
+    # diag[k] sums the limb-pair products of weight 2^(21k).
+    diag = [0] * 5
+    for start in range(0, a.size, _DOT_BLOCK):
+        a_limbs = _limbs(a[start:start + _DOT_BLOCK])
+        b_limbs = _limbs(b[start:start + _DOT_BLOCK])
+        for i, a_limb in enumerate(a_limbs):
+            for j, b_limb in enumerate(b_limbs):
+                diag[i + j] += int(np.dot(a_limb, b_limb))
+    return sum(c << (_LIMB_BITS * k) for k, c in enumerate(diag)) % r
 
 
 # -- serialization -----------------------------------------------------------

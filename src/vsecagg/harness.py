@@ -360,10 +360,9 @@ def run_simulation(cfg: RunConfig) -> MetricsReport:
                                      else [u.uid for u in online])
             verified = [res.verified for res in outcome.results.values()]
             rec.verified = bool(verified) and all(verified) and outcome.mismatch_errors == 0
-            for res in outcome.results.values():
+            for uid, res in outcome.results.items():
                 if not res.verified:
-                    report.alarms.append(res.alarm_message(sender=0))
-                    break
+                    report.alarms.append(res.alarm_message(sender=uid))
             if rec.adversarial:
                 rec.detected = (not rec.verified) or outcome.mismatch_errors > 0
             if rec.verified:

@@ -17,6 +17,7 @@ keystream: expanding to a longer length never changes earlier elements.
 from __future__ import annotations
 
 import hashlib
+import math
 import secrets
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -26,6 +27,9 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 KEY_BYTES = 16  # per-entity secret keys are 128 bits
 MAX_EXPAND_LEN = 1 << 32
+# Keystream words per draw: 64 KiB stays in cache, and one buffer of it
+# is reused for every draw of a long expansion.
+_DRAW_WORDS = 1 << 13
 
 
 class PrfError(ValueError):
@@ -79,6 +83,15 @@ def _keystream(key: Union[KeyMaterial, bytes], v0: int):
     return cipher.encryptor()
 
 
+def _draw_words(want: int, rate: float) -> int:
+    """Keystream words to draw for ``want`` more accepted ones.
+
+    The expected count plus four standard deviations of the binomial
+    accept count, so the last draw almost never falls short.
+    """
+    return min(_DRAW_WORDS, int((want + 4 * math.sqrt(want * (1 - rate))) / rate) + 16)
+
+
 def expand(key: Union[KeyMaterial, bytes], v0: int, length: int, modulus: int) -> np.ndarray:
     """Length-``length`` uniform vector over Z_modulus, deterministic in all inputs.
 
@@ -91,18 +104,26 @@ def expand(key: Union[KeyMaterial, bytes], v0: int, length: int, modulus: int) -
         raise PrfError(f"expansion length {length} exceeds the 2^32 keystream budget")
     if not 1 < modulus <= 1 << 61:
         raise PrfError(f"modulus {modulus} outside (1, 2^61]")
-    mask = np.uint64((1 << modulus.bit_length()) - 1)
+    bits = modulus.bit_length()
+    mask = np.uint64((1 << bits) - 1)
     bound = np.uint64(modulus)
+    rate = modulus / (1 << bits)  # acceptance probability, at least 1/2
     enc = _keystream(key, v0)
     out = np.empty(length, dtype=np.uint64)
+    # Later draws want fewer words, so the first one sizes the buffer.  It
+    # has one block of slack: update_into needs len(data) + 15 bytes.
+    nwords = _draw_words(length, rate)
+    buf = np.empty(nwords + 2, dtype="<u8")
+    buf_bytes = memoryview(buf).cast("B")
+    zeros = memoryview(bytes(8 * nwords))
     filled = 0
     while filled < length:
-        # Acceptance rate is at least 1/2, so a 30% overdraw usually
-        # finishes in one pass; the loop covers unlucky tails.
         want = length - filled
-        nwords = max(64, want + (want >> 2) + 16)
-        words = np.frombuffer(enc.update(bytes(8 * nwords)), dtype="<u8") & mask
-        accepted = words[words < bound]
+        nwords = _draw_words(want, rate)
+        enc.update_into(zeros[:8 * nwords], buf_bytes[:8 * nwords + 16])
+        words = buf[:nwords]
+        words &= mask
+        accepted = np.compress(words < bound, words)
         take = min(accepted.size, want)
         out[filled:filled + take] = accepted[:take]
         filled += take
@@ -114,4 +135,6 @@ def expand_unit(key: Union[KeyMaterial, bytes], v0: int, length: int, r_b: int) 
 
     Expands over Z_{r_b - 1} and shifts by one, so no element is zero.
     """
-    return expand(key, v0, length, r_b - 1) + np.uint64(1)
+    vec = expand(key, v0, length, r_b - 1)
+    vec += np.uint64(1)
+    return vec

@@ -151,6 +151,8 @@ class UserState:
         self.current_model: Optional[np.ndarray] = None
         self.last_verified_round: Optional[int] = None
         self._last_shared_round = 0
+        # (round, key vector) of the last shared round, reused to verify it.
+        self._tag_key: Optional[Tuple[int, np.ndarray]] = None
 
     def _encode_update(self, update, weight: Optional[float]) -> np.ndarray:
         p = self.params
@@ -181,6 +183,7 @@ class UserState:
         b_i1 = int(expand(self.k_ci, round_index, 1, p.r_b)[0])
         b_i2 = field.fe_sub(b_i, b_i1, p.r_b)
         self._last_shared_round = round_index
+        self._tag_key = (round_index, key_vec)
         return (
             Message(MessageKind.MODEL_SHARE, round_index, self.uid,
                     field.vec_to_raw(share.data)),
@@ -200,7 +203,10 @@ class UserState:
             w1pp, expand(self.k_vg, round_index, p.dim, p.r_w), p.r_w)
         b1p = int(expand(self.k_cg, round_index, 1, p.r_b)[0])
         expected = field.fe_add(b1p, b2p, p.r_b)
-        key_vec = tags.derive_tag_key(self.k_v, round_index, p.dim, p.r_b)
+        if self._tag_key is not None and self._tag_key[0] == round_index:
+            key_vec = self._tag_key[1]
+        else:
+            key_vec = tags.derive_tag_key(self.k_v, round_index, p.dim, p.r_b)
         computed = tags.gen_tag(w_prime, key_vec, p.r_w, p.r_b)
         if computed != expected:
             # State stays untouched; the caller surfaces the alarm.
@@ -223,6 +229,18 @@ class UserState:
         return float(field.to_signed(int(w_prime[-1]), p.r_w)) / p.codec.delta
 
 
+def _prune(rounds: Dict[int, object], round_index: int) -> None:
+    """Forget every round before ``round_index``, which is now finalized."""
+    for r in [r for r in rounds if r < round_index]:
+        del rounds[r]
+
+
+def _check_open(server: str, round_index: int, finalized: int) -> None:
+    if round_index <= finalized:
+        raise StaleRoundError(
+            f"{server} already finalized round {finalized}; got round {round_index}")
+
+
 @dataclass
 class _CsRound:
     shares: Dict[int, np.ndarray] = dc_field(default_factory=dict)
@@ -240,7 +258,9 @@ class CsState:
         self.k_cv = k_cv
         self.seed = seed  # s1, half of the initial-model seed pair
         self.user_keys: Dict[int, KeyMaterial] = {}
+        # Open rounds, plus the last finalized round without its shares.
         self.rounds: Dict[int, _CsRound] = {}
+        self.finalized_round = 0
 
     def register_user(self, uid: int, k_ci: KeyMaterial) -> None:
         if uid in self.user_keys:
@@ -250,6 +270,7 @@ class CsState:
     def receive_share(self, msg: Message) -> None:
         if msg.kind is not MessageKind.MODEL_SHARE:
             raise ProtocolError(f"CS cannot accept {msg.kind.name}")
+        _check_open("CS", msg.round_index, self.finalized_round)
         state = self.rounds.setdefault(msg.round_index, _CsRound())
         if msg.sender in state.shares:
             raise DuplicateShareError(
@@ -259,6 +280,9 @@ class CsState:
             raise ProtocolError(
                 f"share from user {msg.sender} has {vec.size} elements, "
                 f"expected {self.params.dim}")
+        # The lazy modular sum in finalize_model relies on canonical residues.
+        if vec.size and int(vec.max()) >= self.params.r_w:
+            raise ProtocolError(f"share from user {msg.sender} holds non-canonical residues")
         state.shares[msg.sender] = vec
 
     def online_ids(self, round_index: int) -> List[int]:
@@ -268,6 +292,7 @@ class CsState:
     def finalize_model(self, ctx: RoundContext, w_t: np.ndarray) -> Tuple[np.ndarray, int]:
         """w''_1 = sum of participant shares + w_t, published with m."""
         p = self.params
+        _check_open("CS", ctx.round_index, self.finalized_round)
         state = self.rounds.setdefault(ctx.round_index, _CsRound())
         missing = [uid for uid in ctx.participants if uid not in state.shares]
         if missing:
@@ -277,6 +302,9 @@ class CsState:
         w1pp = field.vec_add(w1p, w_t, p.r_w)
         state.published = w1pp
         state.m = ctx.m
+        state.shares = {}
+        _prune(self.rounds, ctx.round_index)
+        self.finalized_round = ctx.round_index
         return w1pp, ctx.m
 
     def tag_aggregate(self, ctx: RoundContext) -> int:
@@ -316,7 +344,9 @@ class VsState:
         self.k_vv = k_vv
         self.seed = seed  # s2
         self.user_keys: Dict[int, KeyMaterial] = {}
+        # Open rounds, plus the last finalized round without its shares.
         self.rounds: Dict[int, _VsRound] = {}
+        self.finalized_round = 0
 
     def register_user(self, uid: int, k_vi: KeyMaterial) -> None:
         if uid in self.user_keys:
@@ -326,6 +356,7 @@ class VsState:
     def receive_tag_share(self, msg: Message) -> None:
         if msg.kind is not MessageKind.TAG_SHARE:
             raise ProtocolError(f"VS cannot accept {msg.kind.name}")
+        _check_open("VS", msg.round_index, self.finalized_round)
         state = self.rounds.setdefault(msg.round_index, _VsRound())
         if msg.sender in state.tag_shares:
             raise DuplicateShareError(
@@ -339,18 +370,19 @@ class VsState:
     def model_aggregate(self, ctx: RoundContext) -> np.ndarray:
         """w_t = sum of regenerated user masks minus the global mask, sent to CS."""
         p = self.params
-        total = None
         for uid in ctx.participants:
             if uid not in self.user_keys:
                 raise UnknownParticipantError(f"VS has no key for user {uid}")
-            mask = expand(self.user_keys[uid], ctx.round_index, p.dim, p.r_w)
-            total = mask if total is None else field.vec_add(total, mask, p.r_w)
+        # A generator: each mask is added and dropped before the next is made.
+        total = field.vec_sum((expand(self.user_keys[uid], ctx.round_index, p.dim, p.r_w)
+                               for uid in ctx.participants), p.r_w)
         global_mask = expand(self.k_vg, ctx.round_index, p.dim, p.r_w)
         return field.vec_sub(total, global_mask, p.r_w)
 
     def finalize_tag(self, ctx: RoundContext, b_t: int) -> Tuple[int, int]:
         """b'_2 = sum of participant tag shares + b_t, published with m."""
         p = self.params
+        _check_open("VS", ctx.round_index, self.finalized_round)
         state = self.rounds.setdefault(ctx.round_index, _VsRound())
         missing = [uid for uid in ctx.participants if uid not in state.tag_shares]
         if missing:
@@ -362,6 +394,9 @@ class VsState:
         b2p = field.fe_add(b2, b_t, p.r_b)
         state.published = b2p
         state.m = ctx.m
+        state.tag_shares = {}
+        _prune(self.rounds, ctx.round_index)
+        self.finalized_round = ctx.round_index
         return b2p, ctx.m
 
     def publish_tag_message(self, round_index: int) -> Message:

@@ -9,7 +9,12 @@ When the working modulus R_w differs from R_b, model residues are
 lifted to their signed integer representatives before reduction mod
 R_b; the aggregation capacity check guarantees the honest sum never
 wraps, so the lift is the integer the residue denotes.  With R_w = R_b
-the lift is the identity on residues.
+the lift is the identity on residues.  Both moduli are below 2^61, so
+the signed lift and its reduction fit in ``int64``.
+
+The product itself is ``field.dot``: three 21-bit limbs per operand,
+exact ``uint64`` limb-pair sums over blocks of fewer than 2^22
+elements, and one reduction mod R_b at the end.
 """
 
 from __future__ import annotations
@@ -31,17 +36,13 @@ def derive_tag_key(k_v: KeyMaterial, round_index: int, dim: int, r_b: int) -> np
 
 def _lift(w: np.ndarray, r_w: int, r_b: int) -> np.ndarray:
     if r_w == r_b:
-        return w.astype(object)
-    return field.vec_to_signed(w, r_w).astype(object) % r_b
+        return w
+    return (field.vec_to_signed(w, r_w) % np.int64(r_b)).astype(np.uint64)
 
 
 def gen_tag(w: np.ndarray, key_vec: np.ndarray, r_w: int, r_b: int) -> int:
     """Tag of ``w`` under the round key vector: sum_j lift(w_j) * k_j mod r_b."""
-    if w.shape != key_vec.shape:
-        raise field.FieldError(f"length mismatch: {w.shape} vs {key_vec.shape}")
-    if w.size == 0:
-        return 0
-    return int((_lift(w, r_w, r_b) * key_vec.astype(object)).sum() % r_b)
+    return field.dot(_lift(w, r_w, r_b), key_vec, r_b)
 
 
 def verify(w: np.ndarray, tag: int, key_vec: np.ndarray, r_w: int, r_b: int) -> bool:

@@ -90,13 +90,17 @@ def test_exit_not_ok_propagates_from_honest_failure():
 
 
 def test_alarm_recorded_on_detection():
-    cfg = RunConfig(users=2, dim=2, rounds=1, seed=3,
+    # Every participant sees the tampered aggregate, so each raises its own alarm.
+    cfg = RunConfig(users=3, dim=2, rounds=1, seed=3,
                     adversary=AdversarySpec("cs", "tamper_aggregate", 1))
     report = run_simulation(cfg)
-    assert report.alarms
+    participants = report.rounds[0].participants
+    assert len(participants) == 3
+    assert sorted(alarm.sender for alarm in report.alarms) == list(participants)
     from vsecagg.wire import unpack_alarm
-    r, expected, computed = unpack_alarm(report.alarms[0].payload)
-    assert r == 1 and expected != computed
+    for alarm in report.alarms:
+        r, expected, computed = unpack_alarm(alarm.payload)
+        assert alarm.round_index == r == 1 and expected != computed
 
 
 def test_reproducibility_identical_reports():

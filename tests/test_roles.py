@@ -10,11 +10,11 @@ from vsecagg.prf import KeyMaterial, concat_keys, expand
 from vsecagg.roles import (CsState, DuplicateIdError, DuplicateShareError,
                            EmptyIntersectionError, MissingShareError,
                            ParamDigestMismatchError, ParticipantMismatchError,
-                           ProtocolParams, RoundContext, StaleRoundError,
+                           ProtocolError, ProtocolParams, RoundContext, StaleRoundError,
                            UserState, VsState, check_param_digest,
                            init_model_from_seeds, intersect_online,
                            join_new_user, load_pretrained_model, setup)
-from vsecagg.wire import MessageKind, unpack_publish_model
+from vsecagg.wire import Message, MessageKind, unpack_publish_model
 
 BIG_PRIME = find_prime_above(1 << 60)
 
@@ -349,3 +349,82 @@ def test_weighted_unit_weights_match_unweighted():
     res_p = users_p[0].reconstruct_round(w2, b2, mc2, mv2, 1)
     assert res_w.verified and res_p.verified
     assert np.allclose(res_w.model, res_p.model[:-1], atol=0.5 / params.codec.delta)
+
+
+def test_server_state_stays_within_one_round_over_many_rounds():
+    params = make_params(dim=8)
+    users, cs, vs = setup(3, params, rng=random.Random(25))
+    rng = np.random.default_rng(5)
+    for r in range(1, 61):
+        updates = {u.uid: rng.uniform(-1, 1, 8) for u in users}
+        _, w1pp, b2p, m_cs, m_vs = run_honest_round(users, cs, vs, updates, r)
+        # Only the finalized round is kept, with its publication but no shares.
+        assert list(cs.rounds) == [r] and list(vs.rounds) == [r]
+        assert not cs.rounds[r].shares and not vs.rounds[r].tag_shares
+        assert cs.rounds[r].published.size == params.dim
+        assert users[0].reconstruct_round(w1pp, b2p, m_cs, m_vs, r).verified
+    assert cs.finalized_round == vs.finalized_round == 60
+
+
+def test_servers_reject_shares_for_finalized_rounds():
+    params = make_params()
+    users, cs, vs = setup(3, params, rng=random.Random(26))
+    late = {}
+    for u in users:
+        to_cs, to_vs = u.share_round(np.zeros(2), 1)
+        if u.uid == 2:
+            late = {"cs": to_cs, "vs": to_vs}
+            continue
+        cs.receive_share(to_cs)
+        vs.receive_tag_share(to_vs)
+    ctx = RoundContext(1, (0, 1))
+    cs.finalize_model(ctx, vs.model_aggregate(ctx))
+    vs.finalize_tag(ctx, cs.tag_aggregate(ctx))
+    with pytest.raises(StaleRoundError):
+        cs.receive_share(late["cs"])
+    with pytest.raises(StaleRoundError):
+        vs.receive_tag_share(late["vs"])
+    with pytest.raises(StaleRoundError):
+        cs.finalize_model(ctx, vs.model_aggregate(ctx))
+    with pytest.raises(StaleRoundError):
+        vs.finalize_tag(ctx, cs.tag_aggregate(ctx))
+    # The next round is open.
+    to_cs, to_vs = users[2].share_round(np.zeros(2), 2)
+    cs.receive_share(to_cs)
+    vs.receive_tag_share(to_vs)
+    assert cs.online_ids(2) == vs.online_ids(2) == [2]
+
+
+def test_cs_rejects_non_canonical_share():
+    params = make_params()
+    users, cs, _ = setup(1, params, rng=random.Random(27))
+    to_cs, _ = users[0].share_round(np.zeros(2), 1)
+    bad = field.vec_from_raw(to_cs.payload).copy()
+    bad[1] = np.uint64(params.r_w)
+    with pytest.raises(ProtocolError, match="non-canonical"):
+        cs.receive_share(Message(to_cs.kind, 1, 0, field.vec_to_raw(bad)))
+    assert cs.online_ids(1) == []
+
+
+def test_user_derives_tag_key_once_per_round(monkeypatch):
+    calls = []
+    derive = tags.derive_tag_key
+
+    def counting(*args):
+        calls.append(args[1])
+        return derive(*args)
+
+    monkeypatch.setattr(tags, "derive_tag_key", counting)
+    params = make_params(dim=4)
+    users, cs, vs = setup(2, params, rng=random.Random(28))
+    rng = np.random.default_rng(6)
+    for r in (1, 2):
+        updates = {u.uid: rng.uniform(-1, 1, 4) for u in users}
+        _, w1pp, b2p, m_cs, m_vs = run_honest_round(users, cs, vs, updates, r)
+        for u in users:
+            assert u.reconstruct_round(w1pp, b2p, m_cs, m_vs, r).verified
+    assert calls == [1, 1, 2, 2]
+    # Once the user has shared a later round, it derives round 2's key afresh.
+    users[0].share_round(np.zeros(4), 3)
+    assert users[0].reconstruct_round(w1pp, b2p, m_cs, m_vs, 2).verified
+    assert calls == [1, 1, 2, 2, 3, 2]
