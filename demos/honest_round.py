@@ -13,17 +13,14 @@ import random
 
 import numpy as np
 
-from vsecagg.codec import CodecParams
-from vsecagg.field import find_prime_above
-from vsecagg.harness import plaintext_oracle
-from vsecagg.roles import ProtocolParams, intersect_online, setup
+from vsecagg.harness import RunConfig, default_params, plaintext_oracle
+from vsecagg.roles import intersect_online, setup
 from vsecagg.wire import unpack_publish_model, unpack_publish_tag
 
-r = find_prime_above(1 << 60)
-print(f"field modulus R = {r} (smallest prime above 2^60)")
+params = default_params(RunConfig(users=3, dim=4))
+r = params.r_w
+print(f"field modulus R = {r} (the Mersenne prime 2^61 - 1)")
 
-params = ProtocolParams(r_w=r, r_b=r, dim=4,
-                        codec=CodecParams(delta=1 << 40, r_w=r, n_max=3))
 users, cs, vs = setup(3, params, rng=random.Random(7))
 print(f"setup: {len(users)} users, shared initial model derived from both servers' seeds")
 

@@ -18,8 +18,9 @@ for rec in report.rounds:
           f"adversarial={rec.adversarial} detected={rec.detected} "
           f"verified={rec.verified} oracle_deviation={rec.oracle_deviation:.1e}")
 
-r, expected, computed = unpack_alarm(report.alarms[0].payload)
-print(f"alarm for round {r}: expected tag {expected} != recomputed tag {computed}")
+r, reason, expected, computed = unpack_alarm(report.alarms[0].payload)
+print(f"alarm for round {r} ({reason.name}): expected tag {expected} "
+      f"!= recomputed tag {computed}")
 print(f"run exit_ok = {report.exit_ok}  (a detected adversary is a successful run)")
 
 # The same detection holds for every modeled server action:

@@ -18,7 +18,8 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rounds", type=int, default=1)
     p.add_argument("--dropout", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--prime-bits", type=int, default=60)
+    p.add_argument("--prime-bits", type=int, default=60,
+                   help="modulus size: the largest prime in (2^bits, 2^(bits+1))")
     p.add_argument("--delta-exp", type=int, default=40)
     p.add_argument("--mode", choices=("memory", "socket"), default="memory")
     p.add_argument("--adversary", type=str, default=None,

@@ -61,15 +61,21 @@ def check_capacity(params: CodecParams, m: int) -> bool:
 def encode(values, params: CodecParams) -> np.ndarray:
     """Scale, round to nearest (ties away from zero), embed into Z_{R_w}."""
     v = np.asarray(values, dtype=np.float64)
-    bad = np.nonzero((v < params.x_min) | (v > params.x_max) | ~np.isfinite(v))[0]
-    if bad.size:
+    # NaN propagates through min/max and fails both comparisons, and an
+    # infinity lies outside the finite bounds, so one pair checks it all.
+    if v.size and not (params.x_min <= v.min() and v.max() <= params.x_max):
+        bad = np.nonzero((v < params.x_min) | (v > params.x_max) | ~np.isfinite(v))[0]
         raise CodecError(
             f"value {v[bad[0]]!r} at index {int(bad[0])} outside "
             f"[{params.x_min}, {params.x_max}]"
         )
     scaled = v * params.delta
-    quantized = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
-    return field.vec_from_signed(quantized.astype(np.int64), params.r_w)
+    # Adding +-0.5 and truncating equals sign(s) * floor(|s| + 0.5): IEEE
+    # rounding is symmetric in sign, so s - 0.5 is exactly -(|s| + 0.5).
+    scaled += np.copysign(0.5, scaled)
+    quantized = np.trunc(scaled, out=scaled).astype(np.int64)
+    del scaled  # one d-length temporary fewer alive in vec_from_signed
+    return field.vec_from_signed(quantized, params.r_w)
 
 
 def decode(vec: np.ndarray, params: CodecParams, m: int) -> np.ndarray:

@@ -1,9 +1,18 @@
 """Prime-field arithmetic over moduli up to 61 bits.
 
+The protocol's default modulus is the Mersenne prime 2^61 - 1, the
+largest admissible one: ``find_prime_below(2^61)``.  Its 61-bit mask
+rejects a single value, so PRF expansion keeps almost every keystream
+word.
+
 Residues are kept canonical (non-negative, below the modulus) at every API
 boundary.  Vectors are numpy ``uint64`` arrays, and every vector kernel is
 exact in fixed-width words:
 
+- Add and subtract: for canonical operands a + b < 2r < 2^62, so
+  ``vec_add``/``vec_sub`` reduce with one compare-and-select instead of
+  a division.  They require canonical inputs; a caller that receives a
+  vector from another party checks it first.
 - Sums: a canonical residue is below 2^61, so up to seven of them add
   without wrapping (7 * (2^61 - 1) < 2^64).  ``vec_sum`` reduces once per
   seven terms instead of after every addition.
@@ -19,7 +28,7 @@ Scalar operations use Python integers throughout.
 from __future__ import annotations
 
 import struct
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -94,6 +103,18 @@ def find_prime_above(lower_bound: int) -> FieldModulus:
     raise FieldError("prime search exceeded the 61-bit modulus limit")
 
 
+def find_prime_below(upper_bound: int) -> FieldModulus:
+    """Largest prime strictly less than ``upper_bound``, which lies in (3, 2^61]."""
+    if not 3 < upper_bound <= 1 << MAX_MODULUS_BITS:
+        raise FieldError(f"upper bound {upper_bound} outside (3, 2^{MAX_MODULUS_BITS}]")
+    n = upper_bound - 1
+    if n % 2 == 0 and n > 2:
+        n -= 1
+    while not is_prime(n):
+        n -= 2
+    return FieldModulus(n)
+
+
 # -- scalar operations -------------------------------------------------------
 
 def fe_add(a: int, b: int, r: int) -> int:
@@ -137,14 +158,29 @@ def _check_lengths(a: np.ndarray, b: np.ndarray) -> None:
         raise FieldError(f"length mismatch: {a.shape} vs {b.shape}")
 
 
+def first_non_canonical(a: np.ndarray, r: int) -> Optional[int]:
+    """Index of the first element of ``a`` that is not below r, or None."""
+    if a.size == 0 or int(a.max()) < r:
+        return None
+    return int(np.argmax(a >= np.uint64(r)))
+
+
+# In uint64 words x - r wraps to above x exactly when x < r, so
+# min(x, x - r) is x mod r for any x < 2r: a compare and a select, no
+# division.  Both operands must be canonical.
+
 def vec_add(a: np.ndarray, b: np.ndarray, r: int) -> np.ndarray:
+    """(a + b) mod r for canonical a and b."""
     _check_lengths(a, b)
-    return (a + b) % np.uint64(r)
+    s = a + b  # below 2r < 2^62
+    return np.minimum(s, s - np.uint64(r), out=s)
 
 
 def vec_sub(a: np.ndarray, b: np.ndarray, r: int) -> np.ndarray:
+    """(a - b) mod r for canonical a and b."""
     _check_lengths(a, b)
-    return (a + (np.uint64(r) - b)) % np.uint64(r)
+    d = a - b  # a - b + 2^64 when a < b, and then d + r wraps to a - b + r
+    return np.minimum(d, d + np.uint64(r), out=d)
 
 
 def vec_neg(a: np.ndarray, r: int) -> np.ndarray:

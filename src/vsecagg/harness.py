@@ -19,12 +19,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import codec, field, roles, tags
-from .field import FieldModulus, find_prime_above
+from .field import FieldModulus, find_prime_below
 from .roles import (CsState, ParticipantMismatchError, ProtocolParams,
                     RoundContext, UserState, VsState, intersect_online, setup)
-from .wire import (MemoryLink, Message, MessageKind, SocketLink, TrafficLedger,
-                   pack_online_list, socket_link_pair, unpack_publish_model,
-                   unpack_publish_tag)
+from .wire import (AlarmReason, MemoryLink, Message, MessageKind, SocketLink,
+                   TrafficLedger, alarm_message, pack_online_list, socket_link_pair,
+                   unpack_publish_model, unpack_publish_tag)
 
 ADVERSARY_ACTIONS = (
     "tamper_model_share",
@@ -156,7 +156,14 @@ class MetricsReport:
 
 
 def default_params(cfg: RunConfig) -> ProtocolParams:
-    r = find_prime_above(1 << cfg.prime_bits)
+    """Protocol parameters for a run; both moduli are one prime r.
+
+    r is the largest prime below 2^(prime_bits + 1), so it lies in
+    (2^prime_bits, 2^(prime_bits + 1)) and, just below a power of two,
+    makes PRF expansion reject almost no draw.  The default 60 bits give
+    the Mersenne prime 2^61 - 1.
+    """
+    r = find_prime_below(1 << (cfg.prime_bits + 1))
     dim = cfg.dim + 1 if cfg.weights is not None else cfg.dim
     bound = 10.0
     cparams = codec.CodecParams(delta=1 << cfg.delta_exp, r_w=r,
@@ -232,6 +239,7 @@ class _RoundOutcome:
     mismatch_errors: int
     w1pp: np.ndarray
     b2p: int
+    alarms: List[Message]  # one per participant that rejected the round
 
 
 def _apply_cs_tampering(adv: AdversarySpec, cs: CsState, ctx: RoundContext,
@@ -314,17 +322,24 @@ def run_round(users_online: List[UserState], all_users: Dict[int, UserState],
 
     results: Dict[int, roles.ReconstructResult] = {}
     mismatches = 0
+    alarms: List[Message] = []
     for uid in ctx.participants:
         delivered_model = net.transfer(f"cs->user{uid}", model_msg)
         delivered_tag = net.transfer(f"vs->user{uid}", tag_msg)
         pm, pvec = unpack_publish_model(delivered_model.payload)
         pt_m, ptag = unpack_publish_tag(delivered_tag.payload)
         try:
-            results[uid] = all_users[uid].reconstruct_round(
+            res = all_users[uid].reconstruct_round(
                 pvec, ptag, pm, pt_m, round_index, weighted=weights is not None)
         except ParticipantMismatchError:
             mismatches += 1
-    return _RoundOutcome(results, mismatches, w1pp, b2p)
+            alarms.append(alarm_message(round_index, uid, AlarmReason.COUNT_MISMATCH,
+                                        pm, pt_m))
+            continue
+        results[uid] = res
+        if not res.verified:
+            alarms.append(res.alarm_message(sender=uid))
+    return _RoundOutcome(results, mismatches, w1pp, b2p, alarms)
 
 
 def run_simulation(cfg: RunConfig) -> MetricsReport:
@@ -360,9 +375,7 @@ def run_simulation(cfg: RunConfig) -> MetricsReport:
                                      else [u.uid for u in online])
             verified = [res.verified for res in outcome.results.values()]
             rec.verified = bool(verified) and all(verified) and outcome.mismatch_errors == 0
-            for uid, res in outcome.results.items():
-                if not res.verified:
-                    report.alarms.append(res.alarm_message(sender=uid))
+            report.alarms.extend(outcome.alarms)
             if rec.adversarial:
                 rec.detected = (not rec.verified) or outcome.mismatch_errors > 0
             if rec.verified:
@@ -409,7 +422,7 @@ def forgery_calibration(r_b: int, trials: int, seed: int = 0,
     if trials < 1:
         raise ConfigError("need at least one trial")
     r_b = FieldModulus(r_b)
-    r_w = find_prime_above(1 << 60) if r_w is None else r_w
+    r_w = default_params(RunConfig()).r_w if r_w is None else r_w
     rng = np.random.default_rng(seed)
     w = rng.integers(0, r_w, size=dim, dtype=np.uint64)
     key_vec = rng.integers(1, r_b, size=dim, dtype=np.uint64)

@@ -12,10 +12,20 @@ Each candidate draw takes the next 8 keystream bytes as a little-endian
 the value falls below the modulus.  This gives exact uniformity over
 Z_R and keeps the accepted sequence a prefix-stable function of the
 keystream: expanding to a longer length never changes earlier elements.
+
+The keystream is encrypted straight into the output vector, a chunk at a
+time, and masked there in place.  One ``max`` per chunk shows whether
+every word was accepted; only a chunk that holds a rejected word is
+compacted, and only then does the shortfall need another draw.  Under a
+modulus just below a power of two, such as the default 2^61 - 1, almost
+no chunk holds one.  A draw sized from the acceptance rate can run past
+the end of the output, so the output vector is a view of a buffer a few
+words longer.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import secrets
@@ -27,9 +37,11 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 KEY_BYTES = 16  # per-entity secret keys are 128 bits
 MAX_EXPAND_LEN = 1 << 32
-# Keystream words per draw: 64 KiB stays in cache, and one buffer of it
-# is reused for every draw of a long expansion.
+# Keystream words per draw: 64 KiB stays in cache while it is masked
+# and checked.
 _DRAW_WORDS = 1 << 13
+# The plaintext of every draw: CTR-mode keystream is the encryption of zeros.
+_ZEROS = memoryview(bytes(8 * _DRAW_WORDS))
 
 
 class PrfError(ValueError):
@@ -61,6 +73,11 @@ class KeyMaterial:
             return cls(secrets.token_bytes(KEY_BYTES))
         return cls(rng.randbytes(KEY_BYTES))
 
+    @functools.cached_property
+    def cipher(self) -> algorithms.AES:
+        """The AES-256 key of this secret, derived once and reused every round."""
+        return algorithms.AES(derive_cipher_key(self))
+
 
 def concat_keys(k1: KeyMaterial, k2: KeyMaterial) -> KeyMaterial:
     """Byte concatenation k1 || k2 (order-sensitive)."""
@@ -79,8 +96,8 @@ def _keystream(key: Union[KeyMaterial, bytes], v0: int):
     if not 0 <= v0 < 1 << 64:
         raise PrfError(f"round index {v0} outside 64-bit range")
     counter = v0.to_bytes(8, "little") + bytes(8)
-    cipher = Cipher(algorithms.AES(derive_cipher_key(key)), modes.CTR(counter))
-    return cipher.encryptor()
+    aes = key.cipher if isinstance(key, KeyMaterial) else algorithms.AES(derive_cipher_key(key))
+    return Cipher(aes, modes.CTR(counter)).encryptor()
 
 
 def _draw_words(want: int, rate: float) -> int:
@@ -89,7 +106,7 @@ def _draw_words(want: int, rate: float) -> int:
     The expected count plus four standard deviations of the binomial
     accept count, so the last draw almost never falls short.
     """
-    return min(_DRAW_WORDS, int((want + 4 * math.sqrt(want * (1 - rate))) / rate) + 16)
+    return int((want + 4 * math.sqrt(want * (1 - rate))) / rate) + 16
 
 
 def expand(key: Union[KeyMaterial, bytes], v0: int, length: int, modulus: int) -> np.ndarray:
@@ -109,25 +126,25 @@ def expand(key: Union[KeyMaterial, bytes], v0: int, length: int, modulus: int) -
     bound = np.uint64(modulus)
     rate = modulus / (1 << bits)  # acceptance probability, at least 1/2
     enc = _keystream(key, v0)
-    out = np.empty(length, dtype=np.uint64)
-    # Later draws want fewer words, so the first one sizes the buffer.  It
-    # has one block of slack: update_into needs len(data) + 15 bytes.
-    nwords = _draw_words(length, rate)
-    buf = np.empty(nwords + 2, dtype="<u8")
-    buf_bytes = memoryview(buf).cast("B")
-    zeros = memoryview(bytes(8 * nwords))
+    # The last draw may run past length: by at most what the first draw
+    # adds on top of its want, plus two spare words, since older
+    # cryptography releases need len(data) + 15 bytes of room in update_into.
+    first = min(length, _DRAW_WORDS)
+    out = np.empty(length + _draw_words(first, rate) - first + 2, dtype="<u8")
+    out_bytes = memoryview(out).cast("B")
     filled = 0
     while filled < length:
-        want = length - filled
-        nwords = _draw_words(want, rate)
-        enc.update_into(zeros[:8 * nwords], buf_bytes[:8 * nwords + 16])
-        words = buf[:nwords]
+        nwords = min(_DRAW_WORDS, _draw_words(length - filled, rate))
+        enc.update_into(_ZEROS[:8 * nwords],
+                        out_bytes[8 * filled:8 * (filled + nwords + 2)])
+        words = out[filled:filled + nwords]
         words &= mask
-        accepted = np.compress(words < bound, words)
-        take = min(accepted.size, want)
-        out[filled:filled + take] = accepted[:take]
-        filled += take
-    return out
+        if words.max() >= bound:
+            kept = np.compress(words < bound, words)
+            words[:kept.size] = kept
+            nwords = kept.size
+        filled += nwords
+    return out[:length]
 
 
 def expand_unit(key: Union[KeyMaterial, bytes], v0: int, length: int, r_b: int) -> np.ndarray:

@@ -26,9 +26,10 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from . import codec, field, sharing, tags
+from . import codec, field, sharing, tags, wire
 from .prf import KeyMaterial, concat_keys, expand
-from .wire import Message, MessageKind, pack_publish_model, pack_publish_tag
+from .wire import (AlarmReason, Message, MessageKind, pack_publish_model,
+                   pack_publish_tag)
 
 
 class ProtocolError(Exception):
@@ -104,6 +105,12 @@ def intersect_online(cs_ids: Iterable[int], vs_ids: Iterable[int],
     return RoundContext(round_index, tuple(common))
 
 
+def _require_canonical(vec: np.ndarray, r: int, what: str) -> None:
+    # The modular sum, add and subtract are exact only on canonical residues.
+    if field.first_non_canonical(vec, r) is not None:
+        raise ProtocolError(f"{what} holds non-canonical residues")
+
+
 def init_model_from_seeds(s1: KeyMaterial, s2: KeyMaterial, dim: int, r_w: int) -> np.ndarray:
     """Initial model every user derives identically; neither seed alone fixes it."""
     return expand(concat_keys(s1, s2), 0, dim, r_w)
@@ -115,8 +122,7 @@ def load_pretrained_model(path, dim: int, r_w: int) -> np.ndarray:
         vec = field.vec_from_bytes(fh.read())
     if vec.size != dim:
         raise ProtocolError(f"model file holds {vec.size} parameters, expected {dim}")
-    if vec.size and int(vec.max()) >= r_w:
-        raise ProtocolError("model file contains non-canonical residues")
+    _require_canonical(vec, r_w, "model file")
     return vec
 
 
@@ -125,13 +131,11 @@ class ReconstructResult:
     round_index: int
     verified: bool
     model: Optional[np.ndarray]
-    expected_tag: int
-    computed_tag: int
+    # Set when not verified: the check that fired and its two values.
+    alarm: Optional[Tuple[AlarmReason, int, int]] = None
 
     def alarm_message(self, sender: int) -> Message:
-        from .wire import pack_alarm
-        return Message(MessageKind.ALARM, self.round_index, sender,
-                       pack_alarm(self.round_index, self.expected_tag, self.computed_tag))
+        return wire.alarm_message(self.round_index, sender, *self.alarm)
 
 
 class UserState:
@@ -199,10 +203,15 @@ class UserState:
         if m_cs != m_vs:
             raise ParticipantMismatchError(
                 f"round {round_index}: CS reports m={m_cs} but VS reports m={m_vs}")
-        w_prime = field.vec_add(
-            w1pp, expand(self.k_vg, round_index, p.dim, p.r_w), p.r_w)
+        bad = field.first_non_canonical(w1pp, p.r_w)
+        if bad is not None:
+            # No residue mod R_w: fail closed before any arithmetic on it.
+            return ReconstructResult(round_index, False, None,
+                                     (AlarmReason.NON_CANONICAL, bad, int(w1pp[bad])))
         b1p = int(expand(self.k_cg, round_index, 1, p.r_b)[0])
         expected = field.fe_add(b1p, b2p, p.r_b)
+        w_prime = field.vec_add(
+            w1pp, expand(self.k_vg, round_index, p.dim, p.r_w), p.r_w)
         if self._tag_key is not None and self._tag_key[0] == round_index:
             key_vec = self._tag_key[1]
         else:
@@ -210,7 +219,8 @@ class UserState:
         computed = tags.gen_tag(w_prime, key_vec, p.r_w, p.r_b)
         if computed != expected:
             # State stays untouched; the caller surfaces the alarm.
-            return ReconstructResult(round_index, False, None, expected, computed)
+            return ReconstructResult(round_index, False, None,
+                                     (AlarmReason.TAG_MISMATCH, expected, computed))
         if weighted:
             signed = field.vec_to_signed(w_prime, p.r_w).astype(np.float64)
             weight_sum = signed[-1] / p.codec.delta
@@ -219,7 +229,7 @@ class UserState:
             model = codec.decode(w_prime, p.codec, m_cs)
         self.current_model = model
         self.last_verified_round = round_index
-        return ReconstructResult(round_index, True, model, expected, computed)
+        return ReconstructResult(round_index, True, model)
 
     def recovered_weight_sum(self, w1pp: np.ndarray, round_index: int) -> float:
         """Weight-sum coordinate of a weighted-round aggregate (exact for integral weights)."""
@@ -280,9 +290,7 @@ class CsState:
             raise ProtocolError(
                 f"share from user {msg.sender} has {vec.size} elements, "
                 f"expected {self.params.dim}")
-        # The lazy modular sum in finalize_model relies on canonical residues.
-        if vec.size and int(vec.max()) >= self.params.r_w:
-            raise ProtocolError(f"share from user {msg.sender} holds non-canonical residues")
+        _require_canonical(vec, self.params.r_w, f"share from user {msg.sender}")
         state.shares[msg.sender] = vec
 
     def online_ids(self, round_index: int) -> List[int]:
@@ -298,6 +306,7 @@ class CsState:
         if missing:
             raise MissingShareError(
                 f"round {ctx.round_index}: no model share from users {missing}")
+        _require_canonical(w_t, p.r_w, f"round {ctx.round_index}: reshare w_t from the VS")
         w1p = field.vec_sum((state.shares[uid] for uid in ctx.participants), p.r_w)
         w1pp = field.vec_add(w1p, w_t, p.r_w)
         state.published = w1pp

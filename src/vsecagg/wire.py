@@ -162,12 +162,38 @@ def unpack_publish_tag(payload: bytes) -> Tuple[int, int]:
     return m, tag_from_bytes(payload[8:])
 
 
-def pack_alarm(round_index: int, expected_tag: int, computed_tag: int) -> bytes:
-    return struct.pack("<QQQ", round_index, expected_tag, computed_tag)
+class AlarmReason(IntEnum):
+    """The check that made a user reject a round.
+
+    It fixes the meaning of the alarm's two values, given here in order.
+    """
+
+    TAG_MISMATCH = 1    # tag expected from the VS's publication, tag recomputed
+    COUNT_MISMATCH = 2  # participant count published by the CS, by the VS
+    NON_CANONICAL = 3   # first aggregate coordinate holding a residue >= R_w, its value
 
 
-def unpack_alarm(payload: bytes) -> Tuple[int, int, int]:
-    return struct.unpack("<QQQ", payload)
+_ALARM = struct.Struct("<QBQQ")
+
+
+def pack_alarm(round_index: int, reason: AlarmReason, first: int, second: int) -> bytes:
+    return _ALARM.pack(round_index, reason, first, second)
+
+
+def unpack_alarm(payload: bytes) -> Tuple[int, AlarmReason, int, int]:
+    if len(payload) != _ALARM.size:
+        raise WireError(f"alarm payload must be {_ALARM.size} bytes, got {len(payload)}")
+    round_index, reason, first, second = _ALARM.unpack(payload)
+    try:
+        return round_index, AlarmReason(reason), first, second
+    except ValueError:
+        raise WireError(f"unknown alarm reason {reason}") from None
+
+
+def alarm_message(round_index: int, sender: int, reason: AlarmReason,
+                  first: int, second: int) -> Message:
+    return Message(MessageKind.ALARM, round_index, sender,
+                   pack_alarm(round_index, reason, first, second))
 
 
 # -- traffic accounting ------------------------------------------------------

@@ -11,7 +11,7 @@ from scipy import stats
 
 from vsecagg.codec import CodecParams
 from vsecagg.field import find_prime_above
-from vsecagg.harness import (AdversarySpec, RunConfig, bench,
+from vsecagg.harness import (AdversarySpec, RunConfig, bench, default_params,
                              forgery_calibration, plaintext_oracle,
                              run_round, run_simulation, _Network)
 from vsecagg.prf import KeyMaterial, expand
@@ -54,16 +54,16 @@ def test_criterion_1_oracle_equivalence():
           f"({executed} executed rounds, {elapsed:.1f}s)")
 
 
-@pytest.mark.parametrize("target,action", [
+ADVERSARY_PAIRS = [
     ("cs", "tamper_model_share"),
     ("cs", "tamper_aggregate"),
     ("vs", "forge_tag"),
     ("cs", "lie_about_m"),
     ("cs", "drop_participant"),
-])
-def test_criterion_2_tamper_detection_1000_trials(target, action):
-    """Each adversarial action detected in 1000/1000 trials at the >2^60 prime."""
-    params = make_params(dim=8, n_max=3)
+]
+
+
+def detect_1000_trials(target, action, params):
     sim_rng = random.Random(99)
     users, cs, vs = setup(3, params, rng=sim_rng)
     all_users = {u.uid: u for u in users}
@@ -80,7 +80,21 @@ def test_criterion_2_tamper_detection_1000_trials(target, action):
             detected += 1
     net.close()
     assert detected == trials, f"{action}: only {detected}/{trials} detected"
-    print(f"\nACCEPTANCE 2: PASS {action} detected {detected}/{trials}")
+    print(f"\nACCEPTANCE 2: PASS {action} detected {detected}/{trials} at R = {params.r_w}")
+
+
+@pytest.mark.parametrize("target,action", ADVERSARY_PAIRS)
+def test_criterion_2_tamper_detection_1000_trials(target, action):
+    """Each adversarial action detected in 1000/1000 trials at the >2^60 prime."""
+    detect_1000_trials(target, action, make_params(dim=8, n_max=3))
+
+
+@pytest.mark.parametrize("target,action", ADVERSARY_PAIRS)
+def test_criterion_2_tamper_detection_1000_trials_default_modulus(target, action):
+    """The same 1000 trials at the default modulus 2^61 - 1."""
+    params = default_params(RunConfig(users=3, dim=8))
+    assert params.r_w == params.r_b == (1 << 61) - 1
+    detect_1000_trials(target, action, params)
 
 
 def test_criterion_3_forgery_bound_calibration():

@@ -45,6 +45,41 @@ def test_encode_rejects_out_of_bounds_with_index():
         encode([float("nan")], p)
 
 
+def reference_encode(values, params):
+    """The sign(s) * floor(|s| + 0.5) rounding, checked element-wise."""
+    v = np.asarray(values, dtype=np.float64)
+    assert np.all((v >= params.x_min) & (v <= params.x_max))
+    scaled = v * params.delta
+    quantized = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
+    return field.vec_from_signed(quantized.astype(np.int64), params.r_w)
+
+
+def test_encode_matches_sign_floor_reference():
+    p = big_params()
+    rng = np.random.default_rng(11)
+    ties = (rng.integers(-(1 << 30), 1 << 30, 2000) + 0.5) / p.delta
+    edges = [0.0, -0.0, 10.0, -10.0, 5e-324, -5e-324, 0.5 / p.delta, -0.5 / p.delta,
+             np.nextafter(0.5 / p.delta, 1.0), np.nextafter(-0.5 / p.delta, -1.0),
+             np.nextafter(10.0, 0.0), np.nextafter(-10.0, 0.0)]
+    for values in (rng.uniform(-10, 10, 20_000), ties, np.array(edges)):
+        assert np.array_equal(encode(values, p), reference_encode(values, p))
+    small = params97(delta=2)
+    grid = np.arange(-16, 17) / 4.0  # every multiple of a quarter in [-4, 4]
+    assert np.array_equal(encode(grid, small), reference_encode(grid, small))
+
+
+@pytest.mark.parametrize("bad,index", [
+    ([0.0, float("nan")], 1),
+    ([float("inf")], 0),
+    ([1.0, 2.0, float("-inf")], 2),
+    ([np.nextafter(10.0, 11.0)], 0),
+    ([0.0, -10.5, 11.0], 1),
+])
+def test_encode_rejects_first_bad_value_with_index(bad, index):
+    with pytest.raises(CodecError, match=rf"at index {index} outside \[-10.0, 10.0\]"):
+        encode(bad, big_params())
+
+
 def test_decode_inverts_encode_examples():
     p = CodecParams(delta=4, r_w=97, n_max=1, x_min=-2.0, x_max=2.0)
     assert decode(np.array([5], dtype=np.uint64), p, 1)[0] == pytest.approx(1.25)

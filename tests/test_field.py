@@ -5,7 +5,8 @@ import pytest
 
 from vsecagg import field
 from vsecagg.field import (FieldError, FieldModulus, dot, fe_add, fe_mul,
-                           find_prime_above, from_signed, is_prime, to_signed,
+                           find_prime_above, find_prime_below, first_non_canonical,
+                           from_signed, is_prime, to_signed,
                            vec_add, vec_from_ints, vec_sub, vec_sum,
                            vec_to_signed, vec_from_signed)
 
@@ -53,6 +54,41 @@ def test_find_prime_above_rejects_out_of_range():
         find_prime_above(1)
     with pytest.raises(FieldError):
         find_prime_above((1 << 61) - 1)
+
+
+def test_find_prime_below():
+    assert find_prime_below(1 << 61) == (1 << 61) - 1
+    assert find_prime_below(4) == 3
+    assert find_prime_below(10) == 7
+    assert find_prime_below(12) == 11
+    assert find_prime_below(14) == 13
+    assert find_prime_below(1 << 20) == (1 << 20) - 3
+    for bound in (10, 16, 100, 1 << 20):
+        p = find_prime_below(bound)
+        assert find_prime_below(p + 1) == p
+        assert not any(is_prime(n) for n in range(p + 1, bound))
+
+
+def test_find_prime_below_lies_above_the_next_lower_power_of_two():
+    for bits in range(2, 61):
+        p = find_prime_below(1 << (bits + 1))
+        assert 1 << bits < p < 1 << (bits + 1)
+        assert is_prime(p)
+
+
+def test_find_prime_below_rejects_out_of_range():
+    for bound in (3, 2, 0, -5, (1 << 61) + 1, 1 << 62):
+        with pytest.raises(FieldError):
+            find_prime_below(bound)
+
+
+def test_first_non_canonical():
+    r = (1 << 61) - 1
+    assert first_non_canonical(np.array([], dtype=np.uint64), r) is None
+    assert first_non_canonical(np.array([0, 1, r - 1], dtype=np.uint64), r) is None
+    assert first_non_canonical(np.array([0, r, 1, r + 5], dtype=np.uint64), r) == 1
+    assert first_non_canonical(np.full(5, (1 << 64) - 1, dtype=np.uint64), r) == 0
+    assert first_non_canonical(np.array([3, 96, 97], dtype=np.uint64), 97) == 2
 
 
 def test_modulus_validation():

@@ -7,6 +7,7 @@ from vsecagg.field import find_prime_above
 from vsecagg.harness import (AdversarySpec, ConfigError, RunConfig, bench,
                              default_params, forgery_calibration,
                              plaintext_oracle, run_simulation)
+from vsecagg.wire import AlarmReason, unpack_alarm
 
 BIG_PRIME = find_prime_above(1 << 60)
 
@@ -97,10 +98,22 @@ def test_alarm_recorded_on_detection():
     participants = report.rounds[0].participants
     assert len(participants) == 3
     assert sorted(alarm.sender for alarm in report.alarms) == list(participants)
-    from vsecagg.wire import unpack_alarm
     for alarm in report.alarms:
-        r, expected, computed = unpack_alarm(alarm.payload)
+        r, reason, expected, computed = unpack_alarm(alarm.payload)
         assert alarm.round_index == r == 1 and expected != computed
+        assert reason is AlarmReason.TAG_MISMATCH
+
+
+def test_count_mismatch_alarm_per_participant():
+    cfg = RunConfig(users=3, dim=2, rounds=1, seed=1,
+                    adversary=AdversarySpec("cs", "lie_about_m", 1))
+    report = run_simulation(cfg)
+    rec = report.rounds[0]
+    assert rec.detected and not rec.verified
+    assert sorted(alarm.sender for alarm in report.alarms) == list(rec.participants) == [0, 1, 2]
+    for alarm in report.alarms:
+        # The CS claims one participant more than the VS counted.
+        assert unpack_alarm(alarm.payload) == (1, AlarmReason.COUNT_MISMATCH, 4, 3)
 
 
 def test_reproducibility_identical_reports():

@@ -1,8 +1,9 @@
 """Fixed-width round kernels checked against arbitrary-precision references.
 
-The reference functions below compute ``field.dot``, ``field.vec_sum``
-and ``prf.expand`` the plain way: Python-int products, one reduction per
-addition, and a keystream drawn with ``update`` in fixed 25 % overdraws.
+The reference functions below compute ``field.dot``, ``field.vec_sum``,
+``field.vec_add``/``vec_sub`` and ``prf.expand`` the plain way: Python-int
+products, one ``%`` reduction per addition, and a keystream drawn with
+``update`` in fixed 25 % overdraws.
 The signed lifts are checked element by element against the scalar
 ``to_signed``/``from_signed``.  The fast kernels must agree with their
 references bit for bit.
@@ -24,10 +25,18 @@ def reference_dot(a, b, r):
     return int((a.astype(object) * b.astype(object)).sum() % r)
 
 
+def reference_vec_add(a, b, r):
+    return (a + b) % np.uint64(r)
+
+
+def reference_vec_sub(a, b, r):
+    return (a + (np.uint64(r) - b)) % np.uint64(r)
+
+
 def reference_vec_sum(vectors, r):
     acc = vectors[0].copy()
     for v in vectors[1:]:
-        acc = field.vec_add(acc, v, r)
+        acc = reference_vec_add(acc, v, r)
     return acc
 
 
@@ -140,15 +149,47 @@ def test_lazy_vec_sum_random_and_inputs_untouched():
     assert all(np.array_equal(v, c) for v, c in zip(vectors, copies))
 
 
+@pytest.mark.parametrize("r", [R97, BIG_PRIME, MERSENNE_61])
+def test_vec_add_sub_match_modulo_reference(r):
+    # Every pair of boundary residues, plus random canonical vectors.
+    edges = np.array([0, 1, 2, r // 2, r // 2 + 1, r - 2, r - 1], dtype=np.uint64)
+    rng = np.random.default_rng(6)
+    a = np.concatenate([np.repeat(edges, edges.size), rng.integers(0, r, 5000, dtype=np.uint64)])
+    b = np.concatenate([np.tile(edges, edges.size), rng.integers(0, r, 5000, dtype=np.uint64)])
+    a_copy, b_copy = a.copy(), b.copy()
+    for fast, reference in ((field.vec_add, reference_vec_add),
+                            (field.vec_sub, reference_vec_sub)):
+        out = fast(a, b, r)
+        assert out.dtype == np.uint64
+        assert np.array_equal(out, reference(a, b, r))
+        assert int(out.max()) < r
+    assert np.array_equal(a, a_copy) and np.array_equal(b, b_copy)
+
+
 def test_vec_sum_rejects_length_mismatch():
     with pytest.raises(FieldError):
         field.vec_sum([np.zeros(3, dtype=np.uint64), np.zeros(4, dtype=np.uint64)], R97)
 
 
-@pytest.mark.parametrize("modulus", [R97, BIG_PRIME, BIG_PRIME - 1, 1 << 61])
-@pytest.mark.parametrize("length", [1, 63, 64, 65, 1000, 100_000])
+# 2^61 - 1 (the default) and 2^61 - 2 (its unit-group expansion) accept
+# almost every word, so their chunks are kept in place.  97, the 2^60
+# prime, that prime - 1 and 2^61 reject a quarter to a half of the words
+# and 127 one in 128, so chunks there are compacted and some last draws
+# fall short.
+@pytest.mark.parametrize("modulus", [R97, 127, BIG_PRIME, BIG_PRIME - 1, 1 << 61,
+                                     MERSENNE_61, MERSENNE_61 - 1])
+@pytest.mark.parametrize("length", [1, 63, 64, 65, 1000, prf._DRAW_WORDS - 1,
+                                    prf._DRAW_WORDS + 1, 100_000])
 def test_expand_bit_identical_to_reference(modulus, length):
     key = KeyMaterial(b"\x09" * 16)
     for v0 in (0, 7):
-        assert np.array_equal(prf.expand(key, v0, length, modulus),
-                              reference_expand(key, v0, length, modulus))
+        out = prf.expand(key, v0, length, modulus)
+        assert out.dtype == np.uint64 and out.shape == (length,)
+        assert np.array_equal(out, reference_expand(key, v0, length, modulus))
+
+
+def test_expand_unit_at_default_modulus_matches_reference():
+    key = KeyMaterial(b"\x0a" * 16)
+    out = prf.expand_unit(key, 3, 10_000, MERSENNE_61)
+    assert np.array_equal(out, reference_expand(key, 3, 10_000, MERSENNE_61 - 1) + np.uint64(1))
+    assert int(out.min()) >= 1 and int(out.max()) < MERSENNE_61

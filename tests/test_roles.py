@@ -14,9 +14,13 @@ from vsecagg.roles import (CsState, DuplicateIdError, DuplicateShareError,
                            UserState, VsState, check_param_digest,
                            init_model_from_seeds, intersect_online,
                            join_new_user, load_pretrained_model, setup)
-from vsecagg.wire import Message, MessageKind, unpack_publish_model
+from vsecagg.wire import AlarmReason, Message, MessageKind, unpack_alarm, unpack_publish_model
 
 BIG_PRIME = find_prime_above(1 << 60)
+MERSENNE_61 = (1 << 61) - 1  # the default modulus
+# A word above every residue: an unreduced sum holding it reaches 2^63,
+# past the operand bound of the tag's limb dot product.
+HIGH_WORD = (1 << 64) - (1 << 61)
 
 
 def make_params(dim=2, r=BIG_PRIME, n_max=10, delta=1 << 40, bound=10.0):
@@ -265,7 +269,11 @@ def test_user_reconstruct_detects_flipped_coordinate():
     assert not res.verified
     assert res.model is None
     assert users[0].current_model is None  # state unchanged on alarm
-    assert res.expected_tag != res.computed_tag
+    reason, expected, computed = res.alarm
+    assert reason == AlarmReason.TAG_MISMATCH and expected != computed
+    # The expected tag is the one the publications vouch for.
+    b1p = int(expand(users[0].k_cg, 1, 1, params.r_b)[0])
+    assert expected == (b1p + b2p) % params.r_b
 
 
 def test_user_reconstruct_rejects_m_mismatch():
@@ -404,6 +412,44 @@ def test_cs_rejects_non_canonical_share():
     with pytest.raises(ProtocolError, match="non-canonical"):
         cs.receive_share(Message(to_cs.kind, 1, 0, field.vec_to_raw(bad)))
     assert cs.online_ids(1) == []
+
+
+@pytest.mark.parametrize("r", [BIG_PRIME, MERSENNE_61])
+def test_user_fails_closed_on_non_canonical_aggregate(r):
+    params = make_params(dim=4, r=r)
+    users, cs, vs = setup(3, params, rng=random.Random(29))
+    rng = np.random.default_rng(7)
+    updates = {u.uid: rng.uniform(-1, 1, 4) for u in users}
+    _, w1pp, b2p, m_cs, m_vs = run_honest_round(users, cs, vs, updates, 1)
+    one_high = w1pp.copy()
+    one_high[2] = np.uint64(r)
+    everywhere = np.full(4, HIGH_WORD, dtype=np.uint64)
+    for published, index, value in ((one_high, 2, r), (everywhere, 0, HIGH_WORD)):
+        res = users[0].reconstruct_round(published, b2p, m_cs, m_vs, 1)
+        assert not res.verified and res.model is None
+        alarm = res.alarm_message(sender=0)
+        assert unpack_alarm(alarm.payload) == (1, AlarmReason.NON_CANONICAL, index, value)
+    assert users[0].current_model is None
+    assert users[0].reconstruct_round(w1pp, b2p, m_cs, m_vs, 1).verified
+
+
+def test_cs_rejects_non_canonical_reshare():
+    params = make_params(dim=3, r=MERSENNE_61)
+    users, cs, vs = setup(2, params, rng=random.Random(30))
+    for u in users:
+        to_cs, to_vs = u.share_round(np.zeros(3), 1)
+        cs.receive_share(to_cs)
+        vs.receive_tag_share(to_vs)
+    ctx = intersect_online(cs.online_ids(1), vs.online_ids(1), 1)
+    w_t = vs.model_aggregate(ctx)
+    one_high = w_t.copy()
+    one_high[1] = np.uint64(MERSENNE_61)
+    for bad in (one_high, np.full(3, HIGH_WORD, dtype=np.uint64)):
+        with pytest.raises(ProtocolError, match="non-canonical"):
+            cs.finalize_model(ctx, bad)
+    assert cs.finalized_round == 0
+    w1pp, m = cs.finalize_model(ctx, w_t)
+    assert m == 2 and int(w1pp.max()) < MERSENNE_61
 
 
 def test_user_derives_tag_key_once_per_round(monkeypatch):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from vsecagg import field
-from vsecagg.wire import (HEADER, MAGIC, BadMagicError, LengthMismatchError,
-                          LinkClosedError, MemoryLink, Message, MessageKind,
-                          TrafficLedger, TruncatedFrameError, UnknownKindError,
+from vsecagg.wire import (HEADER, MAGIC, AlarmReason, BadMagicError,
+                          LengthMismatchError, LinkClosedError, MemoryLink,
+                          Message, MessageKind, TrafficLedger,
+                          TruncatedFrameError, UnknownKindError, WireError,
                           deserialize, pack_alarm, pack_online_list,
                           pack_publish_model, pack_publish_tag, parse_frames,
                           serialize, socket_link_pair, unpack_alarm,
@@ -93,7 +94,13 @@ def test_publish_payloads():
 
 
 def test_alarm_payload():
-    assert unpack_alarm(pack_alarm(9, 11, 22)) == (9, 11, 22)
+    for reason in AlarmReason:
+        assert unpack_alarm(pack_alarm(9, reason, 11, 22)) == (9, reason, 11, 22)
+    payload = pack_alarm(9, AlarmReason.TAG_MISMATCH, 11, 22)
+    with pytest.raises(WireError, match="reason"):
+        unpack_alarm(payload[:8] + b"\x00" + payload[9:])
+    with pytest.raises(WireError):
+        unpack_alarm(payload[:-1])
 
 
 def test_memory_link_fifo_and_ledger():
