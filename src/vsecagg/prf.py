@@ -21,6 +21,12 @@ modulus just below a power of two, such as the default 2^61 - 1, almost
 no chunk holds one.  A draw sized from the acceptance rate can run past
 the end of the output, so the output vector is a view of a buffer a few
 words longer.
+
+Each key builds its AES-CTR context once and keeps it.  Every expansion
+re-points that context at its round's counter block with ``reset_nonce``
+instead of setting up a new cipher, so a key's context serves one
+expansion at a time: an expansion must finish before the next one on the
+same key starts.  The program is single-threaded, in socket mode too.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import hashlib
 import math
 import secrets
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -78,6 +84,11 @@ class KeyMaterial:
         """The AES-256 key of this secret, derived once and reused every round."""
         return algorithms.AES(derive_cipher_key(self))
 
+    @functools.cached_property
+    def encryptor(self):
+        """The AES-256-CTR context of this secret, made once and re-pointed per expansion."""
+        return Cipher(self.cipher, modes.CTR(bytes(16))).encryptor()
+
 
 def concat_keys(k1: KeyMaterial, k2: KeyMaterial) -> KeyMaterial:
     """Byte concatenation k1 || k2 (order-sensitive)."""
@@ -92,12 +103,13 @@ def derive_cipher_key(master: Union[KeyMaterial, bytes]) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-def _keystream(key: Union[KeyMaterial, bytes], v0: int):
+def _keystream(key: KeyMaterial, v0: int):
+    """The key's CTR context, re-pointed at the start of round ``v0``'s keystream."""
     if not 0 <= v0 < 1 << 64:
         raise PrfError(f"round index {v0} outside 64-bit range")
-    counter = v0.to_bytes(8, "little") + bytes(8)
-    aes = key.cipher if isinstance(key, KeyMaterial) else algorithms.AES(derive_cipher_key(key))
-    return Cipher(aes, modes.CTR(counter)).encryptor()
+    enc = key.encryptor
+    enc.reset_nonce(v0.to_bytes(8, "little") + bytes(8))
+    return enc
 
 
 def _draw_words(want: int, rate: float) -> int:
@@ -109,7 +121,7 @@ def _draw_words(want: int, rate: float) -> int:
     return int((want + 4 * math.sqrt(want * (1 - rate))) / rate) + 16
 
 
-def expand(key: Union[KeyMaterial, bytes], v0: int, length: int, modulus: int) -> np.ndarray:
+def expand(key: KeyMaterial, v0: int, length: int, modulus: int) -> np.ndarray:
     """Length-``length`` uniform vector over Z_modulus, deterministic in all inputs.
 
     ``modulus`` need not be prime (the unit-group construction expands
@@ -147,7 +159,7 @@ def expand(key: Union[KeyMaterial, bytes], v0: int, length: int, modulus: int) -
     return out[:length]
 
 
-def expand_unit(key: Union[KeyMaterial, bytes], v0: int, length: int, r_b: int) -> np.ndarray:
+def expand_unit(key: KeyMaterial, v0: int, length: int, r_b: int) -> np.ndarray:
     """Uniform vector over the unit group Z*_{r_b} = {1, ..., r_b - 1}.
 
     Expands over Z_{r_b - 1} and shifts by one, so no element is zero.

@@ -203,9 +203,13 @@ class UserState:
         if m_cs != m_vs:
             raise ParticipantMismatchError(
                 f"round {round_index}: CS reports m={m_cs} but VS reports m={m_vs}")
+        # Fail closed before any arithmetic on an aggregate that is not d
+        # residues mod R_w.
+        if w1pp.size != p.dim:
+            return ReconstructResult(round_index, False, None,
+                                     (AlarmReason.LENGTH_MISMATCH, p.dim, int(w1pp.size)))
         bad = field.first_non_canonical(w1pp, p.r_w)
         if bad is not None:
-            # No residue mod R_w: fail closed before any arithmetic on it.
             return ReconstructResult(round_index, False, None,
                                      (AlarmReason.NON_CANONICAL, bad, int(w1pp[bad])))
         b1p = int(expand(self.k_cg, round_index, 1, p.r_b)[0])

@@ -31,7 +31,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from . import field
-from .tags import tag_from_bytes, tag_to_bytes
+from .tags import TAG_BYTES, tag_from_bytes, tag_to_bytes
 
 MAGIC = b"DAG1"
 HEADER = struct.Struct("<4sBQII")
@@ -148,9 +148,21 @@ def pack_publish_model(m: int, vec: np.ndarray) -> bytes:
     return struct.pack("<Q", m) + field.vec_to_raw(vec)
 
 
+def _unpack_publish_count(payload: bytes) -> Tuple[int, bytes]:
+    """Split a publication into its participant count and the published body."""
+    if len(payload) < 8:
+        raise TruncatedFrameError(
+            f"publication payload of {len(payload)} bytes has no 8-byte count", len(payload))
+    (m,) = struct.unpack_from("<Q", payload)
+    return m, payload[8:]
+
+
 def unpack_publish_model(payload: bytes) -> Tuple[int, np.ndarray]:
-    (m,) = struct.unpack("<Q", payload[:8])
-    return m, field.vec_from_raw(payload[8:])
+    m, body = _unpack_publish_count(payload)
+    if len(body) % 8 != 0:
+        raise LengthMismatchError(
+            f"published model of {len(body)} bytes is not a whole number of words", 8)
+    return m, field.vec_from_raw(body)
 
 
 def pack_publish_tag(m: int, tag: int) -> bytes:
@@ -158,8 +170,11 @@ def pack_publish_tag(m: int, tag: int) -> bytes:
 
 
 def unpack_publish_tag(payload: bytes) -> Tuple[int, int]:
-    (m,) = struct.unpack("<Q", payload[:8])
-    return m, tag_from_bytes(payload[8:])
+    m, body = _unpack_publish_count(payload)
+    if len(body) != TAG_BYTES:
+        raise LengthMismatchError(
+            f"published tag must be {TAG_BYTES} bytes, got {len(body)}", 8)
+    return m, tag_from_bytes(body)
 
 
 class AlarmReason(IntEnum):
@@ -171,6 +186,7 @@ class AlarmReason(IntEnum):
     TAG_MISMATCH = 1    # tag expected from the VS's publication, tag recomputed
     COUNT_MISMATCH = 2  # participant count published by the CS, by the VS
     NON_CANONICAL = 3   # first aggregate coordinate holding a residue >= R_w, its value
+    LENGTH_MISMATCH = 4  # model dimension d, length of the published aggregate
 
 
 _ALARM = struct.Struct("<QBQQ")

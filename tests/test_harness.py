@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from vsecagg.field import find_prime_above
 from vsecagg.harness import (AdversarySpec, ConfigError, RunConfig, bench,
                              default_params, forgery_calibration,
                              plaintext_oracle, run_simulation)
+from vsecagg.roles import CsState
 from vsecagg.wire import AlarmReason, unpack_alarm
 
 BIG_PRIME = find_prime_above(1 << 60)
@@ -114,6 +117,22 @@ def test_count_mismatch_alarm_per_participant():
     for alarm in report.alarms:
         # The CS claims one participant more than the VS counted.
         assert unpack_alarm(alarm.payload) == (1, AlarmReason.COUNT_MISMATCH, 4, 3)
+
+
+def test_length_mismatch_alarm_per_participant(monkeypatch):
+    publish = CsState.publish_model_message
+
+    def publish_short(cs, round_index):
+        msg = publish(cs, round_index)
+        return replace(msg, payload=msg.payload[:-8])
+
+    monkeypatch.setattr(CsState, "publish_model_message", publish_short)
+    report = run_simulation(RunConfig(users=3, dim=2, rounds=1, seed=1))
+    rec = report.rounds[0]
+    assert not rec.verified and not report.exit_ok
+    assert sorted(alarm.sender for alarm in report.alarms) == list(rec.participants) == [0, 1, 2]
+    for alarm in report.alarms:
+        assert unpack_alarm(alarm.payload) == (1, AlarmReason.LENGTH_MISMATCH, 2, 1)
 
 
 def test_reproducibility_identical_reports():

@@ -3,14 +3,18 @@
 The reference functions below compute ``field.dot``, ``field.vec_sum``,
 ``field.vec_add``/``vec_sub`` and ``prf.expand`` the plain way: Python-int
 products, one ``%`` reduction per addition, and a keystream drawn with
-``update`` in fixed 25 % overdraws.
+``update`` in fixed 25 % overdraws from a fresh AES-CTR cipher built from
+the specification in ``prf``'s docstring, not from ``prf``'s own context.
 The signed lifts are checked element by element against the scalar
 ``to_signed``/``from_signed``.  The fast kernels must agree with their
 references bit for bit.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from vsecagg import field, prf, tags
 from vsecagg.field import FieldError, find_prime_above
@@ -43,7 +47,8 @@ def reference_vec_sum(vectors, r):
 def reference_expand(key, v0, length, modulus):
     mask = np.uint64((1 << modulus.bit_length()) - 1)
     bound = np.uint64(modulus)
-    enc = prf._keystream(key, v0)
+    counter = v0.to_bytes(8, "little") + bytes(8)
+    enc = Cipher(algorithms.AES(hashlib.sha256(key.data).digest()), modes.CTR(counter)).encryptor()
     out = np.empty(length, dtype=np.uint64)
     filled = 0
     while filled < length:
@@ -193,3 +198,34 @@ def test_expand_unit_at_default_modulus_matches_reference():
     out = prf.expand_unit(key, 3, 10_000, MERSENNE_61)
     assert np.array_equal(out, reference_expand(key, 3, 10_000, MERSENNE_61 - 1) + np.uint64(1))
     assert int(out.min()) >= 1 and int(out.max()) < MERSENNE_61
+
+
+@pytest.mark.parametrize("modulus", [BIG_PRIME, MERSENNE_61])
+def test_interleaved_expansions_match_reference(modulus):
+    # Each expansion re-points its key's kept context.  Odd lengths leave
+    # half a counter block of keystream behind, which must not carry over.
+    a, b = KeyMaterial(b"\x0b" * 16), KeyMaterial(b"\x0c" * 16)
+    for key, v0, length in ((a, 7, 1001), (b, 7, 999), (a, 3, 1), (a, 7, 333)):
+        assert np.array_equal(prf.expand(key, v0, length, modulus),
+                              reference_expand(key, v0, length, modulus))
+    assert np.array_equal(prf.expand_unit(a, 7, 65, modulus),
+                          reference_expand(a, 7, 65, modulus - 1) + np.uint64(1))
+
+
+def test_cipher_context_made_once_per_key(monkeypatch):
+    made = []
+
+    def counting_cipher(*args, **kwargs):
+        made.append(args)
+        return Cipher(*args, **kwargs)
+
+    monkeypatch.setattr(prf, "Cipher", counting_cipher)
+    k = KeyMaterial(b"\x05" * 16)
+    assert k.cipher is k.cipher and k.cipher.key == hashlib.sha256(k.data).digest()
+    for v0, length in ((4, 1), (4, 9000), (2, 100), (4, 1)):
+        assert np.array_equal(prf.expand(k, v0, length, BIG_PRIME),
+                              reference_expand(k, v0, length, BIG_PRIME))
+    assert len(made) == 1
+    assert prf._keystream(k, 9) is k.encryptor
+    # The cached cipher objects take no part in key equality.
+    assert k == KeyMaterial(k.data)

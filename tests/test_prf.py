@@ -42,17 +42,6 @@ def test_derive_cipher_key_deterministic_and_sensitive():
         derive_cipher_key(b"")
 
 
-def test_cipher_key_made_once_and_matches_raw_bytes():
-    k = key(5)
-    assert k.cipher is k.cipher
-    assert k.cipher.key == derive_cipher_key(k)
-    # A KeyMaterial and its raw bytes expand to the same stream.
-    for length in (1, 100, 9000):
-        assert np.array_equal(expand(k, 4, length, BIG_PRIME),
-                              expand(k.data, 4, length, BIG_PRIME))
-    assert k == KeyMaterial(k.data)
-
-
 def test_concat_keys():
     a, b = key(1), key(2)
     assert concat_keys(a, b).data == a.data + b.data

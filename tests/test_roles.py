@@ -433,6 +433,21 @@ def test_user_fails_closed_on_non_canonical_aggregate(r):
     assert users[0].reconstruct_round(w1pp, b2p, m_cs, m_vs, 1).verified
 
 
+def test_user_fails_closed_on_wrong_length_aggregate():
+    params = make_params(dim=4, r=MERSENNE_61)
+    users, cs, vs = setup(3, params, rng=random.Random(31))
+    rng = np.random.default_rng(8)
+    updates = {u.uid: rng.uniform(-1, 1, 4) for u in users}
+    _, w1pp, b2p, m_cs, m_vs = run_honest_round(users, cs, vs, updates, 1)
+    for published in (w1pp[:3], np.append(w1pp, w1pp[:1]), w1pp[:0]):
+        res = users[0].reconstruct_round(published, b2p, m_cs, m_vs, 1)
+        assert not res.verified and res.model is None
+        alarm = res.alarm_message(sender=0)
+        assert unpack_alarm(alarm.payload) == (1, AlarmReason.LENGTH_MISMATCH, 4, published.size)
+    assert users[0].current_model is None
+    assert users[0].reconstruct_round(w1pp, b2p, m_cs, m_vs, 1).verified
+
+
 def test_cs_rejects_non_canonical_reshare():
     params = make_params(dim=3, r=MERSENNE_61)
     users, cs, vs = setup(2, params, rng=random.Random(30))

@@ -93,6 +93,24 @@ def test_publish_payloads():
     assert (m, tag) == (7, 12345)
 
 
+@pytest.mark.parametrize("payload", [b"", b"abc", b"\x00" * 7])
+def test_publish_payloads_without_count(payload):
+    for unpack in (unpack_publish_model, unpack_publish_tag):
+        with pytest.raises(TruncatedFrameError):
+            unpack(payload)
+
+
+def test_publish_payloads_with_bad_body_length():
+    model = pack_publish_model(3, np.arange(4, dtype=np.uint64))
+    with pytest.raises(LengthMismatchError):
+        unpack_publish_model(model[:-3])
+    assert unpack_publish_model(model[:8])[1].size == 0
+    tag = pack_publish_tag(7, 12345)
+    for bad in (tag[:8], tag[:-1], tag + b"\x00"):
+        with pytest.raises(LengthMismatchError):
+            unpack_publish_tag(bad)
+
+
 def test_alarm_payload():
     for reason in AlarmReason:
         assert unpack_alarm(pack_alarm(9, reason, 11, 22)) == (9, reason, 11, 22)
