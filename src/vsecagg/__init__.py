@@ -5,7 +5,7 @@ Library layout:
   field     prime-field arithmetic and serialization
   prf       AES-CTR keyed expansion into uniform field vectors
   codec     fixed-point encoding with overflow-capacity checks
-  sharing   2-of-2 additive secret sharing and resharing
+  sharing   a user's PRF-masked share of its encoded update
   tags      constant-size linear verification tags
   roles     user / computation-server / verification-server state machines
   wire      message framing, channels, traffic accounting
@@ -20,8 +20,7 @@ from .harness import (AdversarySpec, MetricsReport, RunConfig, bench,
 from .prf import KeyMaterial, concat_keys, derive_cipher_key, expand, expand_unit
 from .roles import (CsState, ProtocolParams, RoundContext, UserState, VsState,
                     init_model_from_seeds, intersect_online, join_new_user, setup)
-from .sharing import ShareVector, aggregate_shares, reconstruct, reshare, \
-    share_explicit, share_with_prf
+from .sharing import share_with_prf
 from .tags import derive_tag_key, gen_tag, verify
 from .wire import Message, MessageKind, TrafficLedger, deserialize, serialize
 

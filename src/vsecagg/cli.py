@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import argparse
+import random
 import sys
 from typing import List, Optional
 
 import numpy as np
 
-from .harness import (AdversarySpec, RunConfig, bench, default_params,
+from .harness import (AdversarySpec, RunConfig, bench, default_params, draw_round,
                       forgery_calibration, plaintext_oracle, run_simulation)
+from .roles import setup
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -73,7 +75,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     cal.add_argument("--dim", type=int, default=4)
     cal.add_argument("--report-out", type=str, default=None)
 
-    ora = sub.add_parser("oracle", help="print the plaintext-pipeline mean for a config")
+    ora = sub.add_parser("oracle", help="print the plaintext-pipeline mean of round 1")
     _add_run_flags(ora)
 
     args = parser.parse_args(argv)
@@ -98,17 +100,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         _emit(text, args.report_out)
         return 0
 
-    # oracle: regenerate the synthetic updates a simulation would use and
-    # print the exact plaintext mean for its first round.
+    # oracle: replay the draws of a simulation's first round (setup takes
+    # its keys from the same generator) and print the exact plaintext mean
+    # of that round's participants.
     cfg = _config(args)
     params = default_params(cfg)
-    update_rng = np.random.default_rng(cfg.seed)
-    updates = {uid: update_rng.uniform(-cfg.x_bound, cfg.x_bound, cfg.dim)
-               for uid in range(cfg.users)}
-    weights = (dict(zip(range(cfg.users), cfg.weights))
-               if cfg.weights is not None else None)
+    rng = random.Random(cfg.seed)
+    users, _, _ = setup(cfg.users, params, rng=rng)
+    _, updates = draw_round(cfg, users, rng, np.random.default_rng(cfg.seed))
+    weights = dict(enumerate(cfg.weights)) if cfg.weights is not None else None
     mean = plaintext_oracle(updates, sorted(updates), params.codec, weights=weights)
-    text = "\n".join(f"{uid}={value!r}" for uid, value in enumerate(mean)) + "\n"
+    text = "\n".join(f"{coord}={float(value)!r}" for coord, value in enumerate(mean)) + "\n"
     _emit(text, args.report_out)
     return 0
 

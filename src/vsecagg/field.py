@@ -27,7 +27,6 @@ Scalar operations use Python integers throughout.
 
 from __future__ import annotations
 
-import struct
 from typing import Optional, Tuple
 
 import numpy as np
@@ -121,17 +120,8 @@ def fe_add(a: int, b: int, r: int) -> int:
     return (a + b) % r
 
 
-def fe_neg(a: int, r: int) -> int:
-    return (-a) % r
-
-
 def fe_sub(a: int, b: int, r: int) -> int:
     return (a - b) % r
-
-
-def fe_mul(a: int, b: int, r: int) -> int:
-    # Python ints are arbitrary precision; the 122-bit intermediate is safe.
-    return a * b % r
 
 
 def to_signed(a: int, r: int) -> int:
@@ -181,10 +171,6 @@ def vec_sub(a: np.ndarray, b: np.ndarray, r: int) -> np.ndarray:
     _check_lengths(a, b)
     d = a - b  # a - b + 2^64 when a < b, and then d + r wraps to a - b + r
     return np.minimum(d, d + np.uint64(r), out=d)
-
-
-def vec_neg(a: np.ndarray, r: int) -> np.ndarray:
-    return (np.uint64(r) - a) % np.uint64(r)
 
 
 # Canonical residues that fit in one uint64 accumulator: 7 * (2^61 - 1) < 2^64.
@@ -267,20 +253,9 @@ def dot(a: np.ndarray, b: np.ndarray, r: int) -> int:
 
 
 # -- serialization -----------------------------------------------------------
-# Field elements travel as 8-byte little-endian words.  The standalone
-# vector format (used for model files) carries a 4-byte element count;
-# message payloads embed the raw words and recover the count from the
-# frame's payload length.
-
-def elem_to_bytes(a: int) -> bytes:
-    return struct.pack("<Q", a)
-
-
-def elem_from_bytes(data: bytes) -> int:
-    if len(data) != 8:
-        raise FieldError(f"field element must be 8 bytes, got {len(data)}")
-    return struct.unpack("<Q", data)[0]
-
+# Field elements travel as 8-byte little-endian words.  Message payloads
+# embed the raw words and recover the count from the frame's payload
+# length; a single element (a tag) goes through ``tags.tag_to_bytes``.
 
 def vec_to_raw(a: np.ndarray) -> bytes:
     return a.astype("<u8").tobytes()
@@ -290,17 +265,3 @@ def vec_from_raw(data: bytes) -> np.ndarray:
     if len(data) % 8 != 0:
         raise FieldError("raw vector byte length must be a multiple of 8")
     return np.frombuffer(data, dtype="<u8").astype(np.uint64)
-
-
-def vec_to_bytes(a: np.ndarray) -> bytes:
-    return struct.pack("<I", a.size) + vec_to_raw(a)
-
-
-def vec_from_bytes(data: bytes) -> np.ndarray:
-    if len(data) < 4:
-        raise FieldError("vector encoding shorter than its count prefix")
-    (count,) = struct.unpack("<I", data[:4])
-    body = data[4:]
-    if len(body) != 8 * count:
-        raise FieldError(f"vector encoding expects {8 * count} body bytes, got {len(body)}")
-    return vec_from_raw(body)

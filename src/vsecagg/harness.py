@@ -23,16 +23,17 @@ from .field import FieldModulus, find_prime_below
 from .roles import (CsState, ParticipantMismatchError, ProtocolParams,
                     RoundContext, UserState, VsState, intersect_online, setup)
 from .wire import (AlarmReason, MemoryLink, Message, MessageKind, SocketLink,
-                   TrafficLedger, alarm_message, pack_online_list, socket_link_pair,
-                   unpack_publish_model, unpack_publish_tag)
+                   TrafficLedger, WireError, alarm_message, pack_online_list,
+                   socket_link_pair, unpack_publish_model, unpack_publish_tag)
 
-ADVERSARY_ACTIONS = (
-    "tamper_model_share",
-    "tamper_aggregate",
-    "drop_participant",
-    "lie_about_m",
-    "forge_tag",
-)
+# Each modelled attack and the server that performs it.
+ADVERSARY_ACTIONS = {
+    "tamper_model_share": "cs",
+    "tamper_aggregate": "cs",
+    "drop_participant": "cs",
+    "lie_about_m": "cs",
+    "forge_tag": "vs",
+}
 
 
 class ConfigError(ValueError):
@@ -43,16 +44,16 @@ class ConfigError(ValueError):
 class AdversarySpec:
     """One malicious-server action, applied once at the given round."""
 
-    target: str            # "cs" or "vs"
+    target: str            # the server that performs the action
     action: str
     round_index: int
     magnitude: int = 1     # field offset for tampering actions
 
     def __post_init__(self) -> None:
-        if self.target not in ("cs", "vs"):
-            raise ConfigError(f"adversary target must be cs or vs, got {self.target!r}")
-        if self.action not in ADVERSARY_ACTIONS:
-            raise ConfigError(f"unknown adversary action {self.action!r}")
+        if ADVERSARY_ACTIONS.get(self.action) != self.target:
+            supported = ", ".join(f"{t}:{a}" for a, t in ADVERSARY_ACTIONS.items())
+            raise ConfigError(f"unsupported adversary {self.target}:{self.action}; "
+                              f"supported: {supported}")
 
     @classmethod
     def parse(cls, text: str) -> "AdversarySpec":
@@ -290,7 +291,7 @@ def run_round(users_online: List[UserState], all_users: Dict[int, UserState],
                                    pack_online_list(vs_ids)))
     ctx = intersect_online(cs_ids, vs_ids, round_index)
 
-    if adv and adv.target == "cs" and adv.action in ("tamper_model_share", "drop_participant"):
+    if adv and adv.action in ("tamper_model_share", "drop_participant"):
         _apply_cs_tampering(adv, cs, ctx, rng, params.r_w)
 
     w_t_msg = net.transfer("vs->cs", Message(
@@ -326,8 +327,15 @@ def run_round(users_online: List[UserState], all_users: Dict[int, UserState],
     for uid in ctx.participants:
         delivered_model = net.transfer(f"cs->user{uid}", model_msg)
         delivered_tag = net.transfer(f"vs->user{uid}", tag_msg)
-        pm, pvec = unpack_publish_model(delivered_model.payload)
-        pt_m, ptag = unpack_publish_tag(delivered_tag.payload)
+        bad = delivered_model
+        try:
+            pm, pvec = unpack_publish_model(delivered_model.payload)
+            bad = delivered_tag
+            pt_m, ptag = unpack_publish_tag(delivered_tag.payload)
+        except WireError:
+            alarms.append(alarm_message(round_index, uid, AlarmReason.MALFORMED_PUBLICATION,
+                                        int(bad.kind), len(bad.payload)))
+            continue
         try:
             res = all_users[uid].reconstruct_round(
                 pvec, ptag, pm, pt_m, round_index, weighted=weights is not None)
@@ -340,6 +348,16 @@ def run_round(users_online: List[UserState], all_users: Dict[int, UserState],
         if not res.verified:
             alarms.append(res.alarm_message(sender=uid))
     return _RoundOutcome(results, mismatches, w1pp, b2p, alarms)
+
+
+def draw_round(cfg: RunConfig, users: Sequence[UserState], rng: random.Random,
+               update_rng: np.random.Generator
+               ) -> Tuple[List[UserState], Dict[int, np.ndarray]]:
+    """A round's online users, by seeded dropout, and their synthetic updates."""
+    online = [u for u in users if rng.random() >= cfg.dropout]
+    updates = {u.uid: update_rng.uniform(-cfg.x_bound, cfg.x_bound, cfg.dim)
+               for u in online}
+    return online, updates
 
 
 def run_simulation(cfg: RunConfig) -> MetricsReport:
@@ -358,7 +376,7 @@ def run_simulation(cfg: RunConfig) -> MetricsReport:
     try:
         for r in range(1, cfg.rounds + 1):
             start = time.perf_counter()
-            online = [u for u in users if rng.random() >= cfg.dropout]
+            online, updates = draw_round(cfg, users, rng, update_rng)
             rec = RoundRecord(r, tuple(u.uid for u in online))
             adv = cfg.adversary if cfg.adversary and cfg.adversary.round_index == r else None
             rec.adversarial = adv is not None
@@ -367,17 +385,15 @@ def run_simulation(cfg: RunConfig) -> MetricsReport:
                 rec.wall_time = time.perf_counter() - start
                 report.rounds.append(rec)
                 continue
-            updates = {u.uid: update_rng.uniform(-cfg.x_bound, cfg.x_bound, cfg.dim)
-                       for u in online}
             outcome = run_round(online, all_users, cs, vs, net, r, updates, rng,
                                 weights=weights, adversary=adv)
             rec.participants = tuple(sorted(outcome.results) if outcome.results
                                      else [u.uid for u in online])
-            verified = [res.verified for res in outcome.results.values()]
-            rec.verified = bool(verified) and all(verified) and outcome.mismatch_errors == 0
+            # Every participant that rejects the round raises an alarm.
+            rec.verified = bool(outcome.results) and not outcome.alarms
             report.alarms.extend(outcome.alarms)
             if rec.adversarial:
-                rec.detected = (not rec.verified) or outcome.mismatch_errors > 0
+                rec.detected = not rec.verified
             if rec.verified:
                 participants = sorted(outcome.results)
                 oracle = plaintext_oracle(

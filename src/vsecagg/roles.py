@@ -76,11 +76,10 @@ class ProtocolParams:
     r_b: int
     dim: int
     codec: codec.CodecParams
-    key_bytes: int = 16
 
     def digest(self) -> bytes:
         text = f"{self.r_w}|{self.r_b}|{self.dim}|{self.codec.delta}|" \
-               f"{self.codec.n_max}|{self.codec.x_min}|{self.codec.x_max}|{self.key_bytes}"
+               f"{self.codec.n_max}|{self.codec.x_min}|{self.codec.x_max}"
         return hashlib.sha256(text.encode()).digest()
 
 
@@ -112,18 +111,13 @@ def _require_canonical(vec: np.ndarray, r: int, what: str) -> None:
 
 
 def init_model_from_seeds(s1: KeyMaterial, s2: KeyMaterial, dim: int, r_w: int) -> np.ndarray:
-    """Initial model every user derives identically; neither seed alone fixes it."""
-    return expand(concat_keys(s1, s2), 0, dim, r_w)
+    """Initial model every user derives identically; neither seed alone fixes it.
 
-
-def load_pretrained_model(path, dim: int, r_w: int) -> np.ndarray:
-    """Read a length-prefixed field vector from a trusted model file."""
-    with open(path, "rb") as fh:
-        vec = field.vec_from_bytes(fh.read())
-    if vec.size != dim:
-        raise ProtocolError(f"model file holds {vec.size} parameters, expected {dim}")
-    _require_canonical(vec, r_w, "model file")
-    return vec
+    Read-only, so one array can be shared by every user.
+    """
+    model = expand(concat_keys(s1, s2), 0, dim, r_w)
+    model.setflags(write=False)
+    return model
 
 
 @dataclass
@@ -144,7 +138,7 @@ class UserState:
     def __init__(self, uid: int, k_vi: KeyMaterial, k_ci: KeyMaterial,
                  k_cv: KeyMaterial, k_vv: KeyMaterial,
                  k_cg: KeyMaterial, k_vg: KeyMaterial,
-                 params: ProtocolParams):
+                 params: ProtocolParams, initial_model: np.ndarray):
         self.uid = uid
         self.k_vi = k_vi
         self.k_ci = k_ci
@@ -152,6 +146,7 @@ class UserState:
         self.k_vg = k_vg
         self.k_v = concat_keys(k_cv, k_vv)
         self.params = params
+        self.initial_model = initial_model
         self.current_model: Optional[np.ndarray] = None
         self.last_verified_round: Optional[int] = None
         self._last_shared_round = 0
@@ -180,8 +175,7 @@ class UserState:
         encoded = self._encode_update(update, weight)
         if encoded.size != p.dim:
             raise ProtocolError(f"update has {encoded.size} parameters, expected {p.dim}")
-        share = sharing.share_with_prf(encoded, self.k_vi, round_index, p.r_w,
-                                       holder=sharing.CS, origin=str(self.uid))
+        share = sharing.share_with_prf(encoded, self.k_vi, round_index, p.r_w)
         key_vec = tags.derive_tag_key(self.k_v, round_index, p.dim, p.r_b)
         b_i = tags.gen_tag(encoded, key_vec, p.r_w, p.r_b)
         b_i1 = int(expand(self.k_ci, round_index, 1, p.r_b)[0])
@@ -190,7 +184,7 @@ class UserState:
         self._tag_key = (round_index, key_vec)
         return (
             Message(MessageKind.MODEL_SHARE, round_index, self.uid,
-                    field.vec_to_raw(share.data)),
+                    field.vec_to_raw(share)),
             Message(MessageKind.TAG_SHARE, round_index, self.uid,
                     tags.tag_to_bytes(b_i2)),
         )
@@ -438,17 +432,15 @@ def setup(n: int, params: ProtocolParams, rng=None):
     gen = lambda: KeyMaterial.generate(rng)
     cs = CsState(params, k_cg=gen(), k_cv=gen(), seed=gen())
     vs = VsState(params, k_vg=gen(), k_vv=gen(), seed=gen())
+    initial = init_model_from_seeds(cs.seed, vs.seed, params.dim, params.r_w)
     users = []
     for uid in range(n):
         k_vi, k_ci = gen(), gen()
         vs.register_user(uid, k_vi)
         cs.register_user(uid, k_ci)
         users.append(UserState(uid, k_vi, k_ci, cs.k_cv, vs.k_vv,
-                               cs.k_cg, vs.k_vg, params))
+                               cs.k_cg, vs.k_vg, params, initial))
     check_param_digest(cs, vs, *users)
-    initial = init_model_from_seeds(cs.seed, vs.seed, params.dim, params.r_w)
-    for u in users:
-        u.initial_model = initial.copy()
     return users, cs, vs
 
 
@@ -460,7 +452,6 @@ def join_new_user(cs: CsState, vs: VsState, rng=None) -> UserState:
     k_vo = KeyMaterial.generate(rng)
     cs.register_user(uid, k_co)
     vs.register_user(uid, k_vo)
-    user = UserState(uid, k_vo, k_co, cs.k_cv, vs.k_vv, cs.k_cg, vs.k_vg, cs.params)
-    user.initial_model = init_model_from_seeds(
-        cs.seed, vs.seed, cs.params.dim, cs.params.r_w)
-    return user
+    initial = init_model_from_seeds(cs.seed, vs.seed, cs.params.dim, cs.params.r_w)
+    return UserState(uid, k_vo, k_co, cs.k_cv, vs.k_vv, cs.k_cg, vs.k_vg, cs.params,
+                     initial)

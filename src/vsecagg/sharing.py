@@ -1,83 +1,19 @@
-"""2-of-2 additive secret sharing with PRF-compressed counterpart shares.
+"""2-of-2 additive secret sharing with a PRF-compressed counterpart share.
 
-The normal path never materializes the second share on the sharer's
-side: the key holder regenerates it from (key, round).  Holder/origin
-tags on :class:`ShareVector` are metadata for assertions and debugging;
-they are never serialized.
+The sharer never materializes the second share: the key holder
+regenerates it from (key, round).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Sequence, Union
 
 import numpy as np
 
 from . import field
 from .prf import KeyMaterial, expand
 
-CS = "cs"
-VS = "vs"
 
-
-class SharingError(ValueError):
-    """Mismatched operands or empty aggregation."""
-
-
-@dataclass
-class ShareVector:
-    data: np.ndarray
-    holder: str
-    origin: str = ""
-
-
-def share_with_prf(
-    secret: np.ndarray,
-    key: KeyMaterial,
-    round_index: int,
-    r: int,
-    holder: str = CS,
-    origin: str = "",
-) -> ShareVector:
+def share_with_prf(secret: np.ndarray, key: KeyMaterial, round_index: int,
+                   r: int) -> np.ndarray:
     """Explicit share secret - F_key(round) mod r; the counterpart is implicit."""
     mask = expand(key, round_index, secret.size, r)
-    return ShareVector(field.vec_sub(secret, mask, r), holder=holder, origin=origin)
-
-
-def share_explicit(secret: np.ndarray, r: int, rng: np.random.Generator):
-    """Uniform share pair (s1, s2) with s1 + s2 = secret mod r."""
-    s1 = rng.integers(0, r, size=secret.shape, dtype=np.uint64)
-    s2 = field.vec_sub(secret, s1, r)
-    return s1, s2
-
-
-def reconstruct(s1: np.ndarray, s2: np.ndarray, r: int) -> np.ndarray:
-    return field.vec_add(s1, s2, r)
-
-
-def aggregate_shares(shares: Sequence[ShareVector], r: int) -> ShareVector:
-    """Elementwise modular sum; all shares must sit with the same holder."""
-    if not shares:
-        raise SharingError("cannot aggregate an empty list of shares")
-    holders = {s.holder for s in shares}
-    if len(holders) != 1:
-        raise SharingError(f"refusing to mix shares across holders: {sorted(holders)}")
-    total = field.vec_sum((s.data for s in shares), r)
-    return ShareVector(total, holder=shares[0].holder, origin="aggregate")
-
-
-def reshare(
-    aggregate: Union[ShareVector, np.ndarray],
-    mask_key: KeyMaterial,
-    round_index: int,
-    r: int,
-) -> np.ndarray:
-    """Re-randomize an aggregate with a globally known mask key.
-
-    The receiver adds the transfer to its own aggregate; the
-    reconstruction counterpart then becomes F_mask_key(round), which
-    every user regenerates locally.
-    """
-    data = aggregate.data if isinstance(aggregate, ShareVector) else aggregate
-    mask = expand(mask_key, round_index, data.size, r)
-    return field.vec_sub(data, mask, r)
+    return field.vec_sub(secret, mask, r)

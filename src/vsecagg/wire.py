@@ -39,8 +39,7 @@ MAX_PAYLOAD = (1 << 31) - 1
 
 
 class MessageKind(IntEnum):
-    SETUP_KEY = 0
-    SEED_PAIR = 1
+    # Each value is the frame's kind byte; 0, 1 and 9 are unassigned.
     MODEL_SHARE = 2
     TAG_SHARE = 3
     ONLINE_LIST = 4
@@ -48,7 +47,6 @@ class MessageKind(IntEnum):
     RESHARE_TAG = 6
     PUBLISH_MODEL = 7
     PUBLISH_TAG = 8
-    PARAM_DIGEST = 9
     ALARM = 10
 
 
@@ -95,40 +93,24 @@ def serialize(msg: Message) -> bytes:
                        len(msg.payload)) + msg.payload
 
 
-def _parse_one(data: bytes, base: int) -> Tuple[Message, int]:
+def deserialize(data: bytes) -> Message:
+    """Exact inverse of :func:`serialize` on a single well-formed frame."""
     if len(data) < HEADER.size:
-        raise TruncatedFrameError("frame shorter than its header", base + len(data))
+        raise TruncatedFrameError("frame shorter than its header", len(data))
     magic, kind, round_index, sender, length = HEADER.unpack_from(data)
     if magic != MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}", base)
+        raise BadMagicError(f"bad magic {magic!r}", 0)
     try:
         kind = MessageKind(kind)
     except ValueError:
-        raise UnknownKindError(f"unknown message kind {kind}", base + 4) from None
+        raise UnknownKindError(f"unknown message kind {kind}", 4) from None
     end = HEADER.size + length
     if len(data) < end:
-        raise TruncatedFrameError("frame truncated mid-payload", base + len(data))
-    return Message(kind, round_index, sender, bytes(data[HEADER.size:end])), end
-
-
-def deserialize(data: bytes) -> Message:
-    """Exact inverse of :func:`serialize` on a single well-formed frame."""
-    msg, end = _parse_one(data, 0)
+        raise TruncatedFrameError("frame truncated mid-payload", len(data))
     if end != len(data):
         raise LengthMismatchError(
             f"{len(data) - end} trailing bytes after frame", end)
-    return msg
-
-
-def parse_frames(data: bytes) -> List[Message]:
-    """Split a concatenation of frames back into the original sequence."""
-    out = []
-    pos = 0
-    while pos < len(data):
-        msg, used = _parse_one(data[pos:], pos)
-        out.append(msg)
-        pos += used
-    return out
+    return Message(kind, round_index, sender, bytes(data[HEADER.size:end]))
 
 
 # -- payload layouts ---------------------------------------------------------
@@ -187,6 +169,7 @@ class AlarmReason(IntEnum):
     COUNT_MISMATCH = 2  # participant count published by the CS, by the VS
     NON_CANONICAL = 3   # first aggregate coordinate holding a residue >= R_w, its value
     LENGTH_MISMATCH = 4  # model dimension d, length of the published aggregate
+    MALFORMED_PUBLICATION = 5  # kind of the unparsable publication, its payload length
 
 
 _ALARM = struct.Struct("<QBQQ")
@@ -241,10 +224,6 @@ class TrafficLedger:
         entry = self.entries.get((link, round_index))
         return entry.total_bytes if entry else 0
 
-    def round_payload(self, round_index: int, prefix: str = "") -> int:
-        return sum(e.payload_bytes for (link, r), e in self.entries.items()
-                   if r == round_index and link.startswith(prefix))
-
 
 # -- channels ----------------------------------------------------------------
 
@@ -272,9 +251,6 @@ class MemoryLink:
                 raise LinkClosedError(f"link {self.name} is closed")
             raise LinkClosedError(f"link {self.name} has no pending message")
         return deserialize(self._queue.popleft())
-
-    def pending(self) -> int:
-        return len(self._queue)
 
     def close(self) -> None:
         self._closed = True

@@ -3,14 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from vsecagg import harness
 from vsecagg.cli import main as cli_main
 from vsecagg.codec import CodecParams
 from vsecagg.field import find_prime_above
 from vsecagg.harness import (AdversarySpec, ConfigError, RunConfig, bench,
                              default_params, forgery_calibration,
                              plaintext_oracle, run_simulation)
-from vsecagg.roles import CsState
-from vsecagg.wire import AlarmReason, unpack_alarm
+from vsecagg.roles import CsState, VsState
+from vsecagg.wire import AlarmReason, MessageKind, unpack_alarm
 
 BIG_PRIME = find_prime_above(1 << 60)
 
@@ -86,6 +87,20 @@ def test_adversary_detected_and_isolated_to_its_round(target, action):
     assert report.exit_ok
 
 
+@pytest.mark.parametrize("target,action", [
+    ("cs", "forge_tag"),
+    ("vs", "tamper_model_share"),
+    ("vs", "tamper_aggregate"),
+    ("vs", "drop_participant"),
+    ("vs", "lie_about_m"),
+])
+def test_adversary_spec_rejects_a_server_that_does_not_perform_the_action(target, action):
+    with pytest.raises(ConfigError):
+        AdversarySpec(target, action, 1)
+    with pytest.raises(ConfigError):
+        AdversarySpec.parse(f"{target}:{action}:1")
+
+
 def test_exit_not_ok_propagates_from_honest_failure():
     cfg = RunConfig(users=2, dim=2, rounds=1, seed=1)
     report = run_simulation(cfg)
@@ -133,6 +148,26 @@ def test_length_mismatch_alarm_per_participant(monkeypatch):
     assert sorted(alarm.sender for alarm in report.alarms) == list(rec.participants) == [0, 1, 2]
     for alarm in report.alarms:
         assert unpack_alarm(alarm.payload) == (1, AlarmReason.LENGTH_MISMATCH, 2, 1)
+
+
+@pytest.mark.parametrize("server,publish,kind", [
+    (CsState, "publish_model_message", MessageKind.PUBLISH_MODEL),
+    (VsState, "publish_tag_message", MessageKind.PUBLISH_TAG),
+])
+def test_malformed_publication_alarm_per_participant(monkeypatch, server, publish, kind):
+    original = getattr(server, publish)
+
+    def publish_malformed(state, round_index):
+        return replace(original(state, round_index), payload=b"\x00" * 3)
+
+    monkeypatch.setattr(server, publish, publish_malformed)
+    report = run_simulation(RunConfig(users=3, dim=2, rounds=1, seed=1))
+    rec = report.rounds[0]
+    assert not rec.verified and not report.exit_ok
+    assert sorted(alarm.sender for alarm in report.alarms) == list(rec.participants) == [0, 1, 2]
+    for alarm in report.alarms:
+        assert unpack_alarm(alarm.payload) == (1, AlarmReason.MALFORMED_PUBLICATION,
+                                               int(kind), 3)
 
 
 def test_reproducibility_identical_reports():
@@ -221,6 +256,31 @@ def test_cli_calibrate_and_oracle(tmp_path, capsys):
     assert "tamper_rate=" in capsys.readouterr().out
     rc = cli_main(["oracle", "--users", "2", "--dim", "2", "--seed", "3"])
     assert rc == 0
+
+
+@pytest.mark.parametrize("weights", [None, (2.0, 1.0, 3.0, 4.0)])
+def test_cli_oracle_matches_simulated_round_one(monkeypatch, capsys, tmp_path, weights):
+    # At this seed only user 0 is online in round 1.
+    argv = ["oracle", "--users", "4", "--dim", "2", "--seed", "4", "--dropout", "0.5"]
+    cfg = RunConfig(users=4, dim=2, rounds=1, dropout=0.5, seed=4, weights=weights)
+    if weights is not None:
+        path = tmp_path / "weights.txt"
+        path.write_text("".join(f"{w}\n" for w in weights))
+        argv += ["--weights-file", str(path)]
+    assert cli_main(argv) == 0
+    printed = [float(line.split("=")[1]) for line in capsys.readouterr().out.split()]
+
+    outcomes = []
+    run_round = harness.run_round
+
+    def spy(*args, **kwargs):
+        outcomes.append(run_round(*args, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(harness, "run_round", spy)
+    report = run_simulation(cfg)
+    assert report.rounds[0].participants == (0,)
+    assert [res.model.tolist() for res in outcomes[0].results.values()] == [printed]
 
 
 def test_cli_weights_file(tmp_path):

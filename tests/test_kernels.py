@@ -172,8 +172,13 @@ def test_vec_add_sub_match_modulo_reference(r):
 
 
 def test_vec_sum_rejects_length_mismatch():
+    a, b = np.zeros(3, dtype=np.uint64), np.zeros(4, dtype=np.uint64)
     with pytest.raises(FieldError):
-        field.vec_sum([np.zeros(3, dtype=np.uint64), np.zeros(4, dtype=np.uint64)], R97)
+        field.vec_sum([a, b], R97)
+    # So do the pairwise kernels.
+    for pairwise in (field.vec_add, field.vec_sub):
+        with pytest.raises(FieldError):
+            pairwise(a, b, R97)
 
 
 # 2^61 - 1 (the default) and 2^61 - 2 (its unit-group expansion) accept

@@ -13,7 +13,7 @@ from vsecagg.roles import (CsState, DuplicateIdError, DuplicateShareError,
                            ProtocolError, ProtocolParams, RoundContext, StaleRoundError,
                            UserState, VsState, check_param_digest,
                            init_model_from_seeds, intersect_online,
-                           join_new_user, load_pretrained_model, setup)
+                           join_new_user, setup)
 from vsecagg.wire import AlarmReason, Message, MessageKind, unpack_alarm, unpack_publish_model
 
 BIG_PRIME = find_prime_above(1 << 60)
@@ -98,15 +98,15 @@ def test_initial_model_identical_and_seed_sensitive():
                                        params.dim, params.r_w))
 
 
-def test_pretrained_model_file_round_trip(tmp_path):
+def test_initial_model_is_shared_and_read_only():
     params = make_params(dim=4)
-    vec = field.vec_from_ints([1, 2, 3, 4], params.r_w)
-    path = tmp_path / "model.bin"
-    path.write_bytes(field.vec_to_bytes(vec))
-    assert np.array_equal(load_pretrained_model(path, 4, params.r_w), vec)
-    from vsecagg.roles import ProtocolError
-    with pytest.raises(ProtocolError):
-        load_pretrained_model(path, 5, params.r_w)
+    users, cs, vs = setup(3, params, rng=random.Random(4))
+    joiner = join_new_user(cs, vs, rng=random.Random(5))
+    assert all(u.initial_model is users[0].initial_model for u in users)
+    assert np.array_equal(joiner.initial_model, users[0].initial_model)
+    for u in (users[0], joiner):
+        with pytest.raises(ValueError):
+            u.initial_model[0] = 1
 
 
 def test_share_round_payload_sizes():

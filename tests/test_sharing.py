@@ -1,11 +1,9 @@
 import numpy as np
-import pytest
 from scipy import stats
 
 from vsecagg import field
 from vsecagg.prf import KeyMaterial, expand
-from vsecagg.sharing import (CS, VS, ShareVector, SharingError, aggregate_shares,
-                             reconstruct, reshare, share_explicit, share_with_prf)
+from vsecagg.sharing import share_with_prf
 
 R17 = 17
 R97 = 97
@@ -22,106 +20,32 @@ def vec(values, r=R17):
 def test_share_with_prf_round_trip():
     secret = vec([10, 3, 0, 16])
     share = share_with_prf(secret, key(1), 5, R17)
+    assert share.dtype == np.uint64
     mask = expand(key(1), 5, 4, R17)
-    assert np.array_equal(reconstruct(share.data, mask, R17), secret)
+    assert np.array_equal(field.vec_add(share, mask, R17), secret)
 
 
 def test_share_with_prf_hand_values():
     # With a known PRF output p, the share is secret - p mod R.
     mask = expand(key(2), 1, 1, R17)
     share = share_with_prf(vec([10]), key(2), 1, R17)
-    assert int(share.data[0]) == (10 - int(mask[0])) % R17
+    assert int(share[0]) == (10 - int(mask[0])) % R17
     share = share_with_prf(vec([3]), key(2), 1, R17)
-    assert int(share.data[0]) == (3 - int(mask[0])) % R17
-
-
-def test_share_explicit_forced_second_share():
-    rng = np.random.default_rng(0)
-    secret = vec([10], R17)
-    s1, s2 = share_explicit(secret, R17, rng)
-    assert int(s2[0]) == (10 - int(s1[0])) % R17
-    zero1, zero2 = share_explicit(vec([0]), R17, rng)
-    assert int(zero2[0]) == (R17 - int(zero1[0])) % R17
-    assert np.array_equal(reconstruct(s1, s2, R17), secret)
-
-
-def test_reconstruct_examples():
-    assert int(reconstruct(vec([4]), vec([6]), R17)[0]) == 10
-    assert int(reconstruct(vec([11]), vec([9]), R17)[0]) == 3  # 20 mod 17
-    x = vec([7, 8])
-    assert np.array_equal(reconstruct(x, vec([0, 0]), R17), x)
-    with pytest.raises(field.FieldError):
-        reconstruct(vec([1]), vec([1, 2]), R17)
-
-
-def test_aggregate_shares_scalar_example():
-    shares = [ShareVector(vec([v]), CS) for v in (3, 5, 16)]
-    assert int(aggregate_shares(shares, R17).data[0]) == 7  # 24 mod 17
-    single = aggregate_shares([shares[0]], R17)
-    assert np.array_equal(single.data, shares[0].data)
-
-
-def test_aggregate_shares_rejects_empty_and_mixed_holders():
-    with pytest.raises(SharingError):
-        aggregate_shares([], R17)
-    with pytest.raises(SharingError):
-        aggregate_shares([ShareVector(vec([1]), CS), ShareVector(vec([2]), VS)], R17)
+    assert int(share[0]) == (3 - int(mask[0])) % R17
 
 
 def test_homomorphism_randomized_r97():
+    # The sum of the shares plus the sum of the regenerated masks is the
+    # sum of the secrets.
     rng = np.random.default_rng(4)
-    for _ in range(25):
+    for trial in range(25):
         secrets = [rng.integers(0, R97, 6, dtype=np.uint64) for _ in range(5)]
-        pairs = [share_explicit(s, R97, rng) for s in secrets]
-        agg1 = field.vec_sum([p[0] for p in pairs], R97)
-        agg2 = field.vec_sum([p[1] for p in pairs], R97)
-        expected = field.vec_sum(secrets, R97)
-        assert np.array_equal(reconstruct(agg1, agg2, R97), expected)
-
-
-def test_reshare_telescopes():
-    rng = np.random.default_rng(5)
-    a = rng.integers(0, R97, 8, dtype=np.uint64)
-    b = rng.integers(0, R97, 8, dtype=np.uint64)
-    transfer = reshare(a, key(3), 2, R97)
-    mask = expand(key(3), 2, 8, R97)
-    lhs = field.vec_add(field.vec_add(b, transfer, R97), mask, R97)
-    assert np.array_equal(lhs, field.vec_add(a, b, R97))
-
-
-def test_reshare_hand_value():
-    mask = expand(key(4), 1, 1, R17)
-    out = reshare(vec([7]), key(4), 1, R17)
-    assert int(out[0]) == (7 - int(mask[0])) % R17
-
-
-def test_reshare_preserves_secret_exhaustive_r17():
-    # After resharing, the pair (receiver + transfer, mask) reconstructs
-    # the same secret as the original pair, for every d=1 share split.
-    for secret in range(R17):
-        for s1 in range(R17):
-            s2 = (secret - s1) % R17
-            transfer = reshare(vec([s2]), key(5), 3, R17)
-            mask = expand(key(5), 3, 1, R17)
-            w1pp = reconstruct(vec([s1]), transfer, R17)
-            assert int(reconstruct(w1pp, mask, R17)[0]) == secret
-
-
-def test_full_chain_plaintext_oracle():
-    # 3 users, d = 2, R = 97: PRF-shared, aggregated, reshared, reconstructed.
-    rng = np.random.default_rng(6)
-    secrets = [rng.integers(0, R97, 2, dtype=np.uint64) for _ in range(3)]
-    user_keys = [key(10 + i) for i in range(3)]
-    mask_key = key(20)
-    r = 4
-    cs_shares = [share_with_prf(s, k, r, R97, holder=CS)
-                 for s, k in zip(secrets, user_keys)]
-    w1p = aggregate_shares(cs_shares, R97)
-    w2p = field.vec_sum([expand(k, r, 2, R97) for k in user_keys], R97)
-    w_t = reshare(w2p, mask_key, r, R97)
-    w1pp = field.vec_add(w1p.data, w_t, R97)
-    w_prime = reconstruct(w1pp, expand(mask_key, r, 2, R97), R97)
-    assert np.array_equal(w_prime, field.vec_sum(secrets, R97))
+        keys = [key(10 + i) for i in range(5)]
+        shares = field.vec_sum([share_with_prf(s, k, trial + 1, R97)
+                                for s, k in zip(secrets, keys)], R97)
+        masks = field.vec_sum([expand(k, trial + 1, 6, R97) for k in keys], R97)
+        assert np.array_equal(field.vec_add(shares, masks, R97),
+                              field.vec_sum(secrets, R97))
 
 
 def test_share_marginal_uniformity_chi_squared():
@@ -133,6 +57,6 @@ def test_share_marginal_uniformity_chi_squared():
     counts = np.zeros(R17, dtype=np.int64)
     for _ in range(100_000):
         share = share_with_prf(secret, KeyMaterial.generate(rng), 1, R17)
-        counts[int(share.data[0])] += 1
+        counts[int(share[0])] += 1
     _, p = stats.chisquare(counts)
     assert p > 0.001

@@ -136,9 +136,10 @@ def test_independent_keys_give_different_tags():
 
 
 def test_tag_serialization_is_8_bytes():
-    for t in (0, 31, BIG_PRIME - 1):
+    for t in (0, 31, 0x0102, BIG_PRIME - 1):
         data = tag_to_bytes(t)
         assert len(data) == TAG_BYTES == 8
         assert tag_from_bytes(data) == t
+    assert tag_to_bytes(0x0102) == b"\x02\x01" + bytes(6)  # little-endian
     with pytest.raises(field.FieldError):
         tag_from_bytes(b"\x00" * 7)

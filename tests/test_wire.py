@@ -9,7 +9,7 @@ from vsecagg.wire import (HEADER, MAGIC, AlarmReason, BadMagicError,
                           Message, MessageKind, TrafficLedger,
                           TruncatedFrameError, UnknownKindError, WireError,
                           deserialize, pack_alarm, pack_online_list,
-                          pack_publish_model, pack_publish_tag, parse_frames,
+                          pack_publish_model, pack_publish_tag,
                           serialize, socket_link_pair, unpack_alarm,
                           unpack_online_list, unpack_publish_model,
                           unpack_publish_tag)
@@ -34,6 +34,10 @@ def test_frame_layout():
     assert frame[:4] == MAGIC == b"DAG1"
     assert frame[4] == int(MessageKind.TAG_SHARE)
     assert len(frame) == HEADER.size + 8 == 21 + 8
+    # The kind byte of every frame on the wire.
+    assert {kind.name: int(kind) for kind in MessageKind} == {
+        "MODEL_SHARE": 2, "TAG_SHARE": 3, "ONLINE_LIST": 4, "RESHARE_MODEL": 5,
+        "RESHARE_TAG": 6, "PUBLISH_MODEL": 7, "PUBLISH_TAG": 8, "ALARM": 10}
 
 
 def test_model_share_payload_size_at_20k():
@@ -69,13 +73,6 @@ def test_trailing_bytes_rejected():
     frame = serialize(Message(MessageKind.ALARM, 1, 1, b""))
     with pytest.raises(LengthMismatchError):
         deserialize(frame + b"\x00")
-
-
-def test_concatenated_frames_reparse():
-    rng = random.Random(2)
-    msgs = [random_message(rng) for _ in range(20)]
-    blob = b"".join(serialize(m) for m in msgs)
-    assert parse_frames(blob) == msgs
 
 
 def test_online_list_payloads():
