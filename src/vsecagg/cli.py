@@ -9,8 +9,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .harness import (AdversarySpec, RunConfig, bench, default_params, draw_round,
-                      forgery_calibration, plaintext_oracle, run_simulation)
+from .harness import (AdversarySpec, ConfigError, RunConfig, bench, default_params,
+                      draw_round, forgery_calibration, plaintext_oracle, run_simulation)
 from .roles import setup
 
 
@@ -79,7 +79,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_run_flags(ora)
 
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except ConfigError as exc:
+        # A configuration the run cannot start from is a usage error.
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _run(args) -> int:
     if args.command == "simulate":
         report = run_simulation(_config(args))
         _emit(report.to_text(), args.report_out)

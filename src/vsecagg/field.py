@@ -17,17 +17,19 @@ exact in fixed-width words:
   without wrapping (7 * (2^61 - 1) < 2^64).  ``vec_sum`` reduces once per
   seven terms instead of after every addition.
 - Products: two residues multiply to as much as 122 bits, so ``dot``
-  splits each operand into three 21-bit limbs.  A limb product is below
-  2^42, and a block of fewer than 2^22 such products sums below 2^64, so
-  each of the nine limb-pair dot products of a block is exact in
-  ``uint64``.  Only the per-block partial sums become Python integers.
+  reads each 64-bit word as four 16-bit limbs, a free ``uint16`` view.
+  A limb product is below 2^32, so up to 2^21 of them sum below 2^53,
+  where every float64 integer and every partial sum is exact in any
+  order.  ``dot`` therefore runs the sixteen limb-pair sums as one small
+  float64 BLAS matrix product per block of words, and turns the 4 x 4
+  sums into Python integers once per 2^21 words.
 
 Scalar operations use Python integers throughout.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -221,17 +223,21 @@ def vec_from_signed(s: np.ndarray, r: int) -> np.ndarray:
     return out
 
 
-_LIMB_BITS = 21
-_LIMB_MASK = np.uint64((1 << _LIMB_BITS) - 1)
-_LIMB_SHIFT = np.uint64(_LIMB_BITS)
-# Elements per block.  Exactness needs fewer than 2^22 (see the module
-# docstring); 2^14 keeps a block's six limb arrays inside L2 cache.
+# Words per block: the two float64 limb buffers of 512 KiB each stay in
+# L2 cache.  Every call reuses them, which is safe because the program
+# is single-threaded.
 _DOT_BLOCK = 1 << 14
+# Words per exact float64 limb-pair sum: 2^21 * (2^16 - 1)^2 < 2^53.
+_DOT_FOLD_BLOCKS = (1 << 21) // _DOT_BLOCK
+_DOT_A = np.empty((_DOT_BLOCK, 4))
+_DOT_B = np.empty((_DOT_BLOCK, 4))
+# The weight of sums[i, j] below, in row-major order: 2^(16 (i + j)).
+_DOT_SHIFTS = [16 * (i + j) for i in range(4) for j in range(4)]
 
 
-def _limbs(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    high = a >> _LIMB_SHIFT
-    return a & _LIMB_MASK, high & _LIMB_MASK, high >> _LIMB_SHIFT
+def _limb_view(a: np.ndarray) -> np.ndarray:
+    """The little-endian 16-bit limbs of each word, as a (words, 4) view."""
+    return np.ascontiguousarray(a, dtype="<u8").view("<u2").reshape(-1, 4)
 
 
 def dot(a: np.ndarray, b: np.ndarray, r: int) -> int:
@@ -239,17 +245,23 @@ def dot(a: np.ndarray, b: np.ndarray, r: int) -> int:
     _check_lengths(a, b)
     if a.size == 0:
         return 0
-    if max(int(a.max()), int(b.max())) >> (3 * _LIMB_BITS):
-        raise FieldError(f"dot operands must lie below 2^{3 * _LIMB_BITS}")
-    # diag[k] sums the limb-pair products of weight 2^(21k).
-    diag = [0] * 5
-    for start in range(0, a.size, _DOT_BLOCK):
-        a_limbs = _limbs(a[start:start + _DOT_BLOCK])
-        b_limbs = _limbs(b[start:start + _DOT_BLOCK])
-        for i, a_limb in enumerate(a_limbs):
-            for j, b_limb in enumerate(b_limbs):
-                diag[i + j] += int(np.dot(a_limb, b_limb))
-    return sum(c << (_LIMB_BITS * k) for k, c in enumerate(diag)) % r
+    if max(int(a.max()), int(b.max())) >> 63:
+        raise FieldError("dot operands must lie below 2^63")
+    a_limbs, b_limbs = _limb_view(a), _limb_view(b)
+    total = 0
+    # sums[i, j] is the sum of a's limb i times b's limb j.
+    sums = np.zeros((4, 4))
+    for k, start in enumerate(range(0, a.size, _DOT_BLOCK), 1):
+        n = min(_DOT_BLOCK, a.size - start)
+        a_block, b_block = _DOT_A[:n], _DOT_B[:n]
+        a_block[...] = a_limbs[start:start + n]
+        b_block[...] = b_limbs[start:start + n]
+        sums += a_block.T @ b_block
+        if k % _DOT_FOLD_BLOCKS == 0 or start + n == a.size:
+            total += sum(map(int.__lshift__, sums.astype(np.int64).ravel().tolist(),
+                             _DOT_SHIFTS))
+            sums[...] = 0
+    return total % r
 
 
 # -- serialization -----------------------------------------------------------
@@ -258,10 +270,16 @@ def dot(a: np.ndarray, b: np.ndarray, r: int) -> int:
 # length; a single element (a tag) goes through ``tags.tag_to_bytes``.
 
 def vec_to_raw(a: np.ndarray) -> bytes:
-    return a.astype("<u8").tobytes()
+    return np.ascontiguousarray(a, dtype="<u8").tobytes()
 
 
-def vec_from_raw(data: bytes) -> np.ndarray:
+def vec_from_raw(data) -> np.ndarray:
+    """A read-only view of the words in ``data``, which it keeps alive.
+
+    A caller that changes a received vector copies it first.
+    """
     if len(data) % 8 != 0:
         raise FieldError("raw vector byte length must be a multiple of 8")
-    return np.frombuffer(data, dtype="<u8").astype(np.uint64)
+    vec = np.frombuffer(data, dtype="<u8")
+    vec.setflags(write=False)
+    return vec

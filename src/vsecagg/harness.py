@@ -61,8 +61,12 @@ class AdversarySpec:
         parts = text.split(":")
         if len(parts) not in (3, 4):
             raise ConfigError(f"adversary spec {text!r} must be target:action:round[:magnitude]")
-        magnitude = int(parts[3]) if len(parts) == 4 else 1
-        return cls(parts[0], parts[1], int(parts[2]), magnitude)
+        try:
+            numbers = [int(part) for part in parts[2:]]
+        except ValueError:
+            raise ConfigError(f"adversary spec {text!r}: round and magnitude must be integers") \
+                from None
+        return cls(parts[0], parts[1], *numbers)
 
 
 @dataclass(frozen=True)

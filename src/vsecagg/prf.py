@@ -121,6 +121,11 @@ def _draw_words(want: int, rate: float) -> int:
     return int((want + 4 * math.sqrt(want * (1 - rate))) / rate) + 16
 
 
+def _check_modulus(modulus: int) -> None:
+    if not 1 < modulus <= 1 << 61:
+        raise PrfError(f"modulus {modulus} outside (1, 2^61]")
+
+
 def expand(key: KeyMaterial, v0: int, length: int, modulus: int) -> np.ndarray:
     """Length-``length`` uniform vector over Z_modulus, deterministic in all inputs.
 
@@ -131,8 +136,7 @@ def expand(key: KeyMaterial, v0: int, length: int, modulus: int) -> np.ndarray:
         raise PrfError("expansion length must be at least 1")
     if length >= MAX_EXPAND_LEN:
         raise PrfError(f"expansion length {length} exceeds the 2^32 keystream budget")
-    if not 1 < modulus <= 1 << 61:
-        raise PrfError(f"modulus {modulus} outside (1, 2^61]")
+    _check_modulus(modulus)
     bits = modulus.bit_length()
     mask = np.uint64((1 << bits) - 1)
     bound = np.uint64(modulus)
@@ -157,6 +161,17 @@ def expand(key: KeyMaterial, v0: int, length: int, modulus: int) -> np.ndarray:
             nwords = kept.size
         filled += nwords
     return out[:length]
+
+
+def expand_one(key: KeyMaterial, v0: int, modulus: int) -> int:
+    """``int(expand(key, v0, 1, modulus)[0])``, drawn one word at a time."""
+    _check_modulus(modulus)
+    mask = (1 << modulus.bit_length()) - 1
+    enc = _keystream(key, v0)
+    while True:
+        word = int.from_bytes(enc.update(bytes(8)), "little") & mask
+        if word < modulus:
+            return word
 
 
 def expand_unit(key: KeyMaterial, v0: int, length: int, r_b: int) -> np.ndarray:

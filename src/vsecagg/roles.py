@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from . import codec, field, sharing, tags, wire
-from .prf import KeyMaterial, concat_keys, expand
+from .prf import KeyMaterial, concat_keys, expand, expand_one
 from .wire import (AlarmReason, Message, MessageKind, pack_publish_model,
                    pack_publish_tag)
 
@@ -178,7 +178,7 @@ class UserState:
         share = sharing.share_with_prf(encoded, self.k_vi, round_index, p.r_w)
         key_vec = tags.derive_tag_key(self.k_v, round_index, p.dim, p.r_b)
         b_i = tags.gen_tag(encoded, key_vec, p.r_w, p.r_b)
-        b_i1 = int(expand(self.k_ci, round_index, 1, p.r_b)[0])
+        b_i1 = expand_one(self.k_ci, round_index, p.r_b)
         b_i2 = field.fe_sub(b_i, b_i1, p.r_b)
         self._last_shared_round = round_index
         self._tag_key = (round_index, key_vec)
@@ -206,7 +206,7 @@ class UserState:
         if bad is not None:
             return ReconstructResult(round_index, False, None,
                                      (AlarmReason.NON_CANONICAL, bad, int(w1pp[bad])))
-        b1p = int(expand(self.k_cg, round_index, 1, p.r_b)[0])
+        b1p = expand_one(self.k_cg, round_index, p.r_b)
         expected = field.fe_add(b1p, b2p, p.r_b)
         w_prime = field.vec_add(
             w1pp, expand(self.k_vg, round_index, p.dim, p.r_w), p.r_w)
@@ -321,9 +321,9 @@ class CsState:
         for uid in ctx.participants:
             if uid not in self.user_keys:
                 raise UnknownParticipantError(f"CS has no key for user {uid}")
-            b1 = field.fe_add(
-                b1, int(expand(self.user_keys[uid], ctx.round_index, 1, p.r_b)[0]), p.r_b)
-        b1p = int(expand(self.k_cg, ctx.round_index, 1, p.r_b)[0])
+            b1 = field.fe_add(b1, expand_one(self.user_keys[uid], ctx.round_index, p.r_b),
+                              p.r_b)
+        b1p = expand_one(self.k_cg, ctx.round_index, p.r_b)
         return field.fe_sub(b1, b1p, p.r_b)
 
     def publish_model_message(self, round_index: int) -> Message:

@@ -12,9 +12,10 @@ wraps, so the lift is the integer the residue denotes.  With R_w = R_b
 the lift is the identity on residues.  Both moduli are below 2^61, so
 the signed lift and its reduction fit in ``int64``.
 
-The product itself is ``field.dot``: three 21-bit limbs per operand,
-exact ``uint64`` limb-pair sums over blocks of fewer than 2^22
-elements, and one reduction mod R_b at the end.
+The product itself is ``field.dot``: four 16-bit limbs per operand,
+read through a ``uint16`` view, whose limb-pair sums are float64 BLAS
+matrix products, exact below 2^53, turned into Python integers once per
+2^21 elements and reduced mod R_b once at the end.
 """
 
 from __future__ import annotations

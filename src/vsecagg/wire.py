@@ -55,6 +55,7 @@ class Message:
     kind: MessageKind
     round_index: int
     sender: int
+    # bytes, or a memoryview into the frame it was received in.
     payload: bytes
 
 
@@ -94,7 +95,10 @@ def serialize(msg: Message) -> bytes:
 
 
 def deserialize(data: bytes) -> Message:
-    """Exact inverse of :func:`serialize` on a single well-formed frame."""
+    """Exact inverse of :func:`serialize` on a single well-formed frame.
+
+    The payload is a memoryview into ``data``, not a copy.
+    """
     if len(data) < HEADER.size:
         raise TruncatedFrameError("frame shorter than its header", len(data))
     magic, kind, round_index, sender, length = HEADER.unpack_from(data)
@@ -110,7 +114,7 @@ def deserialize(data: bytes) -> Message:
     if end != len(data):
         raise LengthMismatchError(
             f"{len(data) - end} trailing bytes after frame", end)
-    return Message(kind, round_index, sender, bytes(data[HEADER.size:end]))
+    return Message(kind, round_index, sender, memoryview(data)[HEADER.size:end])
 
 
 # -- payload layouts ---------------------------------------------------------
@@ -130,13 +134,13 @@ def pack_publish_model(m: int, vec: np.ndarray) -> bytes:
     return struct.pack("<Q", m) + field.vec_to_raw(vec)
 
 
-def _unpack_publish_count(payload: bytes) -> Tuple[int, bytes]:
+def _unpack_publish_count(payload: bytes) -> Tuple[int, memoryview]:
     """Split a publication into its participant count and the published body."""
     if len(payload) < 8:
         raise TruncatedFrameError(
             f"publication payload of {len(payload)} bytes has no 8-byte count", len(payload))
     (m,) = struct.unpack_from("<Q", payload)
-    return m, payload[8:]
+    return m, memoryview(payload)[8:]
 
 
 def unpack_publish_model(payload: bytes) -> Tuple[int, np.ndarray]:

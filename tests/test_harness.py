@@ -101,6 +101,26 @@ def test_adversary_spec_rejects_a_server_that_does_not_perform_the_action(target
         AdversarySpec.parse(f"{target}:{action}:1")
 
 
+@pytest.mark.parametrize("action", ["tamper_model_share", "drop_participant"])
+def test_cs_tampering_leaves_the_senders_frames_unchanged(monkeypatch, action):
+    # The CS keeps each share as a view into the frame it received; the
+    # attack must change the CS's copy, never the bytes the user sent.
+    received = []
+    receive_share = CsState.receive_share
+
+    def spy(self, msg):
+        received.append((msg.payload, bytes(msg.payload)))
+        return receive_share(self, msg)
+
+    monkeypatch.setattr(CsState, "receive_share", spy)
+    report = run_simulation(RunConfig(users=4, dim=5, rounds=2, seed=6,
+                                      adversary=AdversarySpec("cs", action, 1, 3)))
+    assert report.rounds[0].detected and report.rounds[1].verified
+    assert len(received) == 8
+    for payload, sent in received:
+        assert bytes(payload) == sent
+
+
 def test_exit_not_ok_propagates_from_honest_failure():
     cfg = RunConfig(users=2, dim=2, rounds=1, seed=1)
     report = run_simulation(cfg)
@@ -281,6 +301,20 @@ def test_cli_oracle_matches_simulated_round_one(monkeypatch, capsys, tmp_path, w
     report = run_simulation(cfg)
     assert report.rounds[0].participants == (0,)
     assert [res.model.tolist() for res in outcomes[0].results.values()] == [printed]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--users", "3", "--dim", "4", "--seed", "23",
+     "--adversary", "vs:tamper_model_share:1"],
+    ["oracle", "--users", "2", "--dim", "1", "--seed", "0", "--dropout", "0.9"],
+    ["simulate", "--adversary", "cs:tamper_aggregate:first"],
+])
+def test_cli_config_error_is_a_usage_error(capsys, argv):
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("vsecagg: error: ")
+    assert "Traceback" not in captured.err
 
 
 def test_cli_weights_file(tmp_path):

@@ -1,10 +1,11 @@
 """Fixed-width round kernels checked against arbitrary-precision references.
 
 The reference functions below compute ``field.dot``, ``field.vec_sum``,
-``field.vec_add``/``vec_sub`` and ``prf.expand`` the plain way: Python-int
-products, one ``%`` reduction per addition, and a keystream drawn with
-``update`` in fixed 25 % overdraws from a fresh AES-CTR cipher built from
-the specification in ``prf``'s docstring, not from ``prf``'s own context.
+``field.vec_add``/``vec_sub`` and ``prf.expand``/``expand_one`` the
+plain way: Python-int products, one ``%`` reduction per addition, and a
+keystream drawn with ``update`` in fixed 25 % overdraws from a fresh
+AES-CTR cipher built from the specification in ``prf``'s docstring, not
+from ``prf``'s own context.
 The signed lifts are checked element by element against the scalar
 ``to_signed``/``from_signed``.  The fast kernels must agree with their
 references bit for bit.
@@ -85,7 +86,7 @@ def test_dot_all_max_residues(r):
 
 def test_dot_beyond_the_limb_block_bound():
     # (r - 1)^2 = 1 mod r, so the dot of two all-(r - 1) vectors is d mod r.
-    # d exceeds the 2^22-element bound on one exact uint64 limb sum.
+    # d exceeds the 2^21 elements of one exact float64 limb-pair sum.
     size = (1 << 22) + 5
     a = full(BIG_PRIME - 1, size)
     assert field.dot(a, a, BIG_PRIME) == size % BIG_PRIME
@@ -98,6 +99,45 @@ def test_dot_rejects_operands_beyond_three_limbs():
         field.dot(a, np.ones(1, dtype=np.uint64), BIG_PRIME)
     below = np.array([(1 << 63) - 1], dtype=np.uint64)
     assert field.dot(below, below, BIG_PRIME) == reference_dot(below, below, BIG_PRIME)
+
+
+@pytest.mark.parametrize("size", [field._DOT_BLOCK - 1, field._DOT_BLOCK + 1,
+                                  (1 << 21) - 1, 1 << 21, (1 << 21) + 1])
+def test_dot_worst_admissible_limbs_at_block_and_sum_edges(size):
+    # Every 16-bit limb of 2^63 - 1 is at its largest, so each limb-pair
+    # sum is as large as its length allows, here at the edges of a block
+    # and of one exact float64 sum.
+    c = (1 << 63) - 1
+    a = full(c, size)
+    for r in (BIG_PRIME, MERSENNE_61):
+        assert field.dot(a, a, r) == c * c * size % r
+
+
+def test_dot_folds_its_float64_sums_before_they_pass_2_53():
+    # Uniform words give block sums divisible by 2^14, which float64 adds
+    # exactly far beyond 2^53.  One word per block one below the rest
+    # makes every block sum odd, so a sum kept past 2^21 words would round.
+    c = (1 << 63) - 1
+    size = (1 << 22) + 1
+    a = full(c, size)
+    b = a.copy()
+    b[::field._DOT_BLOCK] = c - 1
+    lowered = len(range(0, size, field._DOT_BLOCK))
+    assert field.dot(a, b, MERSENNE_61) == (c * c * size - c * lowered) % MERSENNE_61
+
+
+def test_dot_reads_strided_big_endian_and_read_only_operands():
+    rng = np.random.default_rng(7)
+    wide = rng.integers(0, MERSENNE_61, 2 * 20_001, dtype=np.uint64)
+    b = rng.integers(0, MERSENNE_61, 20_001, dtype=np.uint64)
+    strided = wide[::2]
+    big_endian = strided.astype(">u8")
+    read_only = strided.copy()
+    read_only.setflags(write=False)
+    expected = reference_dot(strided, b, MERSENNE_61)
+    for a in (strided, big_endian, read_only):
+        assert field.dot(a, b, MERSENNE_61) == expected
+        assert field.dot(b, a, MERSENNE_61) == expected
 
 
 @pytest.mark.parametrize("r_b", [R97, find_prime_above(1 << 45), MERSENNE_61])
@@ -234,3 +274,26 @@ def test_cipher_context_made_once_per_key(monkeypatch):
     assert prf._keystream(k, 9) is k.encryptor
     # The cached cipher objects take no part in key equality.
     assert k == KeyMaterial(k.data)
+
+
+@pytest.mark.parametrize("modulus", [MERSENNE_61, MERSENNE_61 - 1, R97, 127, BIG_PRIME])
+def test_expand_one_matches_reference(modulus):
+    key = KeyMaterial(b"\x0d" * 16)
+    for v0 in range(1, 300):
+        assert prf.expand_one(key, v0, modulus) == int(reference_expand(key, v0, 1, modulus)[0])
+
+
+@pytest.mark.parametrize("modulus", [MERSENNE_61, MERSENNE_61 - 1, R97, 127, BIG_PRIME])
+def test_expand_one_interleaved_with_array_expansions(modulus):
+    # A scalar draw leaves half a counter block of keystream behind; the
+    # array expansion after it, and the scalar draw after that, must not
+    # see it.
+    key = KeyMaterial(b"\x0e" * 16)
+    for v0 in range(1, 300, 7):
+        one = int(reference_expand(key, v0, 1, modulus)[0])
+        assert prf.expand_one(key, v0, modulus) == one
+        assert np.array_equal(prf.expand(key, v0 + 1, 1001, modulus),
+                              reference_expand(key, v0 + 1, 1001, modulus))
+        assert prf.expand_one(key, v0, modulus) == one
+        assert np.array_equal(prf.expand(key, v0, 65, modulus),
+                              reference_expand(key, v0, 65, modulus))

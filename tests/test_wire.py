@@ -108,6 +108,24 @@ def test_publish_payloads_with_bad_body_length():
             unpack_publish_tag(bad)
 
 
+def test_decoded_share_and_publication_are_read_only_views_of_the_frame():
+    vec = np.random.default_rng(8).integers(0, (1 << 61) - 1, 1000, dtype=np.uint64)
+    for kind, payload in ((MessageKind.MODEL_SHARE, field.vec_to_raw(vec)),
+                          (MessageKind.PUBLISH_MODEL, pack_publish_model(4, vec))):
+        frame = serialize(Message(kind, 1, 2, payload))
+        msg = deserialize(frame)
+        if kind is MessageKind.MODEL_SHARE:
+            got = field.vec_from_raw(msg.payload)
+        else:
+            m, got = unpack_publish_model(msg.payload)
+            assert m == 4
+        assert np.array_equal(got, vec)
+        assert not got.flags.writeable
+        assert np.shares_memory(got, np.frombuffer(frame, dtype=np.uint8))
+        with pytest.raises(ValueError):
+            got[0] = 1
+
+
 def test_alarm_payload():
     for reason in AlarmReason:
         assert unpack_alarm(pack_alarm(9, reason, 11, 22)) == (9, reason, 11, 22)
