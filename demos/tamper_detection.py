@@ -6,7 +6,7 @@ Every user's tag verification fails, an alarm is recorded, and round 2
 proceeds cleanly with fresh masks.
 """
 
-from vsecagg.harness import AdversarySpec, RunConfig, run_simulation
+from vsecagg.harness import ADVERSARY_ACTIONS, AdversarySpec, RunConfig, run_simulation
 from vsecagg.wire import unpack_alarm
 
 cfg = RunConfig(users=4, dim=8, rounds=2, seed=21,
@@ -24,9 +24,8 @@ print(f"alarm for round {r} ({reason.name}): expected tag {expected} "
 print(f"run exit_ok = {report.exit_ok}  (a detected adversary is a successful run)")
 
 # The same detection holds for every modeled server action:
-for target, action in [("cs", "tamper_model_share"), ("cs", "drop_participant"),
-                       ("cs", "lie_about_m"), ("vs", "forge_tag")]:
+for action, attack in ADVERSARY_ACTIONS.items():
     cfg = RunConfig(users=4, dim=8, rounds=1, seed=22,
-                    adversary=AdversarySpec(target, action, round_index=1))
+                    adversary=AdversarySpec(attack.server, action, round_index=1))
     rec = run_simulation(cfg).rounds[0]
-    print(f"{target}:{action:<20} detected={rec.detected}")
+    print(f"{attack.server}:{action:<20} detected={rec.detected}")

@@ -10,7 +10,8 @@ from typing import List, Optional
 import numpy as np
 
 from .harness import (AdversarySpec, ConfigError, RunConfig, bench, default_params,
-                      draw_round, forgery_calibration, plaintext_oracle, run_simulation)
+                      draw_round, forgery_calibration, plaintext_oracle, run_simulation,
+                      supported_adversaries)
 from .roles import setup
 
 
@@ -25,7 +26,8 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta-exp", type=int, default=40)
     p.add_argument("--mode", choices=("memory", "socket"), default="memory")
     p.add_argument("--adversary", type=str, default=None,
-                   help="target:action:round[:magnitude], e.g. cs:tamper_aggregate:1")
+                   help="target:action:round[:magnitude], e.g. cs:tamper_aggregate:1; "
+                        "target:action is one of " + supported_adversaries())
     p.add_argument("--weights-file", type=str, default=None,
                    help="one decimal weight per line, matched to user ids ascending")
     p.add_argument("--report-out", type=str, default=None)

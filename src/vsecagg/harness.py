@@ -14,30 +14,83 @@ import random
 import statistics
 import time
 from dataclasses import dataclass, field as dc_field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import codec, field, roles, tags
 from .field import FieldModulus, find_prime_below
-from .roles import (CsState, ParticipantMismatchError, ProtocolParams,
-                    RoundContext, UserState, VsState, intersect_online, setup)
+from .roles import (CsState, ProtocolParams, RoundContext, UserState, VsState,
+                    intersect_online, setup)
 from .wire import (AlarmReason, MemoryLink, Message, MessageKind, SocketLink,
                    TrafficLedger, WireError, alarm_message, pack_online_list,
                    socket_link_pair, unpack_publish_model, unpack_publish_tag)
 
-# Each modelled attack and the server that performs it.
-ADVERSARY_ACTIONS = {
-    "tamper_model_share": "cs",
-    "tamper_aggregate": "cs",
-    "drop_participant": "cs",
-    "lie_about_m": "cs",
-    "forge_tag": "vs",
-}
-
 
 class ConfigError(ValueError):
     pass
+
+
+def _bumped(vec: np.ndarray, coord: int, magnitude: int, r: int) -> np.ndarray:
+    """A copy of ``vec`` with a nonzero offset added at ``coord``, mod r."""
+    out = vec.copy()
+    out[coord] = (out[coord] + np.uint64(magnitude % r or 1)) % np.uint64(r)
+    return out
+
+
+def _tamper_model_share(cs: CsState, ctx: RoundContext, rng: random.Random,
+                        magnitude: int) -> None:
+    shares = cs.rounds[ctx.round_index].shares
+    victim = ctx.participants[rng.randrange(ctx.m)]
+    shares[victim] = _bumped(shares[victim], rng.randrange(cs.params.dim), magnitude,
+                             cs.params.r_w)
+
+
+def _drop_participant(cs: CsState, ctx: RoundContext, rng: random.Random,
+                      magnitude: int) -> None:
+    # The CS claims the victim participated but omits its share from the sum.
+    victim = ctx.participants[rng.randrange(ctx.m)]
+    rng.randrange(cs.params.dim)  # the coordinate draw of a share attack
+    cs.rounds[ctx.round_index].shares[victim] = np.zeros(cs.params.dim, dtype=np.uint64)
+
+
+def _tamper_aggregate(cs: CsState, ctx: RoundContext, rng: random.Random,
+                      magnitude: int) -> None:
+    state = cs.rounds[ctx.round_index]
+    state.published = _bumped(state.published, rng.randrange(cs.params.dim), magnitude,
+                              cs.params.r_w)
+
+
+def _lie_about_m(cs: CsState, ctx: RoundContext, rng: random.Random,
+                 magnitude: int) -> None:
+    cs.rounds[ctx.round_index].m += max(1, magnitude)
+
+
+def _forge_tag(vs: VsState, ctx: RoundContext, rng: random.Random,
+               magnitude: int) -> None:
+    vs.rounds[ctx.round_index].published = rng.randrange(vs.params.r_b)
+
+
+@dataclass(frozen=True)
+class Attack:
+    server: str   # "cs" or "vs": the server that performs it
+    stage: str    # the step of run_round it follows
+    apply: Callable[..., None]  # (server, ctx, rng, magnitude): changes the round state
+
+
+# Every modelled attack; run_round knows none of them by name.
+ADVERSARY_ACTIONS = {
+    "tamper_model_share": Attack("cs", "intersect", _tamper_model_share),
+    "tamper_aggregate": Attack("cs", "finalize_model", _tamper_aggregate),
+    "drop_participant": Attack("cs", "intersect", _drop_participant),
+    "lie_about_m": Attack("cs", "finalize_model", _lie_about_m),
+    "forge_tag": Attack("vs", "finalize_tag", _forge_tag),
+}
+
+
+def supported_adversaries() -> str:
+    """The target:action pairs of ADVERSARY_ACTIONS, comma-separated."""
+    return ", ".join(f"{attack.server}:{action}" for action, attack in ADVERSARY_ACTIONS.items())
 
 
 @dataclass(frozen=True)
@@ -50,10 +103,10 @@ class AdversarySpec:
     magnitude: int = 1     # field offset for tampering actions
 
     def __post_init__(self) -> None:
-        if ADVERSARY_ACTIONS.get(self.action) != self.target:
-            supported = ", ".join(f"{t}:{a}" for a, t in ADVERSARY_ACTIONS.items())
+        attack = ADVERSARY_ACTIONS.get(self.action)
+        if attack is None or attack.server != self.target:
             raise ConfigError(f"unsupported adversary {self.target}:{self.action}; "
-                              f"supported: {supported}")
+                              f"supported: {supported_adversaries()}")
 
     @classmethod
     def parse(cls, text: str) -> "AdversarySpec":
@@ -81,7 +134,6 @@ class RunConfig:
     mode: str = "memory"           # "memory" or "socket"
     adversary: Optional[AdversarySpec] = None
     weights: Optional[Tuple[float, ...]] = None
-    x_bound: float = 1.0           # synthetic updates drawn uniformly in [-x_bound, x_bound]
 
     def __post_init__(self) -> None:
         if self.users < 1 or self.dim < 1 or self.rounds < 1:
@@ -154,10 +206,6 @@ class MetricsReport:
                 f"traffic link={link} round={r} payload={entry.payload_bytes} "
                 f"total={entry.total_bytes} messages={entry.messages}")
         return "\n".join(lines) + "\n"
-
-    def write(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_text())
 
 
 def default_params(cfg: RunConfig) -> ProtocolParams:
@@ -241,26 +289,15 @@ class _Network:
 @dataclass
 class _RoundOutcome:
     results: Dict[int, roles.ReconstructResult]
-    mismatch_errors: int
     w1pp: np.ndarray
     b2p: int
     alarms: List[Message]  # one per participant that rejected the round
 
-
-def _apply_cs_tampering(adv: AdversarySpec, cs: CsState, ctx: RoundContext,
-                        rng: random.Random, r_w: int):
-    """Server-internal misbehavior applied after the ID intersection."""
-    state = cs.rounds[ctx.round_index]
-    victim = ctx.participants[rng.randrange(ctx.m)]
-    coord = rng.randrange(cs.params.dim)
-    offset = np.uint64(adv.magnitude % r_w or 1)
-    if adv.action == "tamper_model_share":
-        share = state.shares[victim].copy()
-        share[coord] = (share[coord] + offset) % np.uint64(r_w)
-        state.shares[victim] = share
-    elif adv.action == "drop_participant":
-        # CS claims the victim participated but omits its share from the sum.
-        state.shares[victim] = np.zeros(cs.params.dim, dtype=np.uint64)
+    @property
+    def mismatch_errors(self) -> int:
+        """COUNT_MISMATCH results; the round benchmark's checker reads this count."""
+        return sum(1 for res in self.results.values()
+                   if res.alarm and res.alarm[0] is AlarmReason.COUNT_MISMATCH)
 
 
 def run_round(users_online: List[UserState], all_users: Dict[int, UserState],
@@ -269,7 +306,6 @@ def run_round(users_online: List[UserState], all_users: Dict[int, UserState],
               weights: Optional[Dict[int, float]] = None,
               adversary: Optional[AdversarySpec] = None) -> _RoundOutcome:
     """Drive one full Share/Aggregate/Reconstruct round over the network."""
-    params = cs.params
     adv = adversary if adversary and adversary.round_index == round_index else None
 
     cs_inbox, vs_inbox = [], []
@@ -295,38 +331,27 @@ def run_round(users_online: List[UserState], all_users: Dict[int, UserState],
                                    pack_online_list(vs_ids)))
     ctx = intersect_online(cs_ids, vs_ids, round_index)
 
-    if adv and adv.action in ("tamper_model_share", "drop_participant"):
-        _apply_cs_tampering(adv, cs, ctx, rng, params.r_w)
+    def attack_after(stage: str) -> None:
+        attack = ADVERSARY_ACTIONS[adv.action] if adv else None
+        if attack and attack.stage == stage:
+            attack.apply(cs if attack.server == "cs" else vs, ctx, rng, adv.magnitude)
 
+    attack_after("intersect")
     w_t_msg = net.transfer("vs->cs", Message(
         MessageKind.RESHARE_MODEL, round_index, 1,
         field.vec_to_raw(vs.model_aggregate(ctx))))
-    w1pp, m_cs = cs.finalize_model(ctx, field.vec_from_raw(w_t_msg.payload))
-
-    if adv and adv.action == "tamper_aggregate":
-        coord = rng.randrange(params.dim)
-        w1pp = w1pp.copy()
-        w1pp[coord] = (w1pp[coord] + np.uint64(adv.magnitude % params.r_w or 1)) \
-            % np.uint64(params.r_w)
-        cs.rounds[round_index].published = w1pp
-    if adv and adv.action == "lie_about_m":
-        m_cs = m_cs + max(1, adv.magnitude)
-        cs.rounds[round_index].m = m_cs
-
+    cs.finalize_model(ctx, field.vec_from_raw(w_t_msg.payload))
+    attack_after("finalize_model")
     b_t_msg = net.transfer("cs->vs", Message(
         MessageKind.RESHARE_TAG, round_index, 0,
         tags.tag_to_bytes(cs.tag_aggregate(ctx))))
-    b2p, m_vs = vs.finalize_tag(ctx, tags.tag_from_bytes(b_t_msg.payload))
-
-    if adv and adv.action == "forge_tag":
-        b2p = rng.randrange(params.r_b)
-        vs.rounds[round_index].published = b2p
+    vs.finalize_tag(ctx, tags.tag_from_bytes(b_t_msg.payload))
+    attack_after("finalize_tag")
 
     model_msg = cs.publish_model_message(round_index)
     tag_msg = vs.publish_tag_message(round_index)
 
     results: Dict[int, roles.ReconstructResult] = {}
-    mismatches = 0
     alarms: List[Message] = []
     for uid in ctx.participants:
         delivered_model = net.transfer(f"cs->user{uid}", model_msg)
@@ -340,18 +365,13 @@ def run_round(users_online: List[UserState], all_users: Dict[int, UserState],
             alarms.append(alarm_message(round_index, uid, AlarmReason.MALFORMED_PUBLICATION,
                                         int(bad.kind), len(bad.payload)))
             continue
-        try:
-            res = all_users[uid].reconstruct_round(
-                pvec, ptag, pm, pt_m, round_index, weighted=weights is not None)
-        except ParticipantMismatchError:
-            mismatches += 1
-            alarms.append(alarm_message(round_index, uid, AlarmReason.COUNT_MISMATCH,
-                                        pm, pt_m))
-            continue
+        res = all_users[uid].reconstruct_round(
+            pvec, ptag, pm, pt_m, round_index, weighted=weights is not None)
         results[uid] = res
         if not res.verified:
             alarms.append(res.alarm_message(sender=uid))
-    return _RoundOutcome(results, mismatches, w1pp, b2p, alarms)
+    return _RoundOutcome(results, cs.rounds[round_index].published,
+                         vs.rounds[round_index].published, alarms)
 
 
 def draw_round(cfg: RunConfig, users: Sequence[UserState], rng: random.Random,
@@ -359,7 +379,7 @@ def draw_round(cfg: RunConfig, users: Sequence[UserState], rng: random.Random,
                ) -> Tuple[List[UserState], Dict[int, np.ndarray]]:
     """A round's online users, by seeded dropout, and their synthetic updates."""
     online = [u for u in users if rng.random() >= cfg.dropout]
-    updates = {u.uid: update_rng.uniform(-cfg.x_bound, cfg.x_bound, cfg.dim)
+    updates = {u.uid: update_rng.uniform(-1.0, 1.0, cfg.dim)
                for u in online}
     return online, updates
 
@@ -382,15 +402,14 @@ def run_simulation(cfg: RunConfig) -> MetricsReport:
             start = time.perf_counter()
             online, updates = draw_round(cfg, users, rng, update_rng)
             rec = RoundRecord(r, tuple(u.uid for u in online))
-            adv = cfg.adversary if cfg.adversary and cfg.adversary.round_index == r else None
-            rec.adversarial = adv is not None
+            rec.adversarial = bool(cfg.adversary) and cfg.adversary.round_index == r
             if not online:
                 rec.aborted = True
                 rec.wall_time = time.perf_counter() - start
                 report.rounds.append(rec)
                 continue
             outcome = run_round(online, all_users, cs, vs, net, r, updates, rng,
-                                weights=weights, adversary=adv)
+                                weights=weights, adversary=cfg.adversary)
             rec.participants = tuple(sorted(outcome.results) if outcome.results
                                      else [u.uid for u in online])
             # Every participant that rejects the round raises an alarm.
@@ -499,15 +518,15 @@ def _median_ms(fn, reps: int) -> float:
     return statistics.median(samples)
 
 
-def bench(cfg: RunConfig, reps: int = 10, aggregate_users: int = 32) -> BenchResult:
+def bench(cfg: RunConfig, reps: int = 10) -> BenchResult:
     """Wall-time medians for each protocol stage at the configured sizes.
 
-    ``aggregate_users`` caps how many synthetic share vectors the server
-    aggregation timings materialize, keeping memory bounded at large d.
+    The server aggregation timings use at most 32 users, keeping the
+    share vectors they materialize bounded at large d.
     """
     params = default_params(cfg)
     rng = random.Random(cfg.seed)
-    users, cs, vs = setup(min(cfg.users, aggregate_users), params, rng=rng)
+    users, cs, vs = setup(min(cfg.users, 32), params, rng=rng)
     update_rng = np.random.default_rng(cfg.seed)
     update = update_rng.uniform(-1.0, 1.0, cfg.dim)
     u = users[0]

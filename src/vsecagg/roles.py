@@ -15,12 +15,12 @@ Z_{R_b} for tags:
 
 Users require the participant counts published by the two servers to
 agree before decoding: the tag covers the sum but not the divisor, so a
-lying CS could otherwise skew the mean undetected.
+lying CS could otherwise skew the mean undetected.  Counts that disagree
+are a COUNT_MISMATCH alarm, returned like every other failed check.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -60,14 +60,6 @@ class UnknownParticipantError(ProtocolError):
     pass
 
 
-class ParticipantMismatchError(ProtocolError):
-    pass
-
-
-class ParamDigestMismatchError(ProtocolError):
-    pass
-
-
 @dataclass(frozen=True)
 class ProtocolParams:
     """Parameters every role must share identically."""
@@ -76,11 +68,6 @@ class ProtocolParams:
     r_b: int
     dim: int
     codec: codec.CodecParams
-
-    def digest(self) -> bytes:
-        text = f"{self.r_w}|{self.r_b}|{self.dim}|{self.codec.delta}|" \
-               f"{self.codec.n_max}|{self.codec.x_min}|{self.codec.x_max}"
-        return hashlib.sha256(text.encode()).digest()
 
 
 @dataclass(frozen=True)
@@ -195,8 +182,8 @@ class UserState:
         """Unmask the published aggregate, check the tag, decode on success."""
         p = self.params
         if m_cs != m_vs:
-            raise ParticipantMismatchError(
-                f"round {round_index}: CS reports m={m_cs} but VS reports m={m_vs}")
+            return ReconstructResult(round_index, False, None,
+                                     (AlarmReason.COUNT_MISMATCH, m_cs, m_vs))
         # Fail closed before any arithmetic on an aggregate that is not d
         # residues mod R_w.
         if w1pp.size != p.dim:
@@ -414,13 +401,6 @@ class VsState:
                        pack_publish_tag(state.m, state.published))
 
 
-def check_param_digest(*roles) -> None:
-    """All roles must agree on protocol parameters before any round runs."""
-    digests = {r.params.digest() for r in roles}
-    if len(digests) != 1:
-        raise ParamDigestMismatchError("protocol parameter digests disagree across roles")
-
-
 def setup(n: int, params: ProtocolParams, rng=None):
     """Create n users and the two servers, distribute keys, derive the initial model.
 
@@ -440,7 +420,6 @@ def setup(n: int, params: ProtocolParams, rng=None):
         cs.register_user(uid, k_ci)
         users.append(UserState(uid, k_vi, k_ci, cs.k_cv, vs.k_vv,
                                cs.k_cg, vs.k_vg, params, initial))
-    check_param_digest(cs, vs, *users)
     return users, cs, vs
 
 

@@ -234,7 +234,7 @@ class TrafficLedger:
 class MemoryLink:
     """Reliable ordered in-process channel with ledger accounting."""
 
-    def __init__(self, name: str, ledger: Optional[TrafficLedger] = None):
+    def __init__(self, name: str, ledger: TrafficLedger):
         self.name = name
         self.ledger = ledger
         self._queue: deque = deque()
@@ -244,8 +244,7 @@ class MemoryLink:
         if self._closed:
             raise LinkClosedError(f"link {self.name} is closed")
         frame = serialize(msg)
-        if self.ledger is not None:
-            self.ledger.record(self.name, msg.round_index, len(msg.payload), len(frame))
+        self.ledger.record(self.name, msg.round_index, len(msg.payload), len(frame))
         # Round-trip through bytes so both backends exercise the codec.
         self._queue.append(frame)
 
@@ -264,11 +263,11 @@ class SocketLink:
     """Length-framed message stream over a connected TCP socket."""
 
     def __init__(self, sock: socket.socket, name: str,
-                 ledger: Optional[TrafficLedger] = None, timeout: Optional[float] = 10.0):
+                 ledger: Optional[TrafficLedger] = None):
         self.name = name
-        self.ledger = ledger
+        self.ledger = ledger  # the sending end records; the receiving end has none
         self._sock = sock
-        self._sock.settimeout(timeout)
+        self._sock.settimeout(10.0)
 
     def send(self, msg: Message) -> None:
         frame = serialize(msg)

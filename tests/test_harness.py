@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -7,10 +8,10 @@ from vsecagg import harness
 from vsecagg.cli import main as cli_main
 from vsecagg.codec import CodecParams
 from vsecagg.field import find_prime_above
-from vsecagg.harness import (AdversarySpec, ConfigError, RunConfig, bench,
-                             default_params, forgery_calibration,
+from vsecagg.harness import (ADVERSARY_ACTIONS, AdversarySpec, ConfigError, RunConfig,
+                             bench, default_params, forgery_calibration,
                              plaintext_oracle, run_simulation)
-from vsecagg.roles import CsState, VsState
+from vsecagg.roles import CsState, VsState, setup
 from vsecagg.wire import AlarmReason, MessageKind, unpack_alarm
 
 BIG_PRIME = find_prime_above(1 << 60)
@@ -69,13 +70,16 @@ def test_dropout_only_counts_participants():
             assert rec.verified
 
 
-@pytest.mark.parametrize("target,action", [
+ISOLATION_CASES = [
     ("cs", "tamper_model_share"),
     ("cs", "tamper_aggregate"),
     ("cs", "drop_participant"),
     ("cs", "lie_about_m"),
     ("vs", "forge_tag"),
-])
+]
+
+
+@pytest.mark.parametrize("target,action", ISOLATION_CASES)
 def test_adversary_detected_and_isolated_to_its_round(target, action):
     cfg = RunConfig(users=3, dim=4, rounds=2, seed=23,
                     adversary=AdversarySpec(target, action, 1))
@@ -85,6 +89,15 @@ def test_adversary_detected_and_isolated_to_its_round(target, action):
     assert not report.rounds[0].verified
     assert report.rounds[1].verified  # next round recovers
     assert report.exit_ok
+
+
+def test_every_attack_in_the_table_has_acceptance_coverage():
+    # Criterion 2 and the isolation test list their attacks by hand, so a
+    # new table entry must be added to both before tier-1 passes.
+    from test_acceptance import ADVERSARY_PAIRS
+    table = {(attack.server, action) for action, attack in ADVERSARY_ACTIONS.items()}
+    assert table <= set(ADVERSARY_PAIRS)
+    assert table <= set(ISOLATION_CASES)
 
 
 @pytest.mark.parametrize("target,action", [
@@ -152,6 +165,24 @@ def test_count_mismatch_alarm_per_participant():
     for alarm in report.alarms:
         # The CS claims one participant more than the VS counted.
         assert unpack_alarm(alarm.payload) == (1, AlarmReason.COUNT_MISMATCH, 4, 3)
+
+
+def test_count_mismatches_are_counted_per_participant():
+    # perfbench reads mismatch_errors: it must count each COUNT_MISMATCH result.
+    params = default_params(RunConfig(users=4, dim=3))
+    rng = random.Random(8)
+    users, cs, vs = setup(4, params, rng=rng)
+    all_users = {u.uid: u for u in users}
+    net = harness._Network("memory", sorted(all_users))
+    updates = {u.uid: np.full(3, 0.25) for u in users}
+    honest = harness.run_round(users, all_users, cs, vs, net, 1, updates, rng)
+    lying = harness.run_round(users, all_users, cs, vs, net, 2, updates, rng,
+                              adversary=AdversarySpec("cs", "lie_about_m", 2))
+    net.close()
+    assert honest.mismatch_errors == 0
+    assert lying.mismatch_errors == len(lying.results) == 4
+    assert all(res.alarm == (AlarmReason.COUNT_MISMATCH, 5, 4)
+               for res in lying.results.values())
 
 
 def test_length_mismatch_alarm_per_participant(monkeypatch):

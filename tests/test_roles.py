@@ -9,10 +9,8 @@ from vsecagg.field import find_prime_above
 from vsecagg.prf import KeyMaterial, concat_keys, expand
 from vsecagg.roles import (CsState, DuplicateIdError, DuplicateShareError,
                            EmptyIntersectionError, MissingShareError,
-                           ParamDigestMismatchError, ParticipantMismatchError,
                            ProtocolError, ProtocolParams, RoundContext, StaleRoundError,
-                           UserState, VsState, check_param_digest,
-                           init_model_from_seeds, intersect_online,
+                           UserState, VsState, init_model_from_seeds, intersect_online,
                            join_new_user, setup)
 from vsecagg.wire import AlarmReason, Message, MessageKind, unpack_alarm, unpack_publish_model
 
@@ -75,13 +73,6 @@ def test_duplicate_registration_rejected():
         cs.register_user(0, KeyMaterial.generate())
     with pytest.raises(DuplicateIdError):
         vs.register_user(1, KeyMaterial.generate())
-
-
-def test_param_digest_mismatch_detected():
-    users_a, cs_a, _ = setup(1, make_params(dim=2), rng=random.Random(3))
-    users_b, _, vs_b = setup(1, make_params(dim=3), rng=random.Random(3))
-    with pytest.raises(ParamDigestMismatchError):
-        check_param_digest(cs_a, vs_b)
 
 
 def test_initial_model_identical_and_seed_sensitive():
@@ -282,8 +273,15 @@ def test_user_reconstruct_rejects_m_mismatch():
     rng = np.random.default_rng(4)
     updates = {u.uid: rng.uniform(-1, 1, 2) for u in users}
     _, w1pp, b2p, m_cs, m_vs = run_honest_round(users, cs, vs, updates, 1)
-    with pytest.raises(ParticipantMismatchError):
-        users[0].reconstruct_round(w1pp, b2p, m_cs + 1, m_vs, 1)
+    assert users[0].reconstruct_round(w1pp, b2p, m_cs, m_vs, 1).verified
+    model = users[0].current_model
+    _, w1pp, b2p, m_cs, m_vs = run_honest_round(users, cs, vs, updates, 2)
+    # Everything but the CS's count is honest, so only the count check can fire.
+    res = users[0].reconstruct_round(w1pp, b2p, m_cs + 1, m_vs, 2)
+    assert not res.verified
+    assert res.model is None
+    assert res.alarm == (AlarmReason.COUNT_MISMATCH, m_cs + 1, m_vs)
+    assert users[0].current_model is model and users[0].last_verified_round == 1
 
 
 def test_shares_differ_across_rounds():
