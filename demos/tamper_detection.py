@@ -7,7 +7,6 @@ proceeds cleanly with fresh masks.
 """
 
 from vsecagg.harness import ADVERSARY_ACTIONS, AdversarySpec, RunConfig, run_simulation
-from vsecagg.wire import unpack_alarm
 
 cfg = RunConfig(users=4, dim=8, rounds=2, seed=21,
                 adversary=AdversarySpec("cs", "tamper_aggregate", round_index=1))
@@ -18,9 +17,9 @@ for rec in report.rounds:
           f"adversarial={rec.adversarial} detected={rec.detected} "
           f"verified={rec.verified} oracle_deviation={rec.oracle_deviation:.1e}")
 
-r, reason, expected, computed = unpack_alarm(report.alarms[0].payload)
-print(f"alarm for round {r} ({reason.name}): expected tag {expected} "
-      f"!= recomputed tag {computed}")
+alarm = report.alarms[0]
+print(f"alarm from user {alarm.uid} for round {alarm.round_index} ({alarm.reason.name}): "
+      f"expected tag {alarm.first} != recomputed tag {alarm.second}")
 print(f"run exit_ok = {report.exit_ok}  (a detected adversary is a successful run)")
 
 # The same detection holds for every modeled server action:

@@ -66,7 +66,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     sim = sub.add_parser("simulate", help="run a multi-round aggregation simulation")
     _add_run_flags(sim)
 
-    ben = sub.add_parser("bench", help="time each protocol stage")
+    ben = sub.add_parser("bench", help="median time of each protocol stage over real rounds")
     _add_run_flags(ben)
     ben.add_argument("--reps", type=int, default=10)
 

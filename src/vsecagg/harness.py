@@ -23,8 +23,8 @@ from .field import FieldModulus, find_prime_below
 from .roles import (CsState, ProtocolParams, RoundContext, UserState, VsState,
                     intersect_online, setup)
 from .wire import (AlarmReason, MemoryLink, Message, MessageKind, SocketLink,
-                   TrafficLedger, WireError, alarm_message, pack_online_list,
-                   socket_link_pair, unpack_publish_model, unpack_publish_tag)
+                   TrafficLedger, WireError, pack_online_list, socket_link_pair,
+                   unpack_publish_model, unpack_publish_tag)
 
 
 class ConfigError(ValueError):
@@ -146,6 +146,17 @@ class RunConfig:
             raise ConfigError("weights vector length must equal the user count")
 
 
+@dataclass(frozen=True)
+class Alarm:
+    """A participant's rejection of a round: the check that fired and its two values."""
+
+    round_index: int
+    uid: int
+    reason: AlarmReason
+    first: int
+    second: int
+
+
 @dataclass
 class RoundRecord:
     round_index: int
@@ -156,6 +167,8 @@ class RoundRecord:
     detected: bool = False
     oracle_deviation: float = 0.0
     wall_time: float = 0.0
+    # Stage name -> seconds of each call in that stage (see run_round).
+    spans: Dict[str, List[float]] = dc_field(default_factory=dict)
 
 
 @dataclass
@@ -164,7 +177,7 @@ class MetricsReport:
     r_w: int
     rounds: List[RoundRecord] = dc_field(default_factory=list)
     ledger: TrafficLedger = dc_field(default_factory=TrafficLedger)
-    alarms: List[Message] = dc_field(default_factory=list)
+    alarms: List[Alarm] = dc_field(default_factory=list)
 
     @property
     def exit_ok(self) -> bool:
@@ -291,7 +304,8 @@ class _RoundOutcome:
     results: Dict[int, roles.ReconstructResult]
     w1pp: np.ndarray
     b2p: int
-    alarms: List[Message]  # one per participant that rejected the round
+    alarms: List[Alarm]  # one per participant that rejected the round
+    spans: Dict[str, List[float]]
 
     @property
     def mismatch_errors(self) -> int:
@@ -305,13 +319,27 @@ def run_round(users_online: List[UserState], all_users: Dict[int, UserState],
               updates: Dict[int, np.ndarray], rng: random.Random,
               weights: Optional[Dict[int, float]] = None,
               adversary: Optional[AdversarySpec] = None) -> _RoundOutcome:
-    """Drive one full Share/Aggregate/Reconstruct round over the network."""
+    """Drive one full Share/Aggregate/Reconstruct round over the network.
+
+    The outcome's spans time each role call by stage: ``share`` (each
+    user's share_round), ``vs_aggregate`` (the VS's mask regeneration),
+    ``cs_aggregate`` (the CS's share sum), ``eval`` (the CS's tag-share
+    evaluation) and ``verify`` (each participant's reconstruct_round).
+    """
     adv = adversary if adversary and adversary.round_index == round_index else None
+    spans: Dict[str, List[float]] = {}
+
+    def timed(stage: str, call: Callable, *args, **kwargs):
+        start = time.perf_counter()
+        result = call(*args, **kwargs)
+        spans.setdefault(stage, []).append(time.perf_counter() - start)
+        return result
 
     cs_inbox, vs_inbox = [], []
     for u in users_online:
         weight = weights[u.uid] if weights is not None else None
-        to_cs, to_vs = u.share_round(updates[u.uid], round_index, weight=weight)
+        to_cs, to_vs = timed("share", u.share_round, updates[u.uid], round_index,
+                             weight=weight)
         cs_inbox.append(net.transfer(f"user{u.uid}->cs", to_cs))
         vs_inbox.append(net.transfer(f"user{u.uid}->vs", to_vs))
     # Delivery order at each server is a seeded shuffle: the published
@@ -339,12 +367,12 @@ def run_round(users_online: List[UserState], all_users: Dict[int, UserState],
     attack_after("intersect")
     w_t_msg = net.transfer("vs->cs", Message(
         MessageKind.RESHARE_MODEL, round_index, 1,
-        field.vec_to_raw(vs.model_aggregate(ctx))))
-    cs.finalize_model(ctx, field.vec_from_raw(w_t_msg.payload))
+        field.vec_to_raw(timed("vs_aggregate", vs.model_aggregate, ctx))))
+    timed("cs_aggregate", cs.finalize_model, ctx, field.vec_from_raw(w_t_msg.payload))
     attack_after("finalize_model")
     b_t_msg = net.transfer("cs->vs", Message(
         MessageKind.RESHARE_TAG, round_index, 0,
-        tags.tag_to_bytes(cs.tag_aggregate(ctx))))
+        tags.tag_to_bytes(timed("eval", cs.tag_aggregate, ctx))))
     vs.finalize_tag(ctx, tags.tag_from_bytes(b_t_msg.payload))
     attack_after("finalize_tag")
 
@@ -352,7 +380,7 @@ def run_round(users_online: List[UserState], all_users: Dict[int, UserState],
     tag_msg = vs.publish_tag_message(round_index)
 
     results: Dict[int, roles.ReconstructResult] = {}
-    alarms: List[Message] = []
+    alarms: List[Alarm] = []
     for uid in ctx.participants:
         delivered_model = net.transfer(f"cs->user{uid}", model_msg)
         delivered_tag = net.transfer(f"vs->user{uid}", tag_msg)
@@ -362,16 +390,16 @@ def run_round(users_online: List[UserState], all_users: Dict[int, UserState],
             bad = delivered_tag
             pt_m, ptag = unpack_publish_tag(delivered_tag.payload)
         except WireError:
-            alarms.append(alarm_message(round_index, uid, AlarmReason.MALFORMED_PUBLICATION,
-                                        int(bad.kind), len(bad.payload)))
+            alarms.append(Alarm(round_index, uid, AlarmReason.MALFORMED_PUBLICATION,
+                                int(bad.kind), len(bad.payload)))
             continue
-        res = all_users[uid].reconstruct_round(
-            pvec, ptag, pm, pt_m, round_index, weighted=weights is not None)
+        res = timed("verify", all_users[uid].reconstruct_round,
+                    pvec, ptag, pm, pt_m, round_index, weighted=weights is not None)
         results[uid] = res
         if not res.verified:
-            alarms.append(res.alarm_message(sender=uid))
+            alarms.append(Alarm(round_index, uid, *res.alarm))
     return _RoundOutcome(results, cs.rounds[round_index].published,
-                         vs.rounds[round_index].published, alarms)
+                         vs.rounds[round_index].published, alarms, spans)
 
 
 def draw_round(cfg: RunConfig, users: Sequence[UserState], rng: random.Random,
@@ -414,6 +442,7 @@ def run_simulation(cfg: RunConfig) -> MetricsReport:
                                      else [u.uid for u in online])
             # Every participant that rejects the round raises an alarm.
             rec.verified = bool(outcome.results) and not outcome.alarms
+            rec.spans = outcome.spans
             report.alarms.extend(outcome.alarms)
             if rec.adversarial:
                 rec.detected = not rec.verified
@@ -491,17 +520,16 @@ class BenchResult:
     dim: int
     users: int
     reps: int
-    share_ms: float         # median user share + tag proof time
-    proof_ms: float         # median tag proof time alone
-    cs_aggregate_ms: float  # median CS share-sum time
-    vs_aggregate_ms: float  # median VS mask-regeneration + sum time
-    eval_ms: float          # median CS tag-share evaluation time
-    verify_ms: float        # median user verification time
-    up_payload_bytes: int   # per-user per-round upload payload
+    share_ms: float         # median user share_round: encode, mask, tag key, tag
+    cs_aggregate_ms: float  # median CS share sum + the VS's reshare w_t
+    vs_aggregate_ms: float  # median VS mask regeneration + sum
+    eval_ms: float          # median CS tag-share evaluation
+    verify_ms: float        # median user reconstruct_round: unmask, tag check, decode
+    up_payload_bytes: int   # per-user per-round upload payload, from the ledger
 
     def to_text(self) -> str:
         lines = [f"dim={self.dim}", f"users={self.users}", f"reps={self.reps}"]
-        for name in ("share_ms", "proof_ms", "cs_aggregate_ms", "vs_aggregate_ms",
+        for name in ("share_ms", "cs_aggregate_ms", "vs_aggregate_ms",
                      "eval_ms", "verify_ms", "up_payload_bytes"):
             value = getattr(self, name)
             lines.append(f"{name}={value:.3f}" if isinstance(value, float)
@@ -509,56 +537,27 @@ class BenchResult:
         return "\n".join(lines) + "\n"
 
 
-def _median_ms(fn, reps: int) -> float:
-    samples = []
-    for _ in range(reps):
-        start = time.perf_counter()
-        fn()
-        samples.append((time.perf_counter() - start) * 1e3)
-    return statistics.median(samples)
-
-
 def bench(cfg: RunConfig, reps: int = 10) -> BenchResult:
-    """Wall-time medians for each protocol stage at the configured sizes.
+    """Median stage times over ``reps`` real rounds of ``run_simulation``.
 
-    The server aggregation timings use at most 32 users, keeping the
-    share vectors they materialize bounded at large d.
+    The rounds run with at most 32 users (the first ones, with their
+    weights), keeping the shares the CS holds bounded at large d; every
+    other field of ``cfg`` applies as given.  Each time is the median of
+    that stage's spans in run_round over every round that ran.
     """
-    params = default_params(cfg)
-    rng = random.Random(cfg.seed)
-    users, cs, vs = setup(min(cfg.users, 32), params, rng=rng)
-    update_rng = np.random.default_rng(cfg.seed)
-    update = update_rng.uniform(-1.0, 1.0, cfg.dim)
-    u = users[0]
+    users = min(cfg.users, 32)
+    weights = cfg.weights[:users] if cfg.weights is not None else None
+    report = run_simulation(replace(cfg, users=users, rounds=reps, weights=weights))
+    ran = [rec for rec in report.rounds if not rec.aborted]
+    if not ran:
+        raise ConfigError("no benchmark round ran: every user dropped out of every round")
 
-    round_counter = [0]
+    def median_ms(stage: str) -> float:
+        return 1e3 * statistics.median(s for rec in ran for s in rec.spans.get(stage, ()))
 
-    def do_share():
-        round_counter[0] += 1
-        u.share_round(update, round_counter[0])
-
-    share_ms = _median_ms(do_share, reps)
-
-    encoded = codec.encode(update, params.codec)
-    key_vec = tags.derive_tag_key(u.k_v, 1, params.dim, params.r_b)
-    proof_ms = _median_ms(lambda: tags.gen_tag(encoded, key_vec, params.r_w, params.r_b),
-                          reps)
-
-    m = len(users)
-    shares = [update_rng.integers(0, params.r_w, size=params.dim, dtype=np.uint64)
-              for _ in range(m)]
-    cs_aggregate_ms = _median_ms(lambda: field.vec_sum(shares, params.r_w), reps)
-
-    ctx = RoundContext(1, tuple(sorted(uu.uid for uu in users)))
-    vs_aggregate_ms = _median_ms(lambda: vs.model_aggregate(ctx), reps)
-
-    # Tag evaluation is n length-1 PRF expansions: independent of dim.
-    eval_ms = _median_ms(lambda: cs.tag_aggregate(ctx), reps)
-
-    tag = tags.gen_tag(encoded, key_vec, params.r_w, params.r_b)
-    verify_ms = _median_ms(lambda: tags.verify(encoded, tag, key_vec,
-                                               params.r_w, params.r_b), reps)
-
-    return BenchResult(cfg.dim, cfg.users, reps, share_ms, proof_ms,
-                       cs_aggregate_ms, vs_aggregate_ms, eval_ms, verify_ms,
-                       up_payload_bytes=8 * params.dim + 8)
+    uid, r = ran[0].participants[0], ran[0].round_index
+    up_payload_bytes = (report.ledger.payload_bytes(f"user{uid}->cs", r)
+                        + report.ledger.payload_bytes(f"user{uid}->vs", r))
+    return BenchResult(cfg.dim, cfg.users, reps, median_ms("share"),
+                       median_ms("cs_aggregate"), median_ms("vs_aggregate"),
+                       median_ms("eval"), median_ms("verify"), up_payload_bytes)

@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from . import codec, field, sharing, tags, wire
+from . import codec, field, sharing, tags
 from .prf import KeyMaterial, concat_keys, expand, expand_one
 from .wire import (AlarmReason, Message, MessageKind, pack_publish_model,
                    pack_publish_tag)
@@ -114,9 +114,6 @@ class ReconstructResult:
     model: Optional[np.ndarray]
     # Set when not verified: the check that fired and its two values.
     alarm: Optional[Tuple[AlarmReason, int, int]] = None
-
-    def alarm_message(self, sender: int) -> Message:
-        return wire.alarm_message(self.round_index, sender, *self.alarm)
 
 
 class UserState:

@@ -39,7 +39,7 @@ MAX_PAYLOAD = (1 << 31) - 1
 
 
 class MessageKind(IntEnum):
-    # Each value is the frame's kind byte; 0, 1 and 9 are unassigned.
+    # Each value is the frame's kind byte; 0, 1, 9 and 10 are unassigned.
     MODEL_SHARE = 2
     TAG_SHARE = 3
     ONLINE_LIST = 4
@@ -47,7 +47,6 @@ class MessageKind(IntEnum):
     RESHARE_TAG = 6
     PUBLISH_MODEL = 7
     PUBLISH_TAG = 8
-    ALARM = 10
 
 
 @dataclass(frozen=True)
@@ -174,29 +173,6 @@ class AlarmReason(IntEnum):
     NON_CANONICAL = 3   # first aggregate coordinate holding a residue >= R_w, its value
     LENGTH_MISMATCH = 4  # model dimension d, length of the published aggregate
     MALFORMED_PUBLICATION = 5  # kind of the unparsable publication, its payload length
-
-
-_ALARM = struct.Struct("<QBQQ")
-
-
-def pack_alarm(round_index: int, reason: AlarmReason, first: int, second: int) -> bytes:
-    return _ALARM.pack(round_index, reason, first, second)
-
-
-def unpack_alarm(payload: bytes) -> Tuple[int, AlarmReason, int, int]:
-    if len(payload) != _ALARM.size:
-        raise WireError(f"alarm payload must be {_ALARM.size} bytes, got {len(payload)}")
-    round_index, reason, first, second = _ALARM.unpack(payload)
-    try:
-        return round_index, AlarmReason(reason), first, second
-    except ValueError:
-        raise WireError(f"unknown alarm reason {reason}") from None
-
-
-def alarm_message(round_index: int, sender: int, reason: AlarmReason,
-                  first: int, second: int) -> Message:
-    return Message(MessageKind.ALARM, round_index, sender,
-                   pack_alarm(round_index, reason, first, second))
 
 
 # -- traffic accounting ------------------------------------------------------

@@ -8,11 +8,11 @@ from vsecagg import harness
 from vsecagg.cli import main as cli_main
 from vsecagg.codec import CodecParams
 from vsecagg.field import find_prime_above
-from vsecagg.harness import (ADVERSARY_ACTIONS, AdversarySpec, ConfigError, RunConfig,
-                             bench, default_params, forgery_calibration,
+from vsecagg.harness import (ADVERSARY_ACTIONS, AdversarySpec, Alarm, ConfigError,
+                             RunConfig, bench, default_params, forgery_calibration,
                              plaintext_oracle, run_simulation)
 from vsecagg.roles import CsState, VsState, setup
-from vsecagg.wire import AlarmReason, MessageKind, unpack_alarm
+from vsecagg.wire import AlarmReason, MessageKind
 
 BIG_PRIME = find_prime_above(1 << 60)
 
@@ -148,11 +148,10 @@ def test_alarm_recorded_on_detection():
     report = run_simulation(cfg)
     participants = report.rounds[0].participants
     assert len(participants) == 3
-    assert sorted(alarm.sender for alarm in report.alarms) == list(participants)
+    assert sorted(alarm.uid for alarm in report.alarms) == list(participants)
     for alarm in report.alarms:
-        r, reason, expected, computed = unpack_alarm(alarm.payload)
-        assert alarm.round_index == r == 1 and expected != computed
-        assert reason is AlarmReason.TAG_MISMATCH
+        assert alarm.round_index == 1 and alarm.first != alarm.second
+        assert alarm.reason is AlarmReason.TAG_MISMATCH
 
 
 def test_count_mismatch_alarm_per_participant():
@@ -161,10 +160,10 @@ def test_count_mismatch_alarm_per_participant():
     report = run_simulation(cfg)
     rec = report.rounds[0]
     assert rec.detected and not rec.verified
-    assert sorted(alarm.sender for alarm in report.alarms) == list(rec.participants) == [0, 1, 2]
-    for alarm in report.alarms:
-        # The CS claims one participant more than the VS counted.
-        assert unpack_alarm(alarm.payload) == (1, AlarmReason.COUNT_MISMATCH, 4, 3)
+    # The CS claims one participant more than the VS counted.
+    assert report.alarms == [Alarm(1, uid, AlarmReason.COUNT_MISMATCH, 4, 3)
+                             for uid in rec.participants]
+    assert rec.participants == (0, 1, 2)
 
 
 def test_count_mismatches_are_counted_per_participant():
@@ -196,9 +195,9 @@ def test_length_mismatch_alarm_per_participant(monkeypatch):
     report = run_simulation(RunConfig(users=3, dim=2, rounds=1, seed=1))
     rec = report.rounds[0]
     assert not rec.verified and not report.exit_ok
-    assert sorted(alarm.sender for alarm in report.alarms) == list(rec.participants) == [0, 1, 2]
-    for alarm in report.alarms:
-        assert unpack_alarm(alarm.payload) == (1, AlarmReason.LENGTH_MISMATCH, 2, 1)
+    assert report.alarms == [Alarm(1, uid, AlarmReason.LENGTH_MISMATCH, 2, 1)
+                             for uid in rec.participants]
+    assert rec.participants == (0, 1, 2)
 
 
 @pytest.mark.parametrize("server,publish,kind", [
@@ -215,10 +214,32 @@ def test_malformed_publication_alarm_per_participant(monkeypatch, server, publis
     report = run_simulation(RunConfig(users=3, dim=2, rounds=1, seed=1))
     rec = report.rounds[0]
     assert not rec.verified and not report.exit_ok
-    assert sorted(alarm.sender for alarm in report.alarms) == list(rec.participants) == [0, 1, 2]
-    for alarm in report.alarms:
-        assert unpack_alarm(alarm.payload) == (1, AlarmReason.MALFORMED_PUBLICATION,
-                                               int(kind), 3)
+    assert report.alarms == [Alarm(1, uid, AlarmReason.MALFORMED_PUBLICATION, int(kind), 3)
+                             for uid in rec.participants]
+    assert rec.participants == (0, 1, 2)
+
+
+@pytest.mark.parametrize("adversary", [None, AdversarySpec("cs", "tamper_aggregate", 2)])
+def test_round_spans_time_each_role_call(monkeypatch, adversary):
+    online_counts = []
+    run_round = harness.run_round
+
+    def spy(users_online, *args, **kwargs):
+        online_counts.append(len(users_online))
+        return run_round(users_online, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_round", spy)
+    report = run_simulation(RunConfig(users=6, dim=4, rounds=3, dropout=0.3, seed=4,
+                                      adversary=adversary))
+    assert len(report.rounds) == len(online_counts) == 3
+    assert min(online_counts) < 6  # dropout took users out of some round
+    for rec, online in zip(report.rounds, online_counts):
+        assert {stage: len(seconds) for stage, seconds in rec.spans.items()} == {
+            "share": online, "vs_aggregate": 1, "cs_aggregate": 1, "eval": 1,
+            "verify": len(rec.participants)}
+        assert len(rec.participants) == online
+        assert all(s > 0 for seconds in rec.spans.values() for s in seconds)
+    assert [rec.detected for rec in report.rounds] == [False, adversary is not None, False]
 
 
 def test_reproducibility_identical_reports():
@@ -339,6 +360,8 @@ def test_cli_oracle_matches_simulated_round_one(monkeypatch, capsys, tmp_path, w
      "--adversary", "vs:tamper_model_share:1"],
     ["oracle", "--users", "2", "--dim", "1", "--seed", "0", "--dropout", "0.9"],
     ["simulate", "--adversary", "cs:tamper_aggregate:first"],
+    # Nobody is online in the only benchmark round, as in the oracle case.
+    ["bench", "--users", "2", "--dim", "1", "--seed", "0", "--dropout", "0.9", "--reps", "1"],
 ])
 def test_cli_config_error_is_a_usage_error(capsys, argv):
     assert cli_main(argv) == 2
@@ -348,9 +371,23 @@ def test_cli_config_error_is_a_usage_error(capsys, argv):
     assert "Traceback" not in captured.err
 
 
-def test_cli_weights_file(tmp_path):
+def test_cli_weights_file(tmp_path, capsys):
     weights = tmp_path / "weights.txt"
     weights.write_text("1.0\n3.0\n")
     rc = cli_main(["simulate", "--users", "2", "--dim", "2", "--rounds", "1",
                    "--seed", "2", "--weights-file", str(weights)])
     assert rc == 0
+    capsys.readouterr()
+    rc = cli_main(["bench", "--users", "2", "--dim", "2", "--reps", "2",
+                   "--seed", "2", "--weights-file", str(weights)])
+    assert rc == 0
+    # The weight travels as one more coordinate: 8 * (d + 1) + 8 bytes up.
+    assert "up_payload_bytes=32\n" in capsys.readouterr().out
+
+
+def test_cli_bench_in_socket_mode_with_dropout(capsys):
+    rc = cli_main(["bench", "--users", "6", "--dim", "16", "--reps", "3", "--seed", "4",
+                   "--mode", "socket", "--dropout", "0.5"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "users=6\n" in out and "up_payload_bytes=136\n" in out

@@ -12,7 +12,7 @@ from vsecagg.roles import (CsState, DuplicateIdError, DuplicateShareError,
                            ProtocolError, ProtocolParams, RoundContext, StaleRoundError,
                            UserState, VsState, init_model_from_seeds, intersect_online,
                            join_new_user, setup)
-from vsecagg.wire import AlarmReason, Message, MessageKind, unpack_alarm, unpack_publish_model
+from vsecagg.wire import AlarmReason, Message, MessageKind, unpack_publish_model
 
 BIG_PRIME = find_prime_above(1 << 60)
 MERSENNE_61 = (1 << 61) - 1  # the default modulus
@@ -425,8 +425,7 @@ def test_user_fails_closed_on_non_canonical_aggregate(r):
     for published, index, value in ((one_high, 2, r), (everywhere, 0, HIGH_WORD)):
         res = users[0].reconstruct_round(published, b2p, m_cs, m_vs, 1)
         assert not res.verified and res.model is None
-        alarm = res.alarm_message(sender=0)
-        assert unpack_alarm(alarm.payload) == (1, AlarmReason.NON_CANONICAL, index, value)
+        assert res.alarm == (AlarmReason.NON_CANONICAL, index, value)
     assert users[0].current_model is None
     assert users[0].reconstruct_round(w1pp, b2p, m_cs, m_vs, 1).verified
 
@@ -440,8 +439,7 @@ def test_user_fails_closed_on_wrong_length_aggregate():
     for published in (w1pp[:3], np.append(w1pp, w1pp[:1]), w1pp[:0]):
         res = users[0].reconstruct_round(published, b2p, m_cs, m_vs, 1)
         assert not res.verified and res.model is None
-        alarm = res.alarm_message(sender=0)
-        assert unpack_alarm(alarm.payload) == (1, AlarmReason.LENGTH_MISMATCH, 4, published.size)
+        assert res.alarm == (AlarmReason.LENGTH_MISMATCH, 4, published.size)
     assert users[0].current_model is None
     assert users[0].reconstruct_round(w1pp, b2p, m_cs, m_vs, 1).verified
 

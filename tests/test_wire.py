@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from vsecagg import field
-from vsecagg.wire import (HEADER, MAGIC, AlarmReason, BadMagicError,
-                          LengthMismatchError, LinkClosedError, MemoryLink,
-                          Message, MessageKind, TrafficLedger,
-                          TruncatedFrameError, UnknownKindError, WireError,
-                          deserialize, pack_alarm, pack_online_list,
-                          pack_publish_model, pack_publish_tag,
-                          serialize, socket_link_pair, unpack_alarm,
+from vsecagg.wire import (HEADER, MAGIC, BadMagicError, LengthMismatchError,
+                          LinkClosedError, MemoryLink, Message, MessageKind,
+                          TrafficLedger, TruncatedFrameError, UnknownKindError,
+                          deserialize, pack_online_list, pack_publish_model,
+                          pack_publish_tag, serialize, socket_link_pair,
                           unpack_online_list, unpack_publish_model,
                           unpack_publish_tag)
 
@@ -37,7 +35,7 @@ def test_frame_layout():
     # The kind byte of every frame on the wire.
     assert {kind.name: int(kind) for kind in MessageKind} == {
         "MODEL_SHARE": 2, "TAG_SHARE": 3, "ONLINE_LIST": 4, "RESHARE_MODEL": 5,
-        "RESHARE_TAG": 6, "PUBLISH_MODEL": 7, "PUBLISH_TAG": 8, "ALARM": 10}
+        "RESHARE_TAG": 6, "PUBLISH_MODEL": 7, "PUBLISH_TAG": 8}
 
 
 def test_model_share_payload_size_at_20k():
@@ -48,7 +46,7 @@ def test_model_share_payload_size_at_20k():
 
 
 def test_bad_magic():
-    frame = bytearray(serialize(Message(MessageKind.ALARM, 1, 1, b"")))
+    frame = bytearray(serialize(Message(MessageKind.ONLINE_LIST, 1, 1, b"")))
     frame[0] ^= 0xFF
     with pytest.raises(BadMagicError):
         deserialize(bytes(frame))
@@ -63,14 +61,15 @@ def test_truncated_frame():
 
 
 def test_unknown_kind():
-    frame = bytearray(serialize(Message(MessageKind.ALARM, 1, 1, b"")))
-    frame[4] = 0x7F
-    with pytest.raises(UnknownKindError):
-        deserialize(bytes(frame))
+    frame = bytearray(serialize(Message(MessageKind.ONLINE_LIST, 1, 1, b"")))
+    for kind in (10, 0x7F):  # 10 was the alarm frame's kind byte
+        frame[4] = kind
+        with pytest.raises(UnknownKindError):
+            deserialize(bytes(frame))
 
 
 def test_trailing_bytes_rejected():
-    frame = serialize(Message(MessageKind.ALARM, 1, 1, b""))
+    frame = serialize(Message(MessageKind.ONLINE_LIST, 1, 1, b""))
     with pytest.raises(LengthMismatchError):
         deserialize(frame + b"\x00")
 
@@ -126,16 +125,6 @@ def test_decoded_share_and_publication_are_read_only_views_of_the_frame():
             got[0] = 1
 
 
-def test_alarm_payload():
-    for reason in AlarmReason:
-        assert unpack_alarm(pack_alarm(9, reason, 11, 22)) == (9, reason, 11, 22)
-    payload = pack_alarm(9, AlarmReason.TAG_MISMATCH, 11, 22)
-    with pytest.raises(WireError, match="reason"):
-        unpack_alarm(payload[:8] + b"\x00" + payload[9:])
-    with pytest.raises(WireError):
-        unpack_alarm(payload[:-1])
-
-
 def test_memory_link_fifo_and_ledger():
     ledger = TrafficLedger()
     link = MemoryLink("user1->cs", ledger)
@@ -149,7 +138,7 @@ def test_memory_link_fifo_and_ledger():
     with pytest.raises(LinkClosedError):
         link.recv()
     with pytest.raises(LinkClosedError):
-        link.send(Message(MessageKind.ALARM, 1, 1, b""))
+        link.send(Message(MessageKind.ONLINE_LIST, 1, 1, b""))
 
 
 def test_ledger_accumulates_monotonically():
