@@ -6,6 +6,12 @@ agree bit for bit), then embeds the signed integer into Z_{R_w}.  The
 capacity check guarantees that summing the worst-case encodings of all
 participants never wraps the modulus, which is what lets downstream tag
 verification reason over the integers.
+
+``encode`` rounds by adding +-0.5 and casting to int64, since the cast
+truncates toward zero, and embeds the result in place in the cast's own
+words.  It needs no range check after the cast: the input bound check
+and the capacity check keep every rounded value within +-(R_w - 1)/2.
+``decode`` divides once, by delta * m.
 """
 
 from __future__ import annotations
@@ -73,14 +79,19 @@ def encode(values, params: CodecParams) -> np.ndarray:
     # Adding +-0.5 and truncating equals sign(s) * floor(|s| + 0.5): IEEE
     # rounding is symmetric in sign, so s - 0.5 is exactly -(|s| + 0.5).
     scaled += np.copysign(0.5, scaled)
-    quantized = np.trunc(scaled, out=scaled).astype(np.int64)
-    del scaled  # one d-length temporary fewer alive in vec_from_signed
-    return field.vec_from_signed(quantized, params.r_w)
+    out = scaled.astype(np.int64).view(np.uint64)
+    # A negative q reads as 2^64 + q, and adding r wraps it to q + r.  The
+    # words of ``scaled``, no longer needed, hold r where q is negative.
+    sign = np.right_shift(out, np.uint64(63), out=scaled.view(np.uint64))
+    sign *= np.uint64(params.r_w)
+    out += sign
+    return out
 
 
 def decode(vec: np.ndarray, params: CodecParams, m: int) -> np.ndarray:
     """Signed lift, unscale, and divide by the participant count."""
     if m < 1:
         raise CodecError("participant count must be at least 1")
-    signed = field.vec_to_signed(vec, params.r_w)
-    return signed.astype(np.float64) / params.delta / m
+    # delta * m is exact in float64 and dividing by the power of two delta
+    # is exact, so one division rounds as dividing by delta, then m, did.
+    return field.vec_to_signed(vec, params.r_w) / float(params.delta * m)

@@ -13,9 +13,12 @@ exact in fixed-width words:
   ``vec_add``/``vec_sub`` reduce with one compare-and-select instead of
   a division.  They require canonical inputs; a caller that receives a
   vector from another party checks it first.
-- Sums: a canonical residue is below 2^61, so up to seven of them add
-  without wrapping (7 * (2^61 - 1) < 2^64).  ``vec_sum`` reduces once per
-  seven terms instead of after every addition.
+- Sums: a canonical residue is below r < 2^61, so a uint64 holds any
+  sum below 8r < 2^64.  ``vec_sum`` reduces without a division, by
+  compare-and-select steps that each take off a multiple of r wherever
+  it fits.  One step of 4r brings a partial sum below 8r under 4r, so
+  four more terms fit before the next step; at the end, steps of 4r,
+  2r and r bring the sum under r.
 - Products: two residues multiply to as much as 122 bits, so ``dot``
   reads each 64-bit word as four 16-bit limbs, a free ``uint16`` view.
   A limb product is below 2^32, so up to 2^21 of them sum below 2^53,
@@ -175,52 +178,57 @@ def vec_sub(a: np.ndarray, b: np.ndarray, r: int) -> np.ndarray:
     return np.minimum(d, d + np.uint64(r), out=d)
 
 
-# Canonical residues that fit in one uint64 accumulator: 7 * (2^61 - 1) < 2^64.
-_LAZY_TERMS = 7
+# A uint64 accumulator holds any sum below 8r: 8 * (2^61 - 1) < 2^64.
+_LAZY_BOUND = 8
+
+
+def _take_off(acc: np.ndarray, multiple: int, scratch: np.ndarray) -> None:
+    """Subtract ``multiple`` wherever it fits, in place: below 2 * multiple
+    in, below multiple out."""
+    np.subtract(acc, np.uint64(multiple), out=scratch)
+    np.minimum(acc, scratch, out=acc)
 
 
 def vec_sum(vectors, r: int) -> np.ndarray:
     """Modular sum of a non-empty iterable of equal-length canonical vectors.
 
     The iterable is consumed once, so a generator streams its vectors
-    through one accumulator without holding them all.
+    through one accumulator without holding them all.  The result is a
+    new array; no input is changed.
     """
     it = iter(vectors)
     try:
-        acc = next(it).copy()
+        first = next(it)
     except StopIteration:
         raise FieldError("cannot sum an empty sequence of vectors") from None
-    modulus = np.uint64(r)
-    terms = 1
+    second = next(it, None)
+    if second is None:
+        return first.copy()
+    _check_lengths(first, second)
+    acc = first + second
+    scratch = np.empty_like(acc)
+    bound = 2  # every element of acc is below bound * r
     for v in it:
         _check_lengths(acc, v)
-        if terms == _LAZY_TERMS:
-            acc %= modulus
-            terms = 1
+        if bound == _LAZY_BOUND:
+            _take_off(acc, 4 * r, scratch)
+            bound = 4
         acc += v
-        terms += 1
-    acc %= modulus
+        bound += 1
+    for k in (4, 2, 1):
+        if bound > k:
+            _take_off(acc, k * r, scratch)
     return acc
 
 
 def vec_to_signed(a: np.ndarray, r: int) -> np.ndarray:
     """Signed representatives as int64 (valid since r < 2^61)."""
     half = np.uint64((r - 1) // 2)
-    out = a.astype(np.int64)
-    # Branch-free: a boolean-mask update is several times slower on the
-    # half-and-half masks that uniform residues give.
-    out -= (a > half) * np.int64(r)
-    return out
-
-
-def vec_from_signed(s: np.ndarray, r: int) -> np.ndarray:
-    half = (r - 1) // 2
-    s = np.asarray(s, dtype=np.int64)
-    if s.size and (int(s.max()) > half or int(s.min()) < -half):
-        raise FieldError("signed vector outside the representable range")
-    out = s.astype(np.uint64)  # a negative s wraps to 2^64 + s ...
-    out += (s < 0) * np.uint64(r)  # ... and adding r wraps it to s + r
-    return out
+    # A residue below 2^61 reads the same as an int64.  Branch-free: a
+    # boolean-mask update is several times slower on the half-and-half
+    # masks that uniform residues give.
+    out = (a > half) * np.int64(r)
+    return np.subtract(a.view(np.int64), out, out=out)
 
 
 # Words per block: the two float64 limb buffers of 512 KiB each stay in
@@ -269,8 +277,14 @@ def dot(a: np.ndarray, b: np.ndarray, r: int) -> int:
 # embed the raw words and recover the count from the frame's payload
 # length; a single element (a tag) goes through ``tags.tag_to_bytes``.
 
-def vec_to_raw(a: np.ndarray) -> bytes:
-    return np.ascontiguousarray(a, dtype="<u8").tobytes()
+def vec_to_raw(a: np.ndarray) -> memoryview:
+    """The words of ``a`` as read-only bytes.
+
+    For a contiguous little-endian ``a`` this is a view that keeps ``a``
+    alive, not a copy: a caller that changes ``a`` afterwards changes
+    the bytes too.
+    """
+    return memoryview(np.ascontiguousarray(a, dtype="<u8")).toreadonly().cast("B")
 
 
 def vec_from_raw(data) -> np.ndarray:

@@ -518,7 +518,7 @@ def forgery_calibration(r_b: int, trials: int, seed: int = 0,
 @dataclass
 class BenchResult:
     dim: int
-    users: int
+    users: int              # the users that ran, at most 32
     reps: int
     share_ms: float         # median user share_round: encode, mask, tag key, tag
     cs_aggregate_ms: float  # median CS share sum + the VS's reshare w_t
@@ -541,9 +541,10 @@ def bench(cfg: RunConfig, reps: int = 10) -> BenchResult:
     """Median stage times over ``reps`` real rounds of ``run_simulation``.
 
     The rounds run with at most 32 users (the first ones, with their
-    weights), keeping the shares the CS holds bounded at large d; every
-    other field of ``cfg`` applies as given.  Each time is the median of
-    that stage's spans in run_round over every round that ran.
+    weights), keeping the shares the CS holds bounded at large d, and
+    the result reports the users that ran; every other field of ``cfg``
+    applies as given.  Each time is the median of that stage's spans in
+    run_round over every round that ran.
     """
     users = min(cfg.users, 32)
     weights = cfg.weights[:users] if cfg.weights is not None else None
@@ -558,6 +559,6 @@ def bench(cfg: RunConfig, reps: int = 10) -> BenchResult:
     uid, r = ran[0].participants[0], ran[0].round_index
     up_payload_bytes = (report.ledger.payload_bytes(f"user{uid}->cs", r)
                         + report.ledger.payload_bytes(f"user{uid}->vs", r))
-    return BenchResult(cfg.dim, cfg.users, reps, median_ms("share"),
+    return BenchResult(cfg.dim, users, reps, median_ms("share"),
                        median_ms("cs_aggregate"), median_ms("vs_aggregate"),
                        median_ms("eval"), median_ms("verify"), up_payload_bytes)

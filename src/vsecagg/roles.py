@@ -204,9 +204,10 @@ class UserState:
             return ReconstructResult(round_index, False, None,
                                      (AlarmReason.TAG_MISMATCH, expected, computed))
         if weighted:
-            signed = field.vec_to_signed(w_prime, p.r_w).astype(np.float64)
+            signed = field.vec_to_signed(w_prime, p.r_w)
             weight_sum = signed[-1] / p.codec.delta
-            model = signed[:-1] / p.codec.delta / weight_sum
+            # One division, as in codec.decode: delta * weight_sum is exact.
+            model = signed[:-1] / (p.codec.delta * weight_sum)
         else:
             model = codec.decode(w_prime, p.codec, m_cs)
         self.current_model = model

@@ -17,6 +17,12 @@ share is exactly 8.
 Two channel backends share the same semantics: an in-memory FIFO for
 deterministic simulation and a TCP stream for networked runs.  Both
 record every send into a :class:`TrafficLedger`.
+
+A payload need not be ``bytes``: ``field.vec_to_raw`` gives a read-only
+view of an array's words, so a d-word payload is copied once, into its
+frame.  A message is framed once, however many links carry it: its
+``frame`` is built on first use and kept.  A received payload is a view
+into the frame it arrived in.
 """
 
 from __future__ import annotations
@@ -54,8 +60,20 @@ class Message:
     kind: MessageKind
     round_index: int
     sender: int
-    # bytes, or a memoryview into the frame it was received in.
+    # bytes, or a read-only byte view: of an array's words, or of the
+    # frame the message was received in.
     payload: bytes
+
+    @property
+    def frame(self) -> bytes:
+        """``serialize(self)``, built once and reused by every link that sends it."""
+        # Kept outside the fields, so equality and repr ignore it.  Not a
+        # functools.cached_property, which before Python 3.12 takes a lock
+        # on every first access: a round can send hundreds of messages.
+        frame = self.__dict__.get("_frame")
+        if frame is None:
+            frame = self.__dict__["_frame"] = serialize(self)
+        return frame
 
 
 class WireError(ValueError):
@@ -219,7 +237,7 @@ class MemoryLink:
     def send(self, msg: Message) -> None:
         if self._closed:
             raise LinkClosedError(f"link {self.name} is closed")
-        frame = serialize(msg)
+        frame = msg.frame
         self.ledger.record(self.name, msg.round_index, len(msg.payload), len(frame))
         # Round-trip through bytes so both backends exercise the codec.
         self._queue.append(frame)
@@ -246,27 +264,30 @@ class SocketLink:
         self._sock.settimeout(10.0)
 
     def send(self, msg: Message) -> None:
-        frame = serialize(msg)
+        frame = msg.frame
         if self.ledger is not None:
             self.ledger.record(self.name, msg.round_index, len(msg.payload), len(frame))
         self._sock.sendall(frame)
 
-    def _read_exact(self, n: int) -> bytes:
-        buf = bytearray()
-        while len(buf) < n:
-            chunk = self._sock.recv(n - len(buf))
-            if not chunk:
+    def _read_into(self, view: memoryview) -> None:
+        """Fill ``view`` from the socket."""
+        while view:
+            n = self._sock.recv_into(view)
+            if not n:
                 raise LinkClosedError(f"link {self.name} closed mid-frame")
-            buf.extend(chunk)
-        return bytes(buf)
+            view = view[n:]
 
     def recv(self) -> Message:
-        header = self._read_exact(HEADER.size)
+        header = bytearray(HEADER.size)
+        self._read_into(memoryview(header))
         magic, kind, round_index, sender, length = HEADER.unpack(header)
         if magic != MAGIC:
             raise BadMagicError(f"bad magic {magic!r}")
-        payload = self._read_exact(length) if length else b""
-        return deserialize(header + payload)
+        # The payload is read straight into the frame the message keeps.
+        frame = bytearray(HEADER.size + length)
+        frame[:HEADER.size] = header
+        self._read_into(memoryview(frame)[HEADER.size:])
+        return deserialize(frame)
 
     def close(self) -> None:
         self._sock.close()

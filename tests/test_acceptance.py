@@ -161,9 +161,12 @@ def test_criterion_5_scaling_shapes():
     assert spread_eval <= 1.5 or max(eval_by_d.values()) <= 1.0, \
         f"eval time grows with d: {eval_by_d}"
 
-    ns = (10, 100, 1000)
-    share_by_n = {n: result.share_ms for n, result in
-                  zip(ns, best([RunConfig(users=n, dim=20_000, seed=1) for n in ns]))}
+    # bench runs at most 32 users, so these are the counts it can compare.
+    ns = (8, 16, 32)
+    share_by_n = {}
+    for n, result in zip(ns, best([RunConfig(users=n, dim=20_000, seed=1) for n in ns])):
+        assert result.users == n
+        share_by_n[n] = result.share_ms
     spread_n = max(share_by_n.values()) / min(share_by_n.values())
     assert spread_n <= 1.5, f"share time spread over n = {spread_n:.2f}"
 

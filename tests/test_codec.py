@@ -51,7 +51,8 @@ def reference_encode(values, params):
     assert np.all((v >= params.x_min) & (v <= params.x_max))
     scaled = v * params.delta
     quantized = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
-    return field.vec_from_signed(quantized.astype(np.int64), params.r_w)
+    return np.array([field.from_signed(int(q), params.r_w) for q in quantized],
+                    dtype=np.uint64)
 
 
 def test_encode_matches_sign_floor_reference():

@@ -260,6 +260,27 @@ def test_socket_mode_matches_memory_mode():
         sock.ledger.payload_bytes("user0->cs", 1)
 
 
+def test_socket_round_at_large_dim_is_bit_equal_to_memory_mode(monkeypatch):
+    # 1.6 MB frames reach the socket receiver in many pieces.
+    run_round = harness.run_round
+
+    def transcript(mode):
+        outcomes = []
+
+        def recording(*args, **kwargs):
+            outcomes.append(run_round(*args, **kwargs))
+            return outcomes[-1]
+
+        monkeypatch.setattr(harness, "run_round", recording)
+        report = run_simulation(RunConfig(users=3, dim=200_000, rounds=1, seed=12, mode=mode))
+        assert report.rounds[0].verified
+        (outcome,) = outcomes
+        return (outcome.w1pp.tobytes(), outcome.b2p, report.ledger.entries,
+                {uid: res.model.tobytes() for uid, res in outcome.results.items()})
+
+    assert transcript("memory") == transcript("socket")
+
+
 def test_per_round_user_up_traffic():
     cfg = RunConfig(users=2, dim=100, rounds=1, seed=2)
     report = run_simulation(cfg)
@@ -391,3 +412,7 @@ def test_cli_bench_in_socket_mode_with_dropout(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "users=6\n" in out and "up_payload_bytes=136\n" in out
+    # bench runs at most 32 users and reports the count that ran.
+    rc = cli_main(["bench", "--users", "40", "--dim", "2", "--reps", "1", "--seed", "4"])
+    assert rc == 0
+    assert "users=32\n" in capsys.readouterr().out

@@ -1,8 +1,9 @@
 """Fixed-width round kernels checked against arbitrary-precision references.
 
 The reference functions below compute ``field.dot``, ``field.vec_sum``,
-``field.vec_add``/``vec_sub`` and ``prf.expand``/``expand_one`` the
-plain way: Python-int products, one ``%`` reduction per addition, and a
+``field.vec_add``/``vec_sub``, ``codec.encode`` and
+``prf.expand``/``expand_one`` the plain way: Python-int products, one
+``%`` reduction per addition, exact rational rounding, and a
 keystream drawn with ``update`` in fixed 25 % overdraws from a fresh
 AES-CTR cipher built from the specification in ``prf``'s docstring, not
 from ``prf``'s own context.
@@ -12,12 +13,14 @@ references bit for bit.
 """
 
 import hashlib
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from vsecagg import field, prf, tags
+from vsecagg import codec, field, prf, tags, wire
 from vsecagg.field import FieldError, find_prime_above
 from vsecagg.prf import KeyMaterial
 
@@ -43,6 +46,16 @@ def reference_vec_sum(vectors, r):
     for v in vectors[1:]:
         acc = reference_vec_add(acc, v, r)
     return acc
+
+
+def reference_encode(values, params):
+    """Each value's exact scaled Fraction, rounded half away from zero, mod r_w."""
+    out = []
+    for v in values:
+        s = Fraction(float(v)) * params.delta
+        q = math.floor(abs(s) + Fraction(1, 2))
+        out.append((q if s >= 0 else -q) % params.r_w)
+    return np.array(out, dtype=np.uint64)
 
 
 def reference_expand(key, v0, length, modulus):
@@ -170,14 +183,13 @@ def test_signed_lifts_match_scalar_reference(r):
     signed = field.vec_to_signed(a, r)
     assert signed.dtype == np.int64
     assert signed.tolist() == [field.to_signed(int(x), r) for x in a]
-    back = field.vec_from_signed(signed, r)
-    assert back.dtype == np.uint64
-    assert back.tolist() == [field.from_signed(int(x), r) for x in signed]
+    assert [field.from_signed(int(x), r) for x in signed] == a.tolist()
 
 
 @pytest.mark.parametrize("r", [R97, BIG_PRIME, MERSENNE_61])
 def test_lazy_vec_sum_matches_repeated_add(r):
-    for count in range(1, 21):
+    # Every count through the steps at 9, 13 and 17 terms, and many more.
+    for count in (*range(1, 21), 50):
         vectors = [full(r - 1, 5) for _ in range(count)]
         expected = reference_vec_sum(vectors, r)
         assert np.array_equal(field.vec_sum(vectors, r), expected)
@@ -192,6 +204,37 @@ def test_lazy_vec_sum_random_and_inputs_untouched():
     assert np.array_equal(field.vec_sum(vectors, MERSENNE_61),
                           reference_vec_sum(vectors, MERSENNE_61))
     assert all(np.array_equal(v, c) for v, c in zip(vectors, copies))
+
+
+@pytest.mark.parametrize("params", [
+    codec.CodecParams(delta=4, r_w=R97, n_max=2, x_min=-4.0, x_max=4.0),
+    codec.CodecParams(delta=1 << 40, r_w=BIG_PRIME, n_max=10),
+    codec.CodecParams(delta=1 << 40, r_w=MERSENNE_61, n_max=100, x_min=-10.0, x_max=7.5),
+])
+def test_encode_bounds_and_exact_ties_match_fraction_reference(params):
+    # (k + 1/2) / delta is exact in float64, and each one rounds away from zero.
+    top = int(min(params.x_max, -params.x_min) * params.delta)
+    rng = np.random.default_rng(8)
+    k = np.concatenate([np.arange(min(top, 64)), rng.integers(0, top, 500), [top - 1]])
+    ties = (k + 0.5) / params.delta
+    values = np.concatenate([[params.x_max, params.x_min, 0.0, -0.0], ties, -ties])
+    assert np.array_equal(codec.encode(values, params), reference_encode(values, params))
+
+
+@pytest.mark.parametrize("m", [1, 3, 10, 1000])
+def test_decode_bit_equal_to_dividing_by_delta_then_m(m):
+    r = MERSENNE_61
+    params = codec.CodecParams(delta=1 << 40, r_w=r, n_max=1000)
+    half = (r - 1) // 2
+    rng = np.random.default_rng(9)
+    # The sums of m honest encodings, then uniform residues, then the edges.
+    sums = field.vec_to_signed(codec.encode(rng.uniform(-10, 10, 2000), params), r) * m
+    vec = np.concatenate([np.where(sums < 0, sums + r, sums).astype(np.uint64),
+                          rng.integers(0, r, 2000, dtype=np.uint64),
+                          np.array([0, 1, 2, half - 1, half, half + 1, r - 2, r - 1],
+                                   dtype=np.uint64)])
+    expected = field.vec_to_signed(vec, r).astype(np.float64) / params.delta / m
+    assert codec.decode(vec, params, m).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("r", [R97, BIG_PRIME, MERSENNE_61])
@@ -228,8 +271,9 @@ def test_vec_sum_rejects_length_mismatch():
 # fall short.
 @pytest.mark.parametrize("modulus", [R97, 127, BIG_PRIME, BIG_PRIME - 1, 1 << 61,
                                      MERSENNE_61, MERSENNE_61 - 1])
-@pytest.mark.parametrize("length", [1, 63, 64, 65, 1000, prf._DRAW_WORDS - 1,
-                                    prf._DRAW_WORDS + 1, 100_000])
+@pytest.mark.parametrize("length", [1, 63, 64, 65, 1000, 8191, 8193, prf._DRAW_WORDS - 1,
+                                    prf._DRAW_WORDS + 1, 2 * prf._DRAW_WORDS + 1,
+                                    100_000])
 def test_expand_bit_identical_to_reference(modulus, length):
     key = KeyMaterial(b"\x09" * 16)
     for v0 in (0, 7):
@@ -297,3 +341,23 @@ def test_expand_one_interleaved_with_array_expansions(modulus):
         assert prf.expand_one(key, v0, modulus) == one
         assert np.array_equal(prf.expand(key, v0, 65, modulus),
                               reference_expand(key, v0, 65, modulus))
+
+
+def test_sent_payload_view_is_read_only_and_the_frame_a_copy():
+    share = np.arange(5, dtype=np.uint64)
+    raw = field.vec_to_raw(share)
+    assert raw.readonly and len(raw) == 40
+    with pytest.raises(TypeError):
+        raw[0] = 1
+    sent = share.copy()
+    memory = wire.MemoryLink("user0->cs", wire.TrafficLedger())
+    sender, receiver = wire.socket_link_pair("user0->vs")
+    try:
+        for out, into in ((memory, memory), (sender, receiver)):
+            out.send(wire.Message(wire.MessageKind.MODEL_SHARE, 1, 0, field.vec_to_raw(share)))
+            share[:] = 99
+            assert np.array_equal(field.vec_from_raw(into.recv().payload), sent)
+            share[:] = sent
+    finally:
+        sender.close()
+        receiver.close()

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from vsecagg import field
+from vsecagg import field, wire
 from vsecagg.wire import (HEADER, MAGIC, BadMagicError, LengthMismatchError,
                           LinkClosedError, MemoryLink, Message, MessageKind,
                           TrafficLedger, TruncatedFrameError, UnknownKindError,
@@ -141,6 +141,26 @@ def test_memory_link_fifo_and_ledger():
         link.send(Message(MessageKind.ONLINE_LIST, 1, 1, b""))
 
 
+def test_message_is_framed_once_for_every_link(monkeypatch):
+    framed = []
+
+    def counting_serialize(msg):
+        framed.append(msg)
+        return serialize(msg)
+
+    monkeypatch.setattr(wire, "serialize", counting_serialize)
+    ledger = TrafficLedger()
+    links = [MemoryLink(f"cs->user{uid}", ledger) for uid in range(3)]
+    vec = np.arange(10, dtype=np.uint64)
+    msg = Message(MessageKind.PUBLISH_MODEL, 4, 0, pack_publish_model(3, vec))
+    for link in links:
+        link.send(msg)
+    assert framed == [msg]
+    for link in links:
+        assert link.recv() == msg
+        assert ledger.total_bytes(link.name, 4) == HEADER.size + 8 + 80
+
+
 def test_ledger_accumulates_monotonically():
     ledger = TrafficLedger()
     link = MemoryLink("a->b", ledger)
@@ -158,6 +178,7 @@ def test_socket_link_loopback():
     sender, receiver = socket_link_pair("user1->cs", ledger)
     try:
         msgs = [Message(MessageKind.MODEL_SHARE, 1, 1, bytes(range(32))),
+                Message(MessageKind.ONLINE_LIST, 1, 1, b""),
                 Message(MessageKind.TAG_SHARE, 1, 1, b"\x01" * 8)]
         for m in msgs:
             sender.send(m)
