@@ -15,7 +15,6 @@ import numpy as np
 
 from vsecagg.harness import RunConfig, default_params, plaintext_oracle
 from vsecagg.roles import intersect_online, setup
-from vsecagg.wire import unpack_publish_model, unpack_publish_tag
 
 params = default_params(RunConfig(users=3, dim=4))
 r = params.r_w
@@ -43,17 +42,19 @@ for u in users:
 ctx = intersect_online(cs.online_ids(1), vs.online_ids(1), 1)
 print(f"participant intersection: {ctx.participants} (m = {ctx.m})")
 
-w_t = vs.model_aggregate(ctx)                 # VS partial, global mask removed
-w1pp, m_cs = cs.finalize_model(ctx, w_t)      # published masked aggregate
-b_t = cs.tag_aggregate(ctx)                   # CS tag partial
-b2p, m_vs = vs.finalize_tag(ctx, b_t)         # published tag aggregate
-print(f"CS publishes w''_1 (first coords: {w1pp[:2]}), VS publishes b'_2 = {b2p}")
+w_t = vs.model_aggregate(ctx)      # RESHARE_MODEL: VS partial, global mask removed
+cs.finalize_model(ctx, w_t)        # masked aggregate w''_1
+b_t = cs.tag_aggregate(ctx)        # RESHARE_TAG: CS tag partial
+vs.finalize_tag(ctx, b_t)          # tag aggregate b'_2
+model_msg = cs.publish_model_message(1)
+tag_msg = vs.publish_tag_message(1)
+print(f"CS publishes w''_1 (first coords: {cs.rounds[1].published[:2]}), "
+      f"VS publishes b'_2 = {vs.rounds[1].published}")
 
-# --- Reconstruct stage: every user unmasks, verifies, decodes.
-pm, pvec = unpack_publish_model(cs.publish_model_message(1).payload)
-pt_m, ptag = unpack_publish_tag(vs.publish_tag_message(1).payload)
+# --- Reconstruct stage: every user reads both publications, unmasks,
+# verifies, decodes.
 for u in users:
-    result = u.reconstruct_round(pvec, ptag, pm, pt_m, round_index=1)
+    result = u.reconstruct_round(model_msg, tag_msg, round_index=1)
     print(f"user {u.uid}: verified={result.verified} model={np.round(result.model, 6)}")
 
 oracle = plaintext_oracle(updates, list(ctx.participants), params.codec)

@@ -22,9 +22,8 @@ from . import codec, field, roles, tags
 from .field import FieldModulus, find_prime_below
 from .roles import (CsState, ProtocolParams, RoundContext, UserState, VsState,
                     intersect_online, setup)
-from .wire import (AlarmReason, MemoryLink, Message, MessageKind, SocketLink,
-                   TrafficLedger, WireError, pack_online_list, socket_link_pair,
-                   unpack_publish_model, unpack_publish_tag)
+from .wire import (AlarmReason, MemoryLink, Message, MessageKind, TrafficLedger,
+                   pack_online_list, socket_link_pair, unpack_online_list)
 
 
 class ConfigError(ValueError):
@@ -259,53 +258,43 @@ def plaintext_oracle(updates: Dict[int, np.ndarray], participants: Sequence[int]
 class _Network:
     """Per-link channels plus a shared ledger; memory or socket backend."""
 
-    def __init__(self, mode: str, user_ids: Sequence[int]):
+    def __init__(self, mode: str):
         self.mode = mode
         self.ledger = TrafficLedger()
-        self._links: Dict[str, object] = {}
-        self._peers: Dict[str, object] = {}
-        names = ["cs->vs", "vs->cs"]
-        for uid in user_ids:
-            names += [f"user{uid}->cs", f"user{uid}->vs",
-                      f"cs->user{uid}", f"vs->user{uid}"]
-        for name in names:
-            self._open(name)
-
-    def _open(self, name: str) -> None:
-        if self.mode == "socket":
-            sender, receiver = socket_link_pair(name, self.ledger)
-            self._links[name] = sender
-            self._peers[name] = receiver
-        else:
-            link = MemoryLink(name, self.ledger)
-            self._links[name] = link
-            self._peers[name] = link
-
-    def add_user(self, uid: int) -> None:
-        for name in (f"user{uid}->cs", f"user{uid}->vs",
-                     f"cs->user{uid}", f"vs->user{uid}"):
-            if name not in self._links:
-                self._open(name)
+        # Link name -> (sending end, receiving end), one memory link for both.
+        self._links: Dict[str, tuple] = {}
 
     def transfer(self, name: str, msg: Message) -> Message:
-        """Send through the named link and deliver to the far end."""
-        self._links[name].send(msg)
-        return self._peers[name].recv()
+        """Send through the named link, opened on first use, and deliver to the far end."""
+        ends = self._links.get(name)
+        if ends is None:
+            if self.mode == "socket":
+                ends = socket_link_pair(name, self.ledger)
+            else:
+                link = MemoryLink(name, self.ledger)
+                ends = (link, link)
+            self._links[name] = ends
+        ends[0].send(msg)
+        return ends[1].recv()
 
     def close(self) -> None:
-        for link in list(self._links.values()) + list(self._peers.values()):
-            close = getattr(link, "close", None)
-            if close:
-                close()
+        for ends in self._links.values():
+            for link in ends:
+                link.close()
 
 
 @dataclass
 class _RoundOutcome:
-    results: Dict[int, roles.ReconstructResult]
+    results: Dict[int, roles.ReconstructResult]  # every participant's, in order
     w1pp: np.ndarray
     b2p: int
-    alarms: List[Alarm]  # one per participant that rejected the round
     spans: Dict[str, List[float]]
+
+    @property
+    def alarms(self) -> List[Alarm]:
+        """One per participant that rejected the round, in participant order."""
+        return [Alarm(res.round_index, uid, *res.alarm)
+                for uid, res in self.results.items() if not res.verified]
 
     @property
     def mismatch_errors(self) -> int:
@@ -351,13 +340,13 @@ def run_round(users_online: List[UserState], all_users: Dict[int, UserState],
     for msg in vs_inbox:
         vs.receive_tag_share(msg)
 
-    cs_ids = cs.online_ids(round_index)
-    vs_ids = vs.online_ids(round_index)
-    net.transfer("cs->vs", Message(MessageKind.ONLINE_LIST, round_index, 0,
-                                   pack_online_list(cs_ids)))
-    net.transfer("vs->cs", Message(MessageKind.ONLINE_LIST, round_index, 1,
-                                   pack_online_list(vs_ids)))
-    ctx = intersect_online(cs_ids, vs_ids, round_index)
+    from_cs = net.transfer("cs->vs", Message(MessageKind.ONLINE_LIST, round_index, 0,
+                                             pack_online_list(cs.online_ids(round_index))))
+    from_vs = net.transfer("vs->cs", Message(MessageKind.ONLINE_LIST, round_index, 1,
+                                             pack_online_list(vs.online_ids(round_index))))
+    # The servers intersect the lists they received, not the ones they sent.
+    ctx = intersect_online(unpack_online_list(from_cs.payload),
+                           unpack_online_list(from_vs.payload), round_index)
 
     def attack_after(stage: str) -> None:
         attack = ADVERSARY_ACTIONS[adv.action] if adv else None
@@ -365,41 +354,22 @@ def run_round(users_online: List[UserState], all_users: Dict[int, UserState],
             attack.apply(cs if attack.server == "cs" else vs, ctx, rng, adv.magnitude)
 
     attack_after("intersect")
-    w_t_msg = net.transfer("vs->cs", Message(
-        MessageKind.RESHARE_MODEL, round_index, 1,
-        field.vec_to_raw(timed("vs_aggregate", vs.model_aggregate, ctx))))
-    timed("cs_aggregate", cs.finalize_model, ctx, field.vec_from_raw(w_t_msg.payload))
+    w_t = net.transfer("vs->cs", timed("vs_aggregate", vs.model_aggregate, ctx))
+    timed("cs_aggregate", cs.finalize_model, ctx, w_t)
     attack_after("finalize_model")
-    b_t_msg = net.transfer("cs->vs", Message(
-        MessageKind.RESHARE_TAG, round_index, 0,
-        tags.tag_to_bytes(timed("eval", cs.tag_aggregate, ctx))))
-    vs.finalize_tag(ctx, tags.tag_from_bytes(b_t_msg.payload))
+    b_t = net.transfer("cs->vs", timed("eval", cs.tag_aggregate, ctx))
+    vs.finalize_tag(ctx, b_t)
     attack_after("finalize_tag")
 
     model_msg = cs.publish_model_message(round_index)
     tag_msg = vs.publish_tag_message(round_index)
-
-    results: Dict[int, roles.ReconstructResult] = {}
-    alarms: List[Alarm] = []
-    for uid in ctx.participants:
-        delivered_model = net.transfer(f"cs->user{uid}", model_msg)
-        delivered_tag = net.transfer(f"vs->user{uid}", tag_msg)
-        bad = delivered_model
-        try:
-            pm, pvec = unpack_publish_model(delivered_model.payload)
-            bad = delivered_tag
-            pt_m, ptag = unpack_publish_tag(delivered_tag.payload)
-        except WireError:
-            alarms.append(Alarm(round_index, uid, AlarmReason.MALFORMED_PUBLICATION,
-                                int(bad.kind), len(bad.payload)))
-            continue
-        res = timed("verify", all_users[uid].reconstruct_round,
-                    pvec, ptag, pm, pt_m, round_index, weighted=weights is not None)
-        results[uid] = res
-        if not res.verified:
-            alarms.append(Alarm(round_index, uid, *res.alarm))
+    results = {uid: timed("verify", all_users[uid].reconstruct_round,
+                          net.transfer(f"cs->user{uid}", model_msg),
+                          net.transfer(f"vs->user{uid}", tag_msg),
+                          round_index, weighted=weights is not None)
+               for uid in ctx.participants}
     return _RoundOutcome(results, cs.rounds[round_index].published,
-                         vs.rounds[round_index].published, alarms, spans)
+                         vs.rounds[round_index].published, spans)
 
 
 def draw_round(cfg: RunConfig, users: Sequence[UserState], rng: random.Random,
@@ -423,7 +393,7 @@ def run_simulation(cfg: RunConfig) -> MetricsReport:
     all_users = {u.uid: u for u in users}
     weights = (dict(zip(sorted(all_users), cfg.weights))
                if cfg.weights is not None else None)
-    net = _Network(cfg.mode, sorted(all_users))
+    net = _Network(cfg.mode)
     report = MetricsReport(cfg, params.r_w)
     try:
         for r in range(1, cfg.rounds + 1):
@@ -438,23 +408,18 @@ def run_simulation(cfg: RunConfig) -> MetricsReport:
                 continue
             outcome = run_round(online, all_users, cs, vs, net, r, updates, rng,
                                 weights=weights, adversary=cfg.adversary)
-            rec.participants = tuple(sorted(outcome.results) if outcome.results
-                                     else [u.uid for u in online])
+            rec.participants = tuple(outcome.results)
             # Every participant that rejects the round raises an alarm.
-            rec.verified = bool(outcome.results) and not outcome.alarms
+            alarms = outcome.alarms
+            rec.verified = not alarms
             rec.spans = outcome.spans
-            report.alarms.extend(outcome.alarms)
+            report.alarms.extend(alarms)
             if rec.adversarial:
                 rec.detected = not rec.verified
             if rec.verified:
-                participants = sorted(outcome.results)
-                oracle = plaintext_oracle(
-                    updates, participants, params.codec,
-                    weights={uid: weights[uid] for uid in participants}
-                    if weights else None)
-                devs = [float(np.max(np.abs(res.model - oracle)))
-                        for res in outcome.results.values() if res.model is not None]
-                rec.oracle_deviation = max(devs)
+                oracle = plaintext_oracle(updates, rec.participants, params.codec, weights)
+                rec.oracle_deviation = max(float(np.max(np.abs(res.model - oracle)))
+                                           for res in outcome.results.values())
             rec.wall_time = time.perf_counter() - start
             report.rounds.append(rec)
     finally:

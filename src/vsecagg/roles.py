@@ -13,10 +13,16 @@ Z_{R_b} for tags:
   Reconstruct  each user adds its locally regenerated masks, checks the
                tag, and on success decodes the mean.
 
+Each role builds the messages it sends and reads the messages it
+receives: the shares, the reshares w_t and b_t, and both publications.
+The CS and VS keep their round bookkeeping and checks in one shared
+base.
+
 Users require the participant counts published by the two servers to
 agree before decoding: the tag covers the sum but not the divisor, so a
 lying CS could otherwise skew the mean undetected.  Counts that disagree
-are a COUNT_MISMATCH alarm, returned like every other failed check.
+are a COUNT_MISMATCH alarm, and a publication that does not parse is a
+MALFORMED_PUBLICATION alarm, each returned like every other failed check.
 """
 
 from __future__ import annotations
@@ -28,8 +34,8 @@ import numpy as np
 
 from . import codec, field, sharing, tags
 from .prf import KeyMaterial, concat_keys, expand, expand_one
-from .wire import (AlarmReason, Message, MessageKind, pack_publish_model,
-                   pack_publish_tag)
+from .wire import (AlarmReason, Message, MessageKind, WireError, pack_publish_model,
+                   pack_publish_tag, unpack_publish_model, unpack_publish_tag)
 
 
 class ProtocolError(Exception):
@@ -173,11 +179,19 @@ class UserState:
                     tags.tag_to_bytes(b_i2)),
         )
 
-    def reconstruct_round(self, w1pp: np.ndarray, b2p: int,
-                          m_cs: int, m_vs: int, round_index: int,
+    def reconstruct_round(self, model_msg: Message, tag_msg: Message, round_index: int,
                           weighted: bool = False) -> ReconstructResult:
-        """Unmask the published aggregate, check the tag, decode on success."""
+        """Read both publications, unmask the aggregate, check the tag, decode on success."""
         p = self.params
+        reading = model_msg
+        try:
+            m_cs, w1pp = unpack_publish_model(model_msg.payload)
+            reading = tag_msg
+            m_vs, b2p = unpack_publish_tag(tag_msg.payload)
+        except WireError:
+            return ReconstructResult(round_index, False, None,
+                                     (AlarmReason.MALFORMED_PUBLICATION, int(reading.kind),
+                                      len(reading.payload)))
         if m_cs != m_vs:
             return ReconstructResult(round_index, False, None,
                                      (AlarmReason.COUNT_MISMATCH, m_cs, m_vs))
@@ -214,60 +228,104 @@ class UserState:
         self.last_verified_round = round_index
         return ReconstructResult(round_index, True, model)
 
-    def recovered_weight_sum(self, w1pp: np.ndarray, round_index: int) -> float:
-        """Weight-sum coordinate of a weighted-round aggregate (exact for integral weights)."""
-        p = self.params
-        w_prime = field.vec_add(
-            w1pp, expand(self.k_vg, round_index, p.dim, p.r_w), p.r_w)
-        return float(field.to_signed(int(w_prime[-1]), p.r_w)) / p.codec.delta
-
-
-def _prune(rounds: Dict[int, object], round_index: int) -> None:
-    """Forget every round before ``round_index``, which is now finalized."""
-    for r in [r for r in rounds if r < round_index]:
-        del rounds[r]
-
-
-def _check_open(server: str, round_index: int, finalized: int) -> None:
-    if round_index <= finalized:
-        raise StaleRoundError(
-            f"{server} already finalized round {finalized}; got round {round_index}")
-
 
 @dataclass
-class _CsRound:
-    shares: Dict[int, np.ndarray] = dc_field(default_factory=dict)
-    published: Optional[np.ndarray] = None
+class _ServerRound:
+    # Each user's share of the round: a model share at the CS, a tag share at the VS.
+    shares: Dict[int, object] = dc_field(default_factory=dict)
+    published: Optional[object] = None
     m: Optional[int] = None
 
 
-class CsState:
-    """Computation server: collects model shares, publishes the model aggregate."""
+class _Server:
+    """Round bookkeeping and checks that the CS and VS share."""
 
-    def __init__(self, params: ProtocolParams, k_cg: KeyMaterial,
-                 k_cv: KeyMaterial, seed: KeyMaterial):
+    _name: str    # "CS" or "VS"
+    _sender: int  # sender id of every message the server builds
+
+    def __init__(self, params: ProtocolParams, seed: KeyMaterial):
         self.params = params
-        self.k_cg = k_cg
-        self.k_cv = k_cv
-        self.seed = seed  # s1, half of the initial-model seed pair
+        self.seed = seed  # this server's half of the initial-model seed pair
         self.user_keys: Dict[int, KeyMaterial] = {}
         # Open rounds, plus the last finalized round without its shares.
-        self.rounds: Dict[int, _CsRound] = {}
+        self.rounds: Dict[int, _ServerRound] = {}
         self.finalized_round = 0
 
-    def register_user(self, uid: int, k_ci: KeyMaterial) -> None:
+    def register_user(self, uid: int, key: KeyMaterial) -> None:
         if uid in self.user_keys:
-            raise DuplicateIdError(f"user id {uid} already registered at CS")
-        self.user_keys[uid] = k_ci
+            raise DuplicateIdError(f"user id {uid} already registered at {self._name}")
+        self.user_keys[uid] = key
 
-    def receive_share(self, msg: Message) -> None:
-        if msg.kind is not MessageKind.MODEL_SHARE:
-            raise ProtocolError(f"CS cannot accept {msg.kind.name}")
-        _check_open("CS", msg.round_index, self.finalized_round)
-        state = self.rounds.setdefault(msg.round_index, _CsRound())
+    def online_ids(self, round_index: int) -> List[int]:
+        state = self.rounds.get(round_index)
+        return sorted(state.shares) if state else []
+
+    def _open_round(self, msg: Message, kind: MessageKind) -> _ServerRound:
+        """State of the open round ``msg`` belongs to, once its kind and round pass."""
+        if msg.kind is not kind:
+            raise ProtocolError(f"{self._name} cannot accept {msg.kind.name}")
+        if msg.round_index <= self.finalized_round:
+            raise StaleRoundError(f"{self._name} already finalized round "
+                                  f"{self.finalized_round}; got round {msg.round_index}")
+        return self.rounds.setdefault(msg.round_index, _ServerRound())
+
+    def _new_share_round(self, msg: Message, kind: MessageKind) -> _ServerRound:
+        """State of the round a user's share opens, once it is no duplicate."""
+        state = self._open_round(msg, kind)
         if msg.sender in state.shares:
             raise DuplicateShareError(
                 f"round {msg.round_index}: duplicate share from user {msg.sender}")
+        return state
+
+    def _participant_shares(self, ctx: RoundContext, reshare: Message,
+                            kind: MessageKind) -> list:
+        """Every participant's share, once ``reshare`` passed the checks of a share."""
+        if reshare.round_index != ctx.round_index:
+            raise ProtocolError(f"{self._name} got a reshare of round {reshare.round_index} "
+                                f"for round {ctx.round_index}")
+        state = self._open_round(reshare, kind)
+        missing = [uid for uid in ctx.participants if uid not in state.shares]
+        if missing:
+            raise MissingShareError(
+                f"round {ctx.round_index}: {self._name} has no share from users {missing}")
+        return [state.shares[uid] for uid in ctx.participants]
+
+    def _known_keys(self, ctx: RoundContext) -> List[KeyMaterial]:
+        for uid in ctx.participants:
+            if uid not in self.user_keys:
+                raise UnknownParticipantError(f"{self._name} has no key for user {uid}")
+        return [self.user_keys[uid] for uid in ctx.participants]
+
+    def _finalize(self, ctx: RoundContext, published) -> None:
+        """Keep the round's publication; drop its shares and every earlier round."""
+        state = self.rounds[ctx.round_index]
+        state.published = published
+        state.m = ctx.m
+        state.shares = {}
+        for r in [r for r in self.rounds if r < ctx.round_index]:
+            del self.rounds[r]
+        self.finalized_round = ctx.round_index
+
+    def _publication(self, round_index: int, kind: MessageKind, pack) -> Message:
+        state = self.rounds[round_index]
+        if state.published is None:
+            raise ProtocolError(f"round {round_index} not finalized at {self._name}")
+        return Message(kind, round_index, self._sender, pack(state.m, state.published))
+
+
+class CsState(_Server):
+    """Computation server: collects model shares, publishes the model aggregate."""
+
+    _name, _sender = "CS", 0
+
+    def __init__(self, params: ProtocolParams, k_cg: KeyMaterial,
+                 k_cv: KeyMaterial, seed: KeyMaterial):
+        super().__init__(params, seed)
+        self.k_cg = k_cg
+        self.k_cv = k_cv
+
+    def receive_share(self, msg: Message) -> None:
+        state = self._new_share_round(msg, MessageKind.MODEL_SHARE)
         vec = field.vec_from_raw(msg.payload)
         if vec.size != self.params.dim:
             raise ProtocolError(
@@ -276,127 +334,63 @@ class CsState:
         _require_canonical(vec, self.params.r_w, f"share from user {msg.sender}")
         state.shares[msg.sender] = vec
 
-    def online_ids(self, round_index: int) -> List[int]:
-        state = self.rounds.get(round_index)
-        return sorted(state.shares) if state else []
-
-    def finalize_model(self, ctx: RoundContext, w_t: np.ndarray) -> Tuple[np.ndarray, int]:
-        """w''_1 = sum of participant shares + w_t, published with m."""
+    def finalize_model(self, ctx: RoundContext, reshare: Message) -> None:
+        """w''_1 = sum of participant shares + w_t from the VS's RESHARE_MODEL, kept with m."""
         p = self.params
-        _check_open("CS", ctx.round_index, self.finalized_round)
-        state = self.rounds.setdefault(ctx.round_index, _CsRound())
-        missing = [uid for uid in ctx.participants if uid not in state.shares]
-        if missing:
-            raise MissingShareError(
-                f"round {ctx.round_index}: no model share from users {missing}")
+        shares = self._participant_shares(ctx, reshare, MessageKind.RESHARE_MODEL)
+        w_t = field.vec_from_raw(reshare.payload)
         _require_canonical(w_t, p.r_w, f"round {ctx.round_index}: reshare w_t from the VS")
-        w1p = field.vec_sum((state.shares[uid] for uid in ctx.participants), p.r_w)
-        w1pp = field.vec_add(w1p, w_t, p.r_w)
-        state.published = w1pp
-        state.m = ctx.m
-        state.shares = {}
-        _prune(self.rounds, ctx.round_index)
-        self.finalized_round = ctx.round_index
-        return w1pp, ctx.m
+        self._finalize(ctx, field.vec_add(field.vec_sum(shares, p.r_w), w_t, p.r_w))
 
-    def tag_aggregate(self, ctx: RoundContext) -> int:
-        """b_t = sum of regenerated per-user tag shares minus the global mask."""
+    def tag_aggregate(self, ctx: RoundContext) -> Message:
+        """RESHARE_TAG to the VS: b_t = sum of regenerated tag shares minus the global mask."""
         p = self.params
         b1 = 0
-        for uid in ctx.participants:
-            if uid not in self.user_keys:
-                raise UnknownParticipantError(f"CS has no key for user {uid}")
-            b1 = field.fe_add(b1, expand_one(self.user_keys[uid], ctx.round_index, p.r_b),
-                              p.r_b)
-        b1p = expand_one(self.k_cg, ctx.round_index, p.r_b)
-        return field.fe_sub(b1, b1p, p.r_b)
+        for key in self._known_keys(ctx):
+            b1 = field.fe_add(b1, expand_one(key, ctx.round_index, p.r_b), p.r_b)
+        b_t = field.fe_sub(b1, expand_one(self.k_cg, ctx.round_index, p.r_b), p.r_b)
+        return Message(MessageKind.RESHARE_TAG, ctx.round_index, self._sender,
+                       tags.tag_to_bytes(b_t))
 
     def publish_model_message(self, round_index: int) -> Message:
-        state = self.rounds[round_index]
-        if state.published is None:
-            raise ProtocolError(f"round {round_index} not finalized at CS")
-        return Message(MessageKind.PUBLISH_MODEL, round_index, 0,
-                       pack_publish_model(state.m, state.published))
+        return self._publication(round_index, MessageKind.PUBLISH_MODEL, pack_publish_model)
 
 
-@dataclass
-class _VsRound:
-    tag_shares: Dict[int, int] = dc_field(default_factory=dict)
-    published: Optional[int] = None
-    m: Optional[int] = None
-
-
-class VsState:
+class VsState(_Server):
     """Verification server: regenerates model shares, publishes the tag aggregate."""
+
+    _name, _sender = "VS", 1
 
     def __init__(self, params: ProtocolParams, k_vg: KeyMaterial,
                  k_vv: KeyMaterial, seed: KeyMaterial):
-        self.params = params
+        super().__init__(params, seed)
         self.k_vg = k_vg
         self.k_vv = k_vv
-        self.seed = seed  # s2
-        self.user_keys: Dict[int, KeyMaterial] = {}
-        # Open rounds, plus the last finalized round without its shares.
-        self.rounds: Dict[int, _VsRound] = {}
-        self.finalized_round = 0
-
-    def register_user(self, uid: int, k_vi: KeyMaterial) -> None:
-        if uid in self.user_keys:
-            raise DuplicateIdError(f"user id {uid} already registered at VS")
-        self.user_keys[uid] = k_vi
 
     def receive_tag_share(self, msg: Message) -> None:
-        if msg.kind is not MessageKind.TAG_SHARE:
-            raise ProtocolError(f"VS cannot accept {msg.kind.name}")
-        _check_open("VS", msg.round_index, self.finalized_round)
-        state = self.rounds.setdefault(msg.round_index, _VsRound())
-        if msg.sender in state.tag_shares:
-            raise DuplicateShareError(
-                f"round {msg.round_index}: duplicate tag share from user {msg.sender}")
-        state.tag_shares[msg.sender] = tags.tag_from_bytes(msg.payload)
+        state = self._new_share_round(msg, MessageKind.TAG_SHARE)
+        state.shares[msg.sender] = tags.tag_from_bytes(msg.payload)
 
-    def online_ids(self, round_index: int) -> List[int]:
-        state = self.rounds.get(round_index)
-        return sorted(state.tag_shares) if state else []
-
-    def model_aggregate(self, ctx: RoundContext) -> np.ndarray:
-        """w_t = sum of regenerated user masks minus the global mask, sent to CS."""
+    def model_aggregate(self, ctx: RoundContext) -> Message:
+        """RESHARE_MODEL to the CS: w_t = sum of regenerated user masks minus the global mask."""
         p = self.params
-        for uid in ctx.participants:
-            if uid not in self.user_keys:
-                raise UnknownParticipantError(f"VS has no key for user {uid}")
         # A generator: each mask is added and dropped before the next is made.
-        total = field.vec_sum((expand(self.user_keys[uid], ctx.round_index, p.dim, p.r_w)
-                               for uid in ctx.participants), p.r_w)
-        global_mask = expand(self.k_vg, ctx.round_index, p.dim, p.r_w)
-        return field.vec_sub(total, global_mask, p.r_w)
+        total = field.vec_sum((expand(key, ctx.round_index, p.dim, p.r_w)
+                               for key in self._known_keys(ctx)), p.r_w)
+        w_t = field.vec_sub(total, expand(self.k_vg, ctx.round_index, p.dim, p.r_w), p.r_w)
+        return Message(MessageKind.RESHARE_MODEL, ctx.round_index, self._sender,
+                       field.vec_to_raw(w_t))
 
-    def finalize_tag(self, ctx: RoundContext, b_t: int) -> Tuple[int, int]:
-        """b'_2 = sum of participant tag shares + b_t, published with m."""
+    def finalize_tag(self, ctx: RoundContext, reshare: Message) -> None:
+        """b'_2 = sum of participant tag shares + b_t from the CS's RESHARE_TAG, kept with m."""
         p = self.params
-        _check_open("VS", ctx.round_index, self.finalized_round)
-        state = self.rounds.setdefault(ctx.round_index, _VsRound())
-        missing = [uid for uid in ctx.participants if uid not in state.tag_shares]
-        if missing:
-            raise MissingShareError(
-                f"round {ctx.round_index}: no tag share from users {missing}")
         b2 = 0
-        for uid in ctx.participants:
-            b2 = field.fe_add(b2, state.tag_shares[uid], p.r_b)
-        b2p = field.fe_add(b2, b_t, p.r_b)
-        state.published = b2p
-        state.m = ctx.m
-        state.tag_shares = {}
-        _prune(self.rounds, ctx.round_index)
-        self.finalized_round = ctx.round_index
-        return b2p, ctx.m
+        for b_i2 in self._participant_shares(ctx, reshare, MessageKind.RESHARE_TAG):
+            b2 = field.fe_add(b2, b_i2, p.r_b)
+        self._finalize(ctx, field.fe_add(b2, tags.tag_from_bytes(reshare.payload), p.r_b))
 
     def publish_tag_message(self, round_index: int) -> Message:
-        state = self.rounds[round_index]
-        if state.published is None:
-            raise ProtocolError(f"round {round_index} not finalized at VS")
-        return Message(MessageKind.PUBLISH_TAG, round_index, 1,
-                       pack_publish_tag(state.m, state.published))
+        return self._publication(round_index, MessageKind.PUBLISH_TAG, pack_publish_tag)
 
 
 def setup(n: int, params: ProtocolParams, rng=None):

@@ -12,7 +12,7 @@ from vsecagg.harness import (ADVERSARY_ACTIONS, AdversarySpec, Alarm, ConfigErro
                              RunConfig, bench, default_params, forgery_calibration,
                              plaintext_oracle, run_simulation)
 from vsecagg.roles import CsState, VsState, setup
-from vsecagg.wire import AlarmReason, MessageKind
+from vsecagg.wire import AlarmReason, MessageKind, pack_online_list, unpack_online_list
 
 BIG_PRIME = find_prime_above(1 << 60)
 
@@ -172,7 +172,7 @@ def test_count_mismatches_are_counted_per_participant():
     rng = random.Random(8)
     users, cs, vs = setup(4, params, rng=rng)
     all_users = {u.uid: u for u in users}
-    net = harness._Network("memory", sorted(all_users))
+    net = harness._Network("memory")
     updates = {u.uid: np.full(3, 0.25) for u in users}
     honest = harness.run_round(users, all_users, cs, vs, net, 1, updates, rng)
     lying = harness.run_round(users, all_users, cs, vs, net, 2, updates, rng,
@@ -206,17 +206,54 @@ def test_length_mismatch_alarm_per_participant(monkeypatch):
 ])
 def test_malformed_publication_alarm_per_participant(monkeypatch, server, publish, kind):
     original = getattr(server, publish)
+    outcomes = []
+    run_round = harness.run_round
 
     def publish_malformed(state, round_index):
         return replace(original(state, round_index), payload=b"\x00" * 3)
 
+    def spy(*args, **kwargs):
+        outcomes.append(run_round(*args, **kwargs))
+        return outcomes[-1]
+
     monkeypatch.setattr(server, publish, publish_malformed)
+    monkeypatch.setattr(harness, "run_round", spy)
     report = run_simulation(RunConfig(users=3, dim=2, rounds=1, seed=1))
     rec = report.rounds[0]
     assert not rec.verified and not report.exit_ok
     assert report.alarms == [Alarm(1, uid, AlarmReason.MALFORMED_PUBLICATION, int(kind), 3)
                              for uid in rec.participants]
     assert rec.participants == (0, 1, 2)
+    # A malformed publication is a result like every other rejection.
+    (outcome,) = outcomes
+    assert list(outcome.results) == [0, 1, 2]
+    assert not any(res.verified or res.model is not None for res in outcome.results.values())
+
+
+def test_servers_intersect_the_online_lists_they_received():
+    # The VS's list reaches the CS without user 2, so user 2 is no participant
+    # although both servers hold its share.
+    class DroppingNetwork(harness._Network):
+        def transfer(self, name, msg):
+            delivered = super().transfer(name, msg)
+            if name == "vs->cs" and delivered.kind is MessageKind.ONLINE_LIST:
+                ids = [uid for uid in unpack_online_list(delivered.payload) if uid != 2]
+                delivered = replace(delivered, payload=pack_online_list(ids))
+            return delivered
+
+    params = default_params(RunConfig(users=4, dim=3))
+    rng = random.Random(3)
+    users, cs, vs = setup(4, params, rng=rng)
+    all_users = {u.uid: u for u in users}
+    net = DroppingNetwork("memory")
+    updates = {0: np.zeros(3), 1: np.full(3, 0.25), 2: np.full(3, 0.5), 3: np.full(3, 0.75)}
+    outcome = harness.run_round(users, all_users, cs, vs, net, 1, updates, rng)
+    net.close()
+    assert list(outcome.results) == [0, 1, 3]
+    assert all(res.verified for res in outcome.results.values())
+    for res in outcome.results.values():
+        assert np.array_equal(res.model, np.full(3, 1 / 3))
+    assert cs.rounds[1].m == vs.rounds[1].m == 3
 
 
 @pytest.mark.parametrize("adversary", [None, AdversarySpec("cs", "tamper_aggregate", 2)])

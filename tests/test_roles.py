@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from vsecagg.roles import (CsState, DuplicateIdError, DuplicateShareError,
                            ProtocolError, ProtocolParams, RoundContext, StaleRoundError,
                            UserState, VsState, init_model_from_seeds, intersect_online,
                            join_new_user, setup)
-from vsecagg.wire import AlarmReason, Message, MessageKind, unpack_publish_model
+from vsecagg.wire import (AlarmReason, Message, MessageKind, pack_publish_model,
+                          unpack_publish_model, unpack_publish_tag)
 
 BIG_PRIME = find_prime_above(1 << 60)
 MERSENNE_61 = (1 << 61) - 1  # the default modulus
@@ -28,18 +30,35 @@ def make_params(dim=2, r=BIG_PRIME, n_max=10, delta=1 << 40, bound=10.0):
 
 
 def run_honest_round(users, cs, vs, updates, r, weights=None):
-    """Drive one round directly through the role APIs (no transport)."""
+    """Drive one round directly through the role APIs (no transport).
+
+    Returns the round's context and its two publications.
+    """
     for u in users:
         weight = weights[u.uid] if weights else None
         to_cs, to_vs = u.share_round(updates[u.uid], r, weight=weight)
         cs.receive_share(to_cs)
         vs.receive_tag_share(to_vs)
     ctx = intersect_online(cs.online_ids(r), vs.online_ids(r), r)
-    w_t = vs.model_aggregate(ctx)
-    w1pp, m_cs = cs.finalize_model(ctx, w_t)
-    b_t = cs.tag_aggregate(ctx)
-    b2p, m_vs = vs.finalize_tag(ctx, b_t)
-    return ctx, w1pp, b2p, m_cs, m_vs
+    cs.finalize_model(ctx, vs.model_aggregate(ctx))
+    vs.finalize_tag(ctx, cs.tag_aggregate(ctx))
+    return ctx, cs.publish_model_message(r), vs.publish_tag_message(r)
+
+
+def model_publication(vec, m, r):
+    """A PUBLISH_MODEL message carrying ``vec`` and count ``m``, as the CS frames one."""
+    return Message(MessageKind.PUBLISH_MODEL, r, 0, pack_publish_model(m, vec))
+
+
+def reshare_model(vec, r):
+    return Message(MessageKind.RESHARE_MODEL, r, 1, field.vec_to_raw(vec))
+
+
+def weight_sum(user, w1pp, r):
+    """The weight-sum coordinate of a weighted round's published aggregate."""
+    p = user.params
+    w_prime = field.vec_add(w1pp, expand(user.k_vg, r, p.dim, p.r_w), p.r_w)
+    return field.to_signed(int(w_prime[-1]), p.r_w) / p.codec.delta
 
 
 def test_setup_registries_and_shared_keys():
@@ -148,7 +167,9 @@ def test_vs_model_aggregate_hand_summed():
     params = make_params(dim=1, r=find_prime_above(16), n_max=1, delta=1, bound=4.0)
     _, cs, vs = setup(2, params, rng=random.Random(8))
     ctx = RoundContext(1, (0, 1))
-    w_t = vs.model_aggregate(ctx)
+    msg = vs.model_aggregate(ctx)
+    assert (msg.kind, msg.round_index, msg.sender) == (MessageKind.RESHARE_MODEL, 1, 1)
+    w_t = field.vec_from_raw(msg.payload)
     expected = (int(expand(vs.user_keys[0], 1, 1, r)[0])
                 + int(expand(vs.user_keys[1], 1, 1, r)[0])
                 - int(expand(vs.k_vg, 1, 1, r)[0])) % r
@@ -160,7 +181,7 @@ def test_vs_model_aggregate_order_independent():
     _, _, vs = setup(3, params, rng=random.Random(9))
     a = vs.model_aggregate(RoundContext(1, (0, 1, 2)))
     b = vs.model_aggregate(RoundContext(1, (2, 0, 1)))
-    assert np.array_equal(a, b)
+    assert bytes(a.payload) == bytes(b.payload)
 
 
 def test_vs_model_aggregate_unknown_participant():
@@ -174,11 +195,12 @@ def test_vs_model_aggregate_unknown_participant():
 def test_cs_tag_aggregate_single_term():
     params = make_params()
     _, cs, _ = setup(1, params, rng=random.Random(11))
-    b_t = cs.tag_aggregate(RoundContext(1, (0,)))
+    msg = cs.tag_aggregate(RoundContext(1, (0,)))
+    assert (msg.kind, msg.round_index, msg.sender) == (MessageKind.RESHARE_TAG, 1, 0)
     expected = (int(expand(cs.user_keys[0], 1, 1, params.r_b)[0])
                 - int(expand(cs.k_cg, 1, 1, params.r_b)[0])) % params.r_b
-    assert b_t == expected
-    assert cs.tag_aggregate(RoundContext(1, (0,))) == b_t
+    assert tags.tag_from_bytes(msg.payload) == expected
+    assert cs.tag_aggregate(RoundContext(1, (0,))) == msg
 
 
 def test_cs_rejects_duplicate_share_and_missing_share():
@@ -189,7 +211,7 @@ def test_cs_rejects_duplicate_share_and_missing_share():
     with pytest.raises(DuplicateShareError):
         cs.receive_share(to_cs)
     with pytest.raises(MissingShareError, match=r"\[1\]"):
-        cs.finalize_model(RoundContext(1, (0, 1)), np.zeros(2, dtype=np.uint64))
+        cs.finalize_model(RoundContext(1, (0, 1)), reshare_model(np.zeros(2, dtype=np.uint64), 1))
 
 
 def test_finalize_model_reconstructs_encoded_sum():
@@ -197,16 +219,15 @@ def test_finalize_model_reconstructs_encoded_sum():
     users, cs, vs = setup(3, params, rng=random.Random(13))
     rng = np.random.default_rng(0)
     updates = {u.uid: rng.uniform(-1, 1, 2) for u in users}
-    ctx, w1pp, b2p, m_cs, m_vs = run_honest_round(users, cs, vs, updates, 1)
-    assert m_cs == m_vs == 3
+    _, model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 1)
+    m_cs, w1pp = unpack_publish_model(model_msg.payload)
+    assert m_cs == unpack_publish_tag(tag_msg.payload)[0] == 3
     # Oracle: sum of plaintext encodings.
     expected = field.vec_sum([encode(updates[u.uid], params.codec) for u in users],
                              params.r_w)
     unmasked = field.vec_add(w1pp, expand(vs.k_vg, 1, 2, params.r_w), params.r_w)
     assert np.array_equal(unmasked, expected)
-    msg = cs.publish_model_message(1)
-    m, vec = unpack_publish_model(msg.payload)
-    assert m == 3 and np.array_equal(vec, w1pp)
+    assert np.array_equal(cs.rounds[1].published, w1pp)
 
 
 def test_tag_shares_reconstruct_tag_sum():
@@ -214,7 +235,8 @@ def test_tag_shares_reconstruct_tag_sum():
     users, cs, vs = setup(2, params, rng=random.Random(14))
     rng = np.random.default_rng(1)
     updates = {u.uid: rng.uniform(-1, 1, 2) for u in users}
-    ctx, _, b2p, _, _ = run_honest_round(users, cs, vs, updates, 1)
+    _, _, tag_msg = run_honest_round(users, cs, vs, updates, 1)
+    _, b2p = unpack_publish_tag(tag_msg.payload)
     key_vec = tags.derive_tag_key(users[0].k_v, 1, 2, params.r_b)
     expected = sum(
         tags.gen_tag(encode(updates[u.uid], params.codec), key_vec,
@@ -228,10 +250,10 @@ def test_user_reconstruct_honest_three_users():
     users, cs, vs = setup(3, params, rng=random.Random(15))
     rng = np.random.default_rng(2)
     updates = {u.uid: rng.uniform(-1, 1, 2) for u in users}
-    _, w1pp, b2p, m_cs, m_vs = run_honest_round(users, cs, vs, updates, 1)
+    _, model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 1)
     mean = np.mean([updates[u.uid] for u in users], axis=0)
     for u in users:
-        res = u.reconstruct_round(w1pp, b2p, m_cs, m_vs, 1)
+        res = u.reconstruct_round(model_msg, tag_msg, 1)
         assert res.verified
         assert np.max(np.abs(res.model - mean)) <= 0.5 / params.codec.delta
         assert u.last_verified_round == 1
@@ -242,8 +264,8 @@ def test_user_reconstruct_single_participant_identity():
     params = make_params(dim=3, n_max=1)
     users, cs, vs = setup(1, params, rng=random.Random(16))
     update = np.array([0.75, -0.5, 0.125])
-    _, w1pp, b2p, m_cs, m_vs = run_honest_round(users, cs, vs, {0: update}, 1)
-    res = users[0].reconstruct_round(w1pp, b2p, m_cs, m_vs, 1)
+    _, model_msg, tag_msg = run_honest_round(users, cs, vs, {0: update}, 1)
+    res = users[0].reconstruct_round(model_msg, tag_msg, 1)
     assert res.verified
     assert np.max(np.abs(res.model - update)) <= 0.5 / params.codec.delta
 
@@ -253,10 +275,12 @@ def test_user_reconstruct_detects_flipped_coordinate():
     users, cs, vs = setup(3, params, rng=random.Random(17))
     rng = np.random.default_rng(3)
     updates = {u.uid: rng.uniform(-1, 1, 4) for u in users}
-    _, w1pp, b2p, m_cs, m_vs = run_honest_round(users, cs, vs, updates, 1)
+    _, model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 1)
+    m, w1pp = unpack_publish_model(model_msg.payload)
+    _, b2p = unpack_publish_tag(tag_msg.payload)
     tampered = w1pp.copy()
     tampered[2] = (tampered[2] + np.uint64(1)) % np.uint64(params.r_w)
-    res = users[0].reconstruct_round(tampered, b2p, m_cs, m_vs, 1)
+    res = users[0].reconstruct_round(model_publication(tampered, m, 1), tag_msg, 1)
     assert not res.verified
     assert res.model is None
     assert users[0].current_model is None  # state unchanged on alarm
@@ -272,15 +296,16 @@ def test_user_reconstruct_rejects_m_mismatch():
     users, cs, vs = setup(2, params, rng=random.Random(18))
     rng = np.random.default_rng(4)
     updates = {u.uid: rng.uniform(-1, 1, 2) for u in users}
-    _, w1pp, b2p, m_cs, m_vs = run_honest_round(users, cs, vs, updates, 1)
-    assert users[0].reconstruct_round(w1pp, b2p, m_cs, m_vs, 1).verified
+    _, model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 1)
+    assert users[0].reconstruct_round(model_msg, tag_msg, 1).verified
     model = users[0].current_model
-    _, w1pp, b2p, m_cs, m_vs = run_honest_round(users, cs, vs, updates, 2)
+    _, model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 2)
+    m, w1pp = unpack_publish_model(model_msg.payload)
     # Everything but the CS's count is honest, so only the count check can fire.
-    res = users[0].reconstruct_round(w1pp, b2p, m_cs + 1, m_vs, 2)
+    res = users[0].reconstruct_round(model_publication(w1pp, m + 1, 2), tag_msg, 2)
     assert not res.verified
     assert res.model is None
-    assert res.alarm == (AlarmReason.COUNT_MISMATCH, m_cs + 1, m_vs)
+    assert res.alarm == (AlarmReason.COUNT_MISMATCH, m + 1, m)
     assert users[0].current_model is model and users[0].last_verified_round == 1
 
 
@@ -298,20 +323,20 @@ def test_join_new_user_keys_and_participation():
     users, cs, vs = setup(2, params, rng=random.Random(20))
     rng = np.random.default_rng(5)
     updates = {u.uid: rng.uniform(-1, 1, 2) for u in users}
-    _, w1pp, b2p, m_cs, m_vs = run_honest_round(users, cs, vs, updates, 1)
+    _, model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 1)
 
     joiner = join_new_user(cs, vs, rng=random.Random(21))
     assert joiner.uid == 2
     assert joiner.k_v == users[0].k_v
     # The joiner can verify the already-published round.
-    res = joiner.reconstruct_round(w1pp, b2p, m_cs, m_vs, 1)
+    res = joiner.reconstruct_round(model_msg, tag_msg, 1)
     assert res.verified
 
     everyone = users + [joiner]
     updates2 = {u.uid: rng.uniform(-1, 1, 2) for u in everyone}
-    _, w1pp2, b2p2, m2_cs, m2_vs = run_honest_round(everyone, cs, vs, updates2, 2)
+    _, model_msg2, tag_msg2 = run_honest_round(everyone, cs, vs, updates2, 2)
     mean = np.mean([updates2[u.uid] for u in everyone], axis=0)
-    res2 = joiner.reconstruct_round(w1pp2, b2p2, m2_cs, m2_vs, 2)
+    res2 = joiner.reconstruct_round(model_msg2, tag_msg2, 2)
     assert res2.verified
     assert np.max(np.abs(res2.model - mean)) <= 0.5 / params.codec.delta
 
@@ -329,14 +354,13 @@ def test_weighted_round_matches_weighted_oracle():
     users, cs, vs = setup(2, params, rng=random.Random(23))
     weights = {0: 1.0, 1: 3.0}
     updates = {0: np.array([0.5, -0.5]), 1: np.array([0.25, 0.75])}
-    _, w1pp, b2p, m_cs, m_vs = run_honest_round(users, cs, vs, updates, 1,
-                                                weights=weights)
-    res = users[0].reconstruct_round(w1pp, b2p, m_cs, m_vs, 1, weighted=True)
+    _, model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 1, weights=weights)
+    res = users[0].reconstruct_round(model_msg, tag_msg, 1, weighted=True)
     assert res.verified
     expected = (updates[0] * 1.0 + updates[1] * 3.0) / 4.0
     assert np.max(np.abs(res.model - expected)) <= 0.5 / params.codec.delta
     # Integral weights recover exactly.
-    assert users[0].recovered_weight_sum(w1pp, 1) == 4.0
+    assert weight_sum(users[0], cs.rounds[1].published, 1) == 4.0
 
 
 def test_weighted_unit_weights_match_unweighted():
@@ -347,12 +371,11 @@ def test_weighted_unit_weights_match_unweighted():
     # unweighted path on the padded vector.
     updates = {0: np.array([0.5, -0.25]), 1: np.array([0.125, 0.875])}
     weights = {0: 1.0, 1: 1.0}
-    _, w1, b1, mc1, mv1 = run_honest_round(users_w, cs_w, vs_w, updates, 1,
-                                           weights=weights)
-    res_w = users_w[0].reconstruct_round(w1, b1, mc1, mv1, 1, weighted=True)
+    _, model_w, tag_w = run_honest_round(users_w, cs_w, vs_w, updates, 1, weights=weights)
+    res_w = users_w[0].reconstruct_round(model_w, tag_w, 1, weighted=True)
     padded = {uid: np.append(v, 1.0) for uid, v in updates.items()}
-    _, w2, b2, mc2, mv2 = run_honest_round(users_p, cs_p, vs_p, padded, 1)
-    res_p = users_p[0].reconstruct_round(w2, b2, mc2, mv2, 1)
+    _, model_p, tag_p = run_honest_round(users_p, cs_p, vs_p, padded, 1)
+    res_p = users_p[0].reconstruct_round(model_p, tag_p, 1)
     assert res_w.verified and res_p.verified
     assert np.allclose(res_w.model, res_p.model[:-1], atol=0.5 / params.codec.delta)
 
@@ -363,12 +386,12 @@ def test_server_state_stays_within_one_round_over_many_rounds():
     rng = np.random.default_rng(5)
     for r in range(1, 61):
         updates = {u.uid: rng.uniform(-1, 1, 8) for u in users}
-        _, w1pp, b2p, m_cs, m_vs = run_honest_round(users, cs, vs, updates, r)
+        _, model_msg, tag_msg = run_honest_round(users, cs, vs, updates, r)
         # Only the finalized round is kept, with its publication but no shares.
         assert list(cs.rounds) == [r] and list(vs.rounds) == [r]
-        assert not cs.rounds[r].shares and not vs.rounds[r].tag_shares
+        assert not cs.rounds[r].shares and not vs.rounds[r].shares
         assert cs.rounds[r].published.size == params.dim
-        assert users[0].reconstruct_round(w1pp, b2p, m_cs, m_vs, r).verified
+        assert users[0].reconstruct_round(model_msg, tag_msg, r).verified
     assert cs.finalized_round == vs.finalized_round == 60
 
 
@@ -418,16 +441,17 @@ def test_user_fails_closed_on_non_canonical_aggregate(r):
     users, cs, vs = setup(3, params, rng=random.Random(29))
     rng = np.random.default_rng(7)
     updates = {u.uid: rng.uniform(-1, 1, 4) for u in users}
-    _, w1pp, b2p, m_cs, m_vs = run_honest_round(users, cs, vs, updates, 1)
+    _, model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 1)
+    m, w1pp = unpack_publish_model(model_msg.payload)
     one_high = w1pp.copy()
     one_high[2] = np.uint64(r)
     everywhere = np.full(4, HIGH_WORD, dtype=np.uint64)
     for published, index, value in ((one_high, 2, r), (everywhere, 0, HIGH_WORD)):
-        res = users[0].reconstruct_round(published, b2p, m_cs, m_vs, 1)
+        res = users[0].reconstruct_round(model_publication(published, m, 1), tag_msg, 1)
         assert not res.verified and res.model is None
         assert res.alarm == (AlarmReason.NON_CANONICAL, index, value)
     assert users[0].current_model is None
-    assert users[0].reconstruct_round(w1pp, b2p, m_cs, m_vs, 1).verified
+    assert users[0].reconstruct_round(model_msg, tag_msg, 1).verified
 
 
 def test_user_fails_closed_on_wrong_length_aggregate():
@@ -435,13 +459,14 @@ def test_user_fails_closed_on_wrong_length_aggregate():
     users, cs, vs = setup(3, params, rng=random.Random(31))
     rng = np.random.default_rng(8)
     updates = {u.uid: rng.uniform(-1, 1, 4) for u in users}
-    _, w1pp, b2p, m_cs, m_vs = run_honest_round(users, cs, vs, updates, 1)
+    _, model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 1)
+    m, w1pp = unpack_publish_model(model_msg.payload)
     for published in (w1pp[:3], np.append(w1pp, w1pp[:1]), w1pp[:0]):
-        res = users[0].reconstruct_round(published, b2p, m_cs, m_vs, 1)
+        res = users[0].reconstruct_round(model_publication(published, m, 1), tag_msg, 1)
         assert not res.verified and res.model is None
         assert res.alarm == (AlarmReason.LENGTH_MISMATCH, 4, published.size)
     assert users[0].current_model is None
-    assert users[0].reconstruct_round(w1pp, b2p, m_cs, m_vs, 1).verified
+    assert users[0].reconstruct_round(model_msg, tag_msg, 1).verified
 
 
 def test_cs_rejects_non_canonical_reshare():
@@ -453,14 +478,14 @@ def test_cs_rejects_non_canonical_reshare():
         vs.receive_tag_share(to_vs)
     ctx = intersect_online(cs.online_ids(1), vs.online_ids(1), 1)
     w_t = vs.model_aggregate(ctx)
-    one_high = w_t.copy()
+    one_high = field.vec_from_raw(w_t.payload).copy()
     one_high[1] = np.uint64(MERSENNE_61)
     for bad in (one_high, np.full(3, HIGH_WORD, dtype=np.uint64)):
         with pytest.raises(ProtocolError, match="non-canonical"):
-            cs.finalize_model(ctx, bad)
+            cs.finalize_model(ctx, reshare_model(bad, 1))
     assert cs.finalized_round == 0
-    w1pp, m = cs.finalize_model(ctx, w_t)
-    assert m == 2 and int(w1pp.max()) < MERSENNE_61
+    assert cs.finalize_model(ctx, w_t) is None
+    assert cs.rounds[1].m == 2 and int(cs.rounds[1].published.max()) < MERSENNE_61
 
 
 def test_user_derives_tag_key_once_per_round(monkeypatch):
@@ -477,11 +502,50 @@ def test_user_derives_tag_key_once_per_round(monkeypatch):
     rng = np.random.default_rng(6)
     for r in (1, 2):
         updates = {u.uid: rng.uniform(-1, 1, 4) for u in users}
-        _, w1pp, b2p, m_cs, m_vs = run_honest_round(users, cs, vs, updates, r)
+        _, model_msg, tag_msg = run_honest_round(users, cs, vs, updates, r)
         for u in users:
-            assert u.reconstruct_round(w1pp, b2p, m_cs, m_vs, r).verified
+            assert u.reconstruct_round(model_msg, tag_msg, r).verified
     assert calls == [1, 1, 2, 2]
     # Once the user has shared a later round, it derives round 2's key afresh.
     users[0].share_round(np.zeros(4), 3)
-    assert users[0].reconstruct_round(w1pp, b2p, m_cs, m_vs, 2).verified
+    assert users[0].reconstruct_round(model_msg, tag_msg, 2).verified
     assert calls == [1, 1, 2, 2, 3, 2]
+
+
+@pytest.mark.parametrize("kind", [MessageKind.PUBLISH_MODEL, MessageKind.PUBLISH_TAG],
+                         ids=lambda kind: kind.name)
+def test_user_rejects_a_publication_that_does_not_parse(kind):
+    params = make_params(dim=2)
+    users, cs, vs = setup(2, params, rng=random.Random(32))
+    rng = np.random.default_rng(9)
+    updates = {u.uid: rng.uniform(-1, 1, 2) for u in users}
+    _, model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 1)
+    short = Message(kind, 1, 0, b"\x00" * 3)
+    pair = (short, tag_msg) if kind is MessageKind.PUBLISH_MODEL else (model_msg, short)
+    res = users[0].reconstruct_round(*pair, 1)
+    assert not res.verified and res.model is None
+    assert res.alarm == (AlarmReason.MALFORMED_PUBLICATION, int(kind), 3)
+    assert users[0].current_model is None and users[0].last_verified_round is None
+    assert users[0].reconstruct_round(model_msg, tag_msg, 1).verified
+
+
+def test_finalize_rejects_a_reshare_of_the_wrong_kind_or_round():
+    params = make_params(dim=2)
+    users, cs, vs = setup(2, params, rng=random.Random(33))
+    for u in users:
+        to_cs, to_vs = u.share_round(np.zeros(2), 2)
+        cs.receive_share(to_cs)
+        vs.receive_tag_share(to_vs)
+    ctx = RoundContext(2, (0, 1))
+    w_t, b_t = vs.model_aggregate(ctx), cs.tag_aggregate(ctx)
+    for bad in (b_t, replace(w_t, round_index=1), replace(w_t, round_index=3)):
+        with pytest.raises(ProtocolError):
+            cs.finalize_model(ctx, bad)
+    for bad in (w_t, replace(b_t, round_index=1), replace(b_t, round_index=3)):
+        with pytest.raises(ProtocolError):
+            vs.finalize_tag(ctx, bad)
+    assert cs.finalized_round == vs.finalized_round == 0
+    assert list(cs.rounds) == list(vs.rounds) == [2]
+    cs.finalize_model(ctx, w_t)
+    vs.finalize_tag(ctx, b_t)
+    assert cs.finalized_round == vs.finalized_round == 2
