@@ -17,7 +17,7 @@ from vsecagg.harness import RunConfig, default_params, plaintext_oracle
 from vsecagg.roles import intersect_online, setup
 
 params = default_params(RunConfig(users=3, dim=4))
-r = params.r_w
+r = params.r
 print(f"field modulus R = {r} (the Mersenne prime 2^61 - 1)")
 
 users, cs, vs = setup(3, params, rng=random.Random(7))

@@ -36,8 +36,11 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 def _load_weights(path: Optional[str]):
     if path is None:
         return None
-    with open(path) as fh:
-        return tuple(float(line) for line in fh if line.strip())
+    try:
+        with open(path) as fh:
+            return tuple(float(line) for line in fh if line.strip())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"weights file {path}: {exc}") from None
 
 
 def _config(args) -> RunConfig:

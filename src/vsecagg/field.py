@@ -26,8 +26,6 @@ exact in fixed-width words:
   order.  ``dot`` therefore runs the sixteen limb-pair sums as one small
   float64 BLAS matrix product per block of words, and turns the 4 x 4
   sums into Python integers once per 2^21 words.
-
-Scalar operations use Python integers throughout.
 """
 
 from __future__ import annotations
@@ -90,23 +88,6 @@ class FieldModulus(int):
         return super().__new__(cls, value)
 
 
-def find_prime_above(lower_bound: int) -> FieldModulus:
-    """Smallest prime strictly greater than ``lower_bound``."""
-    if lower_bound < 2:
-        raise FieldError("lower bound must be at least 2")
-    limit = 1 << MAX_MODULUS_BITS
-    if lower_bound >= limit - (1 << 32):
-        raise FieldError("no 61-bit prime can be guaranteed above this bound")
-    n = lower_bound + 1
-    if n % 2 == 0 and n > 2:
-        n += 1
-    while n < limit:
-        if is_prime(n):
-            return FieldModulus(n)
-        n += 2
-    raise FieldError("prime search exceeded the 61-bit modulus limit")
-
-
 def find_prime_below(upper_bound: int) -> FieldModulus:
     """Largest prime strictly less than ``upper_bound``, which lies in (3, 2^61]."""
     if not 3 < upper_bound <= 1 << MAX_MODULUS_BITS:
@@ -119,34 +100,7 @@ def find_prime_below(upper_bound: int) -> FieldModulus:
     return FieldModulus(n)
 
 
-# -- scalar operations -------------------------------------------------------
-
-def fe_add(a: int, b: int, r: int) -> int:
-    return (a + b) % r
-
-
-def fe_sub(a: int, b: int, r: int) -> int:
-    return (a - b) % r
-
-
-def to_signed(a: int, r: int) -> int:
-    """Absolute-minimum-remainder view: result in [-(r-1)/2, (r-1)/2]."""
-    return a if a <= (r - 1) // 2 else a - r
-
-
-def from_signed(s: int, r: int) -> int:
-    half = (r - 1) // 2
-    if not -half <= s <= half:
-        raise FieldError(f"signed value {s} outside [-(r-1)/2, (r-1)/2]")
-    return s % r
-
-
 # -- vector operations -------------------------------------------------------
-
-def vec_from_ints(values, r: int) -> np.ndarray:
-    arr = np.asarray([v % r for v in values], dtype=np.uint64)
-    return arr
-
 
 def _check_lengths(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:

@@ -42,7 +42,7 @@ def _tamper_model_share(cs: CsState, ctx: RoundContext, rng: random.Random,
     shares = cs.rounds[ctx.round_index].shares
     victim = ctx.participants[rng.randrange(ctx.m)]
     shares[victim] = _bumped(shares[victim], rng.randrange(cs.params.dim), magnitude,
-                             cs.params.r_w)
+                             cs.params.r)
 
 
 def _drop_participant(cs: CsState, ctx: RoundContext, rng: random.Random,
@@ -57,7 +57,7 @@ def _tamper_aggregate(cs: CsState, ctx: RoundContext, rng: random.Random,
                       magnitude: int) -> None:
     state = cs.rounds[ctx.round_index]
     state.published = _bumped(state.published, rng.randrange(cs.params.dim), magnitude,
-                              cs.params.r_w)
+                              cs.params.r)
 
 
 def _lie_about_m(cs: CsState, ctx: RoundContext, rng: random.Random,
@@ -67,7 +67,7 @@ def _lie_about_m(cs: CsState, ctx: RoundContext, rng: random.Random,
 
 def _forge_tag(vs: VsState, ctx: RoundContext, rng: random.Random,
                magnitude: int) -> None:
-    vs.rounds[ctx.round_index].published = rng.randrange(vs.params.r_b)
+    vs.rounds[ctx.round_index].published = rng.randrange(vs.params.r)
 
 
 @dataclass(frozen=True)
@@ -143,6 +143,10 @@ class RunConfig:
             raise ConfigError(f"mode must be memory or socket, got {self.mode!r}")
         if self.weights is not None and len(self.weights) != self.users:
             raise ConfigError("weights vector length must equal the user count")
+        if not 1 <= self.prime_bits < field.MAX_MODULUS_BITS:
+            raise ConfigError(f"prime bits must lie in [1, {field.MAX_MODULUS_BITS - 1}]")
+        if not 0 <= self.delta_exp <= field.MAX_MODULUS_BITS:
+            raise ConfigError(f"delta exponent must lie in [0, {field.MAX_MODULUS_BITS}]")
 
 
 @dataclass(frozen=True)
@@ -173,7 +177,7 @@ class RoundRecord:
 @dataclass
 class MetricsReport:
     config: RunConfig
-    r_w: int
+    r: int
     rounds: List[RoundRecord] = dc_field(default_factory=list)
     ledger: TrafficLedger = dc_field(default_factory=TrafficLedger)
     alarms: List[Alarm] = dc_field(default_factory=list)
@@ -202,7 +206,7 @@ class MetricsReport:
             f"dropout={self.config.dropout}",
             f"seed={self.config.seed}",
             f"mode={self.config.mode}",
-            f"modulus={self.r_w}",
+            f"modulus={self.r}",
             f"exit_ok={self.exit_ok}",
             f"max_oracle_deviation={self.max_oracle_deviation:.3e}",
         ]
@@ -221,7 +225,7 @@ class MetricsReport:
 
 
 def default_params(cfg: RunConfig) -> ProtocolParams:
-    """Protocol parameters for a run; both moduli are one prime r.
+    """Protocol parameters for a run over one prime r, for models and tags.
 
     r is the largest prime below 2^(prime_bits + 1), so it lies in
     (2^prime_bits, 2^(prime_bits + 1)) and, just below a power of two,
@@ -231,9 +235,16 @@ def default_params(cfg: RunConfig) -> ProtocolParams:
     r = find_prime_below(1 << (cfg.prime_bits + 1))
     dim = cfg.dim + 1 if cfg.weights is not None else cfg.dim
     bound = 10.0
-    cparams = codec.CodecParams(delta=1 << cfg.delta_exp, r_w=r,
-                                n_max=cfg.users, x_min=-bound, x_max=bound)
-    return ProtocolParams(r_w=r, r_b=r, dim=dim, codec=cparams)
+    # A weight scales an update drawn from [-1, 1] and rides along as a
+    # coordinate itself, so it must lie in (0, bound].
+    if cfg.weights is not None and not all(0 < w <= bound for w in cfg.weights):
+        raise ConfigError(f"every weight must lie in (0, {bound}]")
+    try:
+        cparams = codec.CodecParams(delta=1 << cfg.delta_exp, r_w=r,
+                                    n_max=cfg.users, x_min=-bound, x_max=bound)
+    except codec.CodecError as exc:
+        raise ConfigError(str(exc)) from None
+    return ProtocolParams(dim=dim, codec=cparams)
 
 
 def plaintext_oracle(updates: Dict[int, np.ndarray], participants: Sequence[int],
@@ -385,8 +396,6 @@ def draw_round(cfg: RunConfig, users: Sequence[UserState], rng: random.Random,
 def run_simulation(cfg: RunConfig) -> MetricsReport:
     """Execute setup plus cfg.rounds aggregation rounds with seeded dropout."""
     params = default_params(cfg)
-    if not codec.check_capacity(params.codec, cfg.users):
-        raise ConfigError("capacity check failed for the configured user count")
     rng = random.Random(cfg.seed)
     update_rng = np.random.default_rng(cfg.seed)
     users, cs, vs = setup(cfg.users, params, rng=rng)
@@ -394,7 +403,7 @@ def run_simulation(cfg: RunConfig) -> MetricsReport:
     weights = (dict(zip(sorted(all_users), cfg.weights))
                if cfg.weights is not None else None)
     net = _Network(cfg.mode)
-    report = MetricsReport(cfg, params.r_w)
+    report = MetricsReport(cfg, params.r)
     try:
         for r in range(1, cfg.rounds + 1):
             start = time.perf_counter()
@@ -452,10 +461,13 @@ def forgery_calibration(r_b: int, trials: int, seed: int = 0,
     tag for a fixed tampered vector.  Both rates should sit near 1/R_b
     when R_b is small and R_w large.
     """
-    if trials < 1:
-        raise ConfigError("need at least one trial")
-    r_b = FieldModulus(r_b)
-    r_w = default_params(RunConfig()).r_w if r_w is None else r_w
+    if trials < 1 or dim < 1:
+        raise ConfigError("trials and dim must be positive")
+    try:
+        r_b = FieldModulus(r_b)
+    except field.FieldError as exc:
+        raise ConfigError(str(exc)) from None
+    r_w = default_params(RunConfig()).r if r_w is None else r_w
     rng = np.random.default_rng(seed)
     w = rng.integers(0, r_w, size=dim, dtype=np.uint64)
     key_vec = rng.integers(1, r_b, size=dim, dtype=np.uint64)

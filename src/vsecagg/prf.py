@@ -133,8 +133,8 @@ def _check_modulus(modulus: int) -> None:
 def expand(key: KeyMaterial, v0: int, length: int, modulus: int) -> np.ndarray:
     """Length-``length`` uniform vector over Z_modulus, deterministic in all inputs.
 
-    ``modulus`` need not be prime (the unit-group construction expands
-    over R-1); it must lie in (1, 2^61].
+    ``modulus`` need not be prime (``tags.derive_tag_key`` expands over
+    R - 1); it must lie in (1, 2^61].
     """
     if length < 1:
         raise PrfError("expansion length must be at least 1")
@@ -177,12 +177,3 @@ def expand_one(key: KeyMaterial, v0: int, modulus: int) -> int:
         if word < modulus:
             return word
 
-
-def expand_unit(key: KeyMaterial, v0: int, length: int, r_b: int) -> np.ndarray:
-    """Uniform vector over the unit group Z*_{r_b} = {1, ..., r_b - 1}.
-
-    Expands over Z_{r_b - 1} and shifts by one, so no element is zero.
-    """
-    vec = expand(key, v0, length, r_b - 1)
-    vec += np.uint64(1)
-    return vec

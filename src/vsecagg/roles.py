@@ -1,7 +1,7 @@
 """User, computation-server (CS), and verification-server (VS) state machines.
 
-One aggregation round, with all arithmetic over Z_{R_w} for models and
-Z_{R_b} for tags:
+One aggregation round, with all arithmetic of models and tags over Z_R
+for one prime R, the codec's modulus:
 
   Share        user i sends  w_i1 = enc(w_i) - F_{Kvi}(r)  to CS and
                b_i2 = tag(enc(w_i)) - F_{Kci}(r, 1)        to VS.
@@ -70,10 +70,13 @@ class UnknownParticipantError(ProtocolError):
 class ProtocolParams:
     """Parameters every role must share identically."""
 
-    r_w: int
-    r_b: int
     dim: int
     codec: codec.CodecParams
+
+    @property
+    def r(self) -> int:
+        """The one prime R of models and tags: the codec's modulus."""
+        return self.codec.r_w
 
 
 @dataclass(frozen=True)
@@ -103,12 +106,12 @@ def _require_canonical(vec: np.ndarray, r: int, what: str) -> None:
         raise ProtocolError(f"{what} holds non-canonical residues")
 
 
-def init_model_from_seeds(s1: KeyMaterial, s2: KeyMaterial, dim: int, r_w: int) -> np.ndarray:
+def init_model_from_seeds(s1: KeyMaterial, s2: KeyMaterial, dim: int, r: int) -> np.ndarray:
     """Initial model every user derives identically; neither seed alone fixes it.
 
     Read-only, so one array can be shared by every user.
     """
-    model = expand(concat_keys(s1, s2), 0, dim, r_w)
+    model = expand(concat_keys(s1, s2), 0, dim, r)
     model.setflags(write=False)
     return model
 
@@ -165,11 +168,10 @@ class UserState:
         encoded = self._encode_update(update, weight)
         if encoded.size != p.dim:
             raise ProtocolError(f"update has {encoded.size} parameters, expected {p.dim}")
-        share = sharing.share_with_prf(encoded, self.k_vi, round_index, p.r_w)
-        key_vec = tags.derive_tag_key(self.k_v, round_index, p.dim, p.r_b)
-        b_i = tags.gen_tag(encoded, key_vec, p.r_w, p.r_b)
-        b_i1 = expand_one(self.k_ci, round_index, p.r_b)
-        b_i2 = field.fe_sub(b_i, b_i1, p.r_b)
+        share = sharing.share_with_prf(encoded, self.k_vi, round_index, p.r)
+        key_vec = tags.derive_tag_key(self.k_v, round_index, p.dim, p.r)
+        b_i = tags.gen_tag(encoded, key_vec, p.r, p.r)
+        b_i2 = (b_i - expand_one(self.k_ci, round_index, p.r)) % p.r
         self._last_shared_round = round_index
         self._tag_key = (round_index, key_vec)
         return (
@@ -196,29 +198,27 @@ class UserState:
             return ReconstructResult(round_index, False, None,
                                      (AlarmReason.COUNT_MISMATCH, m_cs, m_vs))
         # Fail closed before any arithmetic on an aggregate that is not d
-        # residues mod R_w.
+        # residues mod R.
         if w1pp.size != p.dim:
             return ReconstructResult(round_index, False, None,
                                      (AlarmReason.LENGTH_MISMATCH, p.dim, int(w1pp.size)))
-        bad = field.first_non_canonical(w1pp, p.r_w)
+        bad = field.first_non_canonical(w1pp, p.r)
         if bad is not None:
             return ReconstructResult(round_index, False, None,
                                      (AlarmReason.NON_CANONICAL, bad, int(w1pp[bad])))
-        b1p = expand_one(self.k_cg, round_index, p.r_b)
-        expected = field.fe_add(b1p, b2p, p.r_b)
-        w_prime = field.vec_add(
-            w1pp, expand(self.k_vg, round_index, p.dim, p.r_w), p.r_w)
+        expected = (expand_one(self.k_cg, round_index, p.r) + b2p) % p.r
+        w_prime = field.vec_add(w1pp, expand(self.k_vg, round_index, p.dim, p.r), p.r)
         if self._tag_key is not None and self._tag_key[0] == round_index:
             key_vec = self._tag_key[1]
         else:
-            key_vec = tags.derive_tag_key(self.k_v, round_index, p.dim, p.r_b)
-        computed = tags.gen_tag(w_prime, key_vec, p.r_w, p.r_b)
+            key_vec = tags.derive_tag_key(self.k_v, round_index, p.dim, p.r)
+        computed = tags.gen_tag(w_prime, key_vec, p.r, p.r)
         if computed != expected:
             # State stays untouched; the caller surfaces the alarm.
             return ReconstructResult(round_index, False, None,
                                      (AlarmReason.TAG_MISMATCH, expected, computed))
         if weighted:
-            signed = field.vec_to_signed(w_prime, p.r_w)
+            signed = field.vec_to_signed(w_prime, p.r)
             weight_sum = signed[-1] / p.codec.delta
             # One division, as in codec.decode: delta * weight_sum is exact.
             model = signed[:-1] / (p.codec.delta * weight_sum)
@@ -260,22 +260,29 @@ class _Server:
         state = self.rounds.get(round_index)
         return sorted(state.shares) if state else []
 
-    def _open_round(self, msg: Message, kind: MessageKind) -> _ServerRound:
-        """State of the open round ``msg`` belongs to, once its kind and round pass."""
+    def _round_of(self, msg: Message, kind: MessageKind) -> Optional[_ServerRound]:
+        """State of the open round ``msg`` belongs to, once its kind and round
+        pass; None while that round holds no share."""
         if msg.kind is not kind:
             raise ProtocolError(f"{self._name} cannot accept {msg.kind.name}")
         if msg.round_index <= self.finalized_round:
             raise StaleRoundError(f"{self._name} already finalized round "
                                   f"{self.finalized_round}; got round {msg.round_index}")
-        return self.rounds.setdefault(msg.round_index, _ServerRound())
+        return self.rounds.get(msg.round_index)
 
-    def _new_share_round(self, msg: Message, kind: MessageKind) -> _ServerRound:
-        """State of the round a user's share opens, once it is no duplicate."""
-        state = self._open_round(msg, kind)
-        if msg.sender in state.shares:
+    def _check_share(self, msg: Message, kind: MessageKind, size: int) -> None:
+        """Raise unless ``msg`` is a new user share of ``size`` payload bytes."""
+        state = self._round_of(msg, kind)
+        if state is not None and msg.sender in state.shares:
             raise DuplicateShareError(
                 f"round {msg.round_index}: duplicate share from user {msg.sender}")
-        return state
+        if len(msg.payload) != size:
+            raise ProtocolError(f"share from user {msg.sender} has {len(msg.payload)} "
+                                f"bytes, expected {size}")
+
+    def _keep_share(self, msg: Message, share) -> None:
+        """Keep a share that passed every check; the first one opens its round."""
+        self.rounds.setdefault(msg.round_index, _ServerRound()).shares[msg.sender] = share
 
     def _participant_shares(self, ctx: RoundContext, reshare: Message,
                             kind: MessageKind) -> list:
@@ -283,12 +290,13 @@ class _Server:
         if reshare.round_index != ctx.round_index:
             raise ProtocolError(f"{self._name} got a reshare of round {reshare.round_index} "
                                 f"for round {ctx.round_index}")
-        state = self._open_round(reshare, kind)
-        missing = [uid for uid in ctx.participants if uid not in state.shares]
+        state = self._round_of(reshare, kind)
+        shares = state.shares if state else {}
+        missing = [uid for uid in ctx.participants if uid not in shares]
         if missing:
             raise MissingShareError(
                 f"round {ctx.round_index}: {self._name} has no share from users {missing}")
-        return [state.shares[uid] for uid in ctx.participants]
+        return [shares[uid] for uid in ctx.participants]
 
     def _known_keys(self, ctx: RoundContext) -> List[KeyMaterial]:
         for uid in ctx.participants:
@@ -325,30 +333,24 @@ class CsState(_Server):
         self.k_cv = k_cv
 
     def receive_share(self, msg: Message) -> None:
-        state = self._new_share_round(msg, MessageKind.MODEL_SHARE)
+        self._check_share(msg, MessageKind.MODEL_SHARE, 8 * self.params.dim)
         vec = field.vec_from_raw(msg.payload)
-        if vec.size != self.params.dim:
-            raise ProtocolError(
-                f"share from user {msg.sender} has {vec.size} elements, "
-                f"expected {self.params.dim}")
-        _require_canonical(vec, self.params.r_w, f"share from user {msg.sender}")
-        state.shares[msg.sender] = vec
+        _require_canonical(vec, self.params.r, f"share from user {msg.sender}")
+        self._keep_share(msg, vec)
 
     def finalize_model(self, ctx: RoundContext, reshare: Message) -> None:
         """w''_1 = sum of participant shares + w_t from the VS's RESHARE_MODEL, kept with m."""
         p = self.params
         shares = self._participant_shares(ctx, reshare, MessageKind.RESHARE_MODEL)
         w_t = field.vec_from_raw(reshare.payload)
-        _require_canonical(w_t, p.r_w, f"round {ctx.round_index}: reshare w_t from the VS")
-        self._finalize(ctx, field.vec_add(field.vec_sum(shares, p.r_w), w_t, p.r_w))
+        _require_canonical(w_t, p.r, f"round {ctx.round_index}: reshare w_t from the VS")
+        self._finalize(ctx, field.vec_add(field.vec_sum(shares, p.r), w_t, p.r))
 
     def tag_aggregate(self, ctx: RoundContext) -> Message:
         """RESHARE_TAG to the VS: b_t = sum of regenerated tag shares minus the global mask."""
-        p = self.params
-        b1 = 0
-        for key in self._known_keys(ctx):
-            b1 = field.fe_add(b1, expand_one(key, ctx.round_index, p.r_b), p.r_b)
-        b_t = field.fe_sub(b1, expand_one(self.k_cg, ctx.round_index, p.r_b), p.r_b)
+        r, round_index = self.params.r, ctx.round_index
+        b1 = sum(expand_one(key, round_index, r) for key in self._known_keys(ctx))
+        b_t = (b1 - expand_one(self.k_cg, round_index, r)) % r
         return Message(MessageKind.RESHARE_TAG, ctx.round_index, self._sender,
                        tags.tag_to_bytes(b_t))
 
@@ -368,29 +370,34 @@ class VsState(_Server):
         self.k_vv = k_vv
 
     def receive_tag_share(self, msg: Message) -> None:
-        state = self._new_share_round(msg, MessageKind.TAG_SHARE)
-        state.shares[msg.sender] = tags.tag_from_bytes(msg.payload)
+        self._check_share(msg, MessageKind.TAG_SHARE, tags.TAG_BYTES)
+        self._keep_share(msg, tags.tag_from_bytes(msg.payload))
 
     def model_aggregate(self, ctx: RoundContext) -> Message:
         """RESHARE_MODEL to the CS: w_t = sum of regenerated user masks minus the global mask."""
         p = self.params
         # A generator: each mask is added and dropped before the next is made.
-        total = field.vec_sum((expand(key, ctx.round_index, p.dim, p.r_w)
-                               for key in self._known_keys(ctx)), p.r_w)
-        w_t = field.vec_sub(total, expand(self.k_vg, ctx.round_index, p.dim, p.r_w), p.r_w)
+        total = field.vec_sum((expand(key, ctx.round_index, p.dim, p.r)
+                               for key in self._known_keys(ctx)), p.r)
+        w_t = field.vec_sub(total, expand(self.k_vg, ctx.round_index, p.dim, p.r), p.r)
         return Message(MessageKind.RESHARE_MODEL, ctx.round_index, self._sender,
                        field.vec_to_raw(w_t))
 
     def finalize_tag(self, ctx: RoundContext, reshare: Message) -> None:
         """b'_2 = sum of participant tag shares + b_t from the CS's RESHARE_TAG, kept with m."""
-        p = self.params
-        b2 = 0
-        for b_i2 in self._participant_shares(ctx, reshare, MessageKind.RESHARE_TAG):
-            b2 = field.fe_add(b2, b_i2, p.r_b)
-        self._finalize(ctx, field.fe_add(b2, tags.tag_from_bytes(reshare.payload), p.r_b))
+        b2 = sum(self._participant_shares(ctx, reshare, MessageKind.RESHARE_TAG))
+        self._finalize(ctx, (b2 + tags.tag_from_bytes(reshare.payload)) % self.params.r)
 
     def publish_tag_message(self, round_index: int) -> Message:
         return self._publication(round_index, MessageKind.PUBLISH_TAG, pack_publish_tag)
+
+
+def _enroll(cs: CsState, vs: VsState, uid: int, initial: np.ndarray, rng) -> UserState:
+    """A user with fresh keys, registered at both servers."""
+    k_vi, k_ci = KeyMaterial.generate(rng), KeyMaterial.generate(rng)
+    vs.register_user(uid, k_vi)
+    cs.register_user(uid, k_ci)
+    return UserState(uid, k_vi, k_ci, cs.k_cv, vs.k_vv, cs.k_cg, vs.k_vg, cs.params, initial)
 
 
 def setup(n: int, params: ProtocolParams, rng=None):
@@ -404,25 +411,13 @@ def setup(n: int, params: ProtocolParams, rng=None):
     gen = lambda: KeyMaterial.generate(rng)
     cs = CsState(params, k_cg=gen(), k_cv=gen(), seed=gen())
     vs = VsState(params, k_vg=gen(), k_vv=gen(), seed=gen())
-    initial = init_model_from_seeds(cs.seed, vs.seed, params.dim, params.r_w)
-    users = []
-    for uid in range(n):
-        k_vi, k_ci = gen(), gen()
-        vs.register_user(uid, k_vi)
-        cs.register_user(uid, k_ci)
-        users.append(UserState(uid, k_vi, k_ci, cs.k_cv, vs.k_vv,
-                               cs.k_cg, vs.k_vg, params, initial))
-    return users, cs, vs
+    initial = init_model_from_seeds(cs.seed, vs.seed, params.dim, params.r)
+    return [_enroll(cs, vs, uid, initial, rng) for uid in range(n)], cs, vs
 
 
 def join_new_user(cs: CsState, vs: VsState, rng=None) -> UserState:
     """Mid-training join: fetch shared keys from the servers, register fresh ones."""
     existing = set(cs.user_keys) | set(vs.user_keys)
     uid = max(existing) + 1 if existing else 0
-    k_co = KeyMaterial.generate(rng)
-    k_vo = KeyMaterial.generate(rng)
-    cs.register_user(uid, k_co)
-    vs.register_user(uid, k_vo)
-    initial = init_model_from_seeds(cs.seed, vs.seed, cs.params.dim, cs.params.r_w)
-    return UserState(uid, k_vo, k_co, cs.k_cv, vs.k_vv, cs.k_cg, vs.k_vg, cs.params,
-                     initial)
+    initial = init_model_from_seeds(cs.seed, vs.seed, cs.params.dim, cs.params.r)
+    return _enroll(cs, vs, uid, initial, rng)

@@ -5,12 +5,12 @@ key vector whose entries are units mod R_b.  Tags are additive in the
 model vector, so the sum of per-user tags verifies the aggregate with a
 single 8-byte field element.
 
-When the working modulus R_w differs from R_b, model residues are
-lifted to their signed integer representatives before reduction mod
-R_b; the aggregation capacity check guarantees the honest sum never
-wraps, so the lift is the integer the residue denotes.  With R_w = R_b
-the lift is the identity on residues.  Both moduli are below 2^61, so
-the signed lift and its reduction fit in ``int64``.
+The protocol runs models and tags over one prime, R_w = R_b, and then
+the lift below is the identity on residues.  ``gen_tag`` and ``verify``
+still take both moduli for the forgery calibration, which shrinks R_b
+alone: there, model residues are lifted to their signed integer
+representatives before reduction mod R_b.  Both moduli are below 2^61,
+so the signed lift and its reduction fit in ``int64``.
 
 The product itself is ``field.dot``: four 16-bit limbs per operand,
 read through a ``uint16`` view, whose limb-pair sums are float64 BLAS
@@ -25,14 +25,19 @@ import struct
 import numpy as np
 
 from . import field
-from .prf import KeyMaterial, expand_unit
+from .prf import KeyMaterial, expand
 
 TAG_BYTES = 8
 
 
 def derive_tag_key(k_v: KeyMaterial, round_index: int, dim: int, r_b: int) -> np.ndarray:
-    """Round verification key vector over Z*_{r_b}; identical for all holders of k_v."""
-    return expand_unit(k_v, round_index, dim, r_b)
+    """Round verification key vector over Z*_{r_b}; identical for all holders of k_v.
+
+    Expands over Z_{r_b - 1} and shifts by one, so no entry is zero.
+    """
+    key_vec = expand(k_v, round_index, dim, r_b - 1)
+    key_vec += np.uint64(1)
+    return key_vec
 
 
 def _lift(w: np.ndarray, r_w: int, r_b: int) -> np.ndarray:

@@ -7,14 +7,14 @@ import pytest
 from vsecagg import harness
 from vsecagg.cli import main as cli_main
 from vsecagg.codec import CodecParams
-from vsecagg.field import find_prime_above
+from vsecagg.field import FieldModulus
 from vsecagg.harness import (ADVERSARY_ACTIONS, AdversarySpec, Alarm, ConfigError,
                              RunConfig, bench, default_params, forgery_calibration,
                              plaintext_oracle, run_simulation)
 from vsecagg.roles import CsState, VsState, setup
 from vsecagg.wire import AlarmReason, MessageKind, pack_online_list, unpack_online_list
 
-BIG_PRIME = find_prime_above(1 << 60)
+BIG_PRIME = FieldModulus((1 << 60) + 33)  # the smallest prime above 2^60
 
 
 def cparams(n_max=10):
@@ -420,9 +420,25 @@ def test_cli_oracle_matches_simulated_round_one(monkeypatch, capsys, tmp_path, w
     ["simulate", "--adversary", "cs:tamper_aggregate:first"],
     # Nobody is online in the only benchmark round, as in the oracle case.
     ["bench", "--users", "2", "--dim", "1", "--seed", "0", "--dropout", "0.9", "--reps", "1"],
+    ["simulate", "--delta-exp", "60"],  # the capacity check fails
+    ["simulate", "--delta-exp", "-1"],
+    ["simulate", "--prime-bits", "61"],
+    ["simulate", "--prime-bits", "0"],
+    ["calibrate", "--modulus", "12"],
+    ["calibrate", "--modulus", "2"],
+    ["calibrate", "--dim", "0"],
+    # {tmp} is a directory that holds the weights files written below.
+    ["simulate", "--users", "2", "--weights-file", "{tmp}/words.txt"],
+    ["simulate", "--users", "2", "--weights-file", "{tmp}/missing.txt"],
+    ["simulate", "--users", "2", "--weights-file", "{tmp}/zero.txt"],
+    ["oracle", "--users", "2", "--weights-file", "{tmp}/large.txt"],
+    ["bench", "--users", "2", "--weights-file", "{tmp}/nan.txt"],
 ])
-def test_cli_config_error_is_a_usage_error(capsys, argv):
-    assert cli_main(argv) == 2
+def test_cli_config_error_is_a_usage_error(capsys, tmp_path, argv):
+    for name, text in (("words", "1.0\nheavy\n"), ("zero", "0\n1\n"),
+                       ("large", "1\n20\n"), ("nan", "nan\n1\n")):
+        (tmp_path / f"{name}.txt").write_text(text)
+    assert cli_main([arg.format(tmp=tmp_path) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("vsecagg: error: ")

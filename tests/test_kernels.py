@@ -8,7 +8,7 @@ keystream drawn with ``update`` in fixed 25 % overdraws from a fresh
 AES-CTR cipher built from the specification in ``prf``'s docstring, not
 from ``prf``'s own context.
 The signed lifts are checked element by element against the scalar
-``to_signed``/``from_signed``.  The fast kernels must agree with their
+``reference_to_signed`` below.  The fast kernels must agree with their
 references bit for bit.
 """
 
@@ -21,16 +21,21 @@ import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from vsecagg import codec, field, prf, tags, wire
-from vsecagg.field import FieldError, find_prime_above
+from vsecagg.field import FieldError, FieldModulus
 from vsecagg.prf import KeyMaterial
 
 R97 = 97
-BIG_PRIME = find_prime_above(1 << 60)
+BIG_PRIME = FieldModulus((1 << 60) + 33)  # the smallest prime above 2^60
 MERSENNE_61 = (1 << 61) - 1  # the largest admissible prime modulus
 
 
 def reference_dot(a, b, r):
     return int((a.astype(object) * b.astype(object)).sum() % r)
+
+
+def reference_to_signed(a, r):
+    """The residue's absolute-minimum representative, in [-(r-1)/2, (r-1)/2]."""
+    return a if a <= (r - 1) // 2 else a - r
 
 
 def reference_vec_add(a, b, r):
@@ -153,7 +158,7 @@ def test_dot_reads_strided_big_endian_and_read_only_operands():
         assert field.dot(b, a, MERSENNE_61) == expected
 
 
-@pytest.mark.parametrize("r_b", [R97, find_prime_above(1 << 45), MERSENNE_61])
+@pytest.mark.parametrize("r_b", [R97, FieldModulus((1 << 45) + 59), MERSENNE_61])
 def test_gen_tag_cross_field_lift_matches_reference(r_b):
     # R_w != R_b: residues mod R_w lift to signed integers, then reduce mod R_b.
     r_w = BIG_PRIME
@@ -162,7 +167,7 @@ def test_gen_tag_cross_field_lift_matches_reference(r_b):
     w = np.concatenate([rng.integers(0, r_w, 997, dtype=np.uint64),
                         np.array([0, 1, half, half + 1, r_w - 1], dtype=np.uint64)])
     key_vec = rng.integers(1, r_b, w.size, dtype=np.uint64)
-    lifted = np.array([field.to_signed(int(x), r_w) % r_b for x in w], dtype=object)
+    lifted = np.array([reference_to_signed(int(x), r_w) % r_b for x in w], dtype=object)
     expected = int((lifted * key_vec.astype(object)).sum() % r_b)
     assert tags.gen_tag(w, key_vec, r_w, r_b) == expected
 
@@ -182,8 +187,8 @@ def test_signed_lifts_match_scalar_reference(r):
                         np.array([0, 1, half, half + 1, r - 1], dtype=np.uint64)])
     signed = field.vec_to_signed(a, r)
     assert signed.dtype == np.int64
-    assert signed.tolist() == [field.to_signed(int(x), r) for x in a]
-    assert [field.from_signed(int(x), r) for x in signed] == a.tolist()
+    assert signed.tolist() == [reference_to_signed(int(x), r) for x in a]
+    assert [int(x) % r for x in signed] == a.tolist()
 
 
 @pytest.mark.parametrize("r", [R97, BIG_PRIME, MERSENNE_61])
@@ -282,9 +287,9 @@ def test_expand_bit_identical_to_reference(modulus, length):
         assert np.array_equal(out, reference_expand(key, v0, length, modulus))
 
 
-def test_expand_unit_at_default_modulus_matches_reference():
+def test_derive_tag_key_at_default_modulus_matches_reference():
     key = KeyMaterial(b"\x0a" * 16)
-    out = prf.expand_unit(key, 3, 10_000, MERSENNE_61)
+    out = tags.derive_tag_key(key, 3, 10_000, MERSENNE_61)
     assert np.array_equal(out, reference_expand(key, 3, 10_000, MERSENNE_61 - 1) + np.uint64(1))
     assert int(out.min()) >= 1 and int(out.max()) < MERSENNE_61
 
@@ -297,7 +302,7 @@ def test_interleaved_expansions_match_reference(modulus):
     for key, v0, length in ((a, 7, 1001), (b, 7, 999), (a, 3, 1), (a, 7, 333)):
         assert np.array_equal(prf.expand(key, v0, length, modulus),
                               reference_expand(key, v0, length, modulus))
-    assert np.array_equal(prf.expand_unit(a, 7, 65, modulus),
+    assert np.array_equal(tags.derive_tag_key(a, 7, 65, modulus),
                           reference_expand(a, 7, 65, modulus - 1) + np.uint64(1))
 
 

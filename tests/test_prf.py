@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from vsecagg.field import find_prime_above
-from vsecagg.prf import (KeyMaterial, PrfError, concat_keys, derive_cipher_key,
-                         expand, expand_unit)
+from vsecagg.field import FieldModulus
+from vsecagg.prf import KeyMaterial, PrfError, concat_keys, derive_cipher_key, expand
+from vsecagg.tags import derive_tag_key
 
-BIG_PRIME = find_prime_above(1 << 60)
+BIG_PRIME = FieldModulus((1 << 60) + 33)  # the smallest prime above 2^60
 
 
 def key(byte: int) -> KeyMaterial:
@@ -103,17 +103,15 @@ def test_independent_keys_decorrelated():
     assert abs(corr) < 0.01
 
 
+# The unit-group expansion (expand over r - 1, shifted by one) lives in
+# tags.derive_tag_key; these pin it with this module's keys.
 def test_expand_unit_never_zero():
-    out = expand_unit(key(10), 3, 10_000, BIG_PRIME)
+    out = derive_tag_key(key(10), 3, 10_000, BIG_PRIME)
     assert int(out.min()) >= 1
     assert int(out.max()) <= BIG_PRIME - 1
-
-
-def test_expand_unit_smallest_modulus():
-    out = expand_unit(key(11), 1, 1_000, 3)
-    assert set(np.unique(out)) <= {1, 2}
+    assert np.array_equal(out, expand(key(10), 3, 10_000, BIG_PRIME - 1) + np.uint64(1))
 
 
 def test_expand_unit_deterministic():
-    assert np.array_equal(expand_unit(key(12), 5, 50, 97),
-                          expand_unit(key(12), 5, 50, 97))
+    assert np.array_equal(derive_tag_key(key(12), 5, 50, 97),
+                          derive_tag_key(key(12), 5, 50, 97))

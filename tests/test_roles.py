@@ -6,7 +6,7 @@ import pytest
 
 from vsecagg import field, tags
 from vsecagg.codec import CodecParams, decode, encode
-from vsecagg.field import find_prime_above
+from vsecagg.field import FieldModulus
 from vsecagg.prf import KeyMaterial, concat_keys, expand
 from vsecagg.roles import (CsState, DuplicateIdError, DuplicateShareError,
                            EmptyIntersectionError, MissingShareError,
@@ -16,7 +16,7 @@ from vsecagg.roles import (CsState, DuplicateIdError, DuplicateShareError,
 from vsecagg.wire import (AlarmReason, Message, MessageKind, pack_publish_model,
                           unpack_publish_model, unpack_publish_tag)
 
-BIG_PRIME = find_prime_above(1 << 60)
+BIG_PRIME = FieldModulus((1 << 60) + 33)  # the smallest prime above 2^60
 MERSENNE_61 = (1 << 61) - 1  # the default modulus
 # A word above every residue: an unreduced sum holding it reaches 2^63,
 # past the operand bound of the tag's limb dot product.
@@ -24,9 +24,8 @@ HIGH_WORD = (1 << 64) - (1 << 61)
 
 
 def make_params(dim=2, r=BIG_PRIME, n_max=10, delta=1 << 40, bound=10.0):
-    return ProtocolParams(r_w=r, r_b=r, dim=dim,
-                          codec=CodecParams(delta=delta, r_w=r, n_max=n_max,
-                                            x_min=-bound, x_max=bound))
+    return ProtocolParams(dim=dim, codec=CodecParams(delta=delta, r_w=r, n_max=n_max,
+                                                     x_min=-bound, x_max=bound))
 
 
 def run_honest_round(users, cs, vs, updates, r, weights=None):
@@ -57,8 +56,8 @@ def reshare_model(vec, r):
 def weight_sum(user, w1pp, r):
     """The weight-sum coordinate of a weighted round's published aggregate."""
     p = user.params
-    w_prime = field.vec_add(w1pp, expand(user.k_vg, r, p.dim, p.r_w), p.r_w)
-    return field.to_signed(int(w_prime[-1]), p.r_w) / p.codec.delta
+    w_prime = field.vec_add(w1pp, expand(user.k_vg, r, p.dim, p.r), p.r)
+    return int(field.vec_to_signed(w_prime[-1:], p.r)[0]) / p.codec.delta
 
 
 def test_setup_registries_and_shared_keys():
@@ -97,15 +96,15 @@ def test_duplicate_registration_rejected():
 def test_initial_model_identical_and_seed_sensitive():
     params = make_params(dim=8)
     users, cs, vs = setup(3, params, rng=random.Random(4))
-    base = init_model_from_seeds(cs.seed, vs.seed, params.dim, params.r_w)
+    base = init_model_from_seeds(cs.seed, vs.seed, params.dim, params.r)
     for u in users:
         assert np.array_equal(u.initial_model, base)
     other = init_model_from_seeds(cs.seed, KeyMaterial.generate(random.Random(5)),
-                                  params.dim, params.r_w)
+                                  params.dim, params.r)
     assert not np.array_equal(base, other)
     # The round index of the seed expansion is fixed at zero.
     assert np.array_equal(base, expand(concat_keys(cs.seed, vs.seed), 0,
-                                       params.dim, params.r_w))
+                                       params.dim, params.r))
 
 
 def test_initial_model_is_shared_and_read_only():
@@ -137,8 +136,8 @@ def test_share_round_trip_against_prf_mask():
     update = np.array([0.5, -0.25, 1.0])
     to_cs, _ = u.share_round(update, 1)
     share = field.vec_from_raw(to_cs.payload)
-    mask = expand(u.k_vi, 1, 3, params.r_w)
-    assert np.array_equal(field.vec_add(share, mask, params.r_w),
+    mask = expand(u.k_vi, 1, 3, params.r)
+    assert np.array_equal(field.vec_add(share, mask, params.r),
                           encode(update, params.codec))
 
 
@@ -164,7 +163,7 @@ def test_intersect_online():
 
 def test_vs_model_aggregate_hand_summed():
     r = 17
-    params = make_params(dim=1, r=find_prime_above(16), n_max=1, delta=1, bound=4.0)
+    params = make_params(dim=1, r=r, n_max=1, delta=1, bound=4.0)
     _, cs, vs = setup(2, params, rng=random.Random(8))
     ctx = RoundContext(1, (0, 1))
     msg = vs.model_aggregate(ctx)
@@ -197,8 +196,8 @@ def test_cs_tag_aggregate_single_term():
     _, cs, _ = setup(1, params, rng=random.Random(11))
     msg = cs.tag_aggregate(RoundContext(1, (0,)))
     assert (msg.kind, msg.round_index, msg.sender) == (MessageKind.RESHARE_TAG, 1, 0)
-    expected = (int(expand(cs.user_keys[0], 1, 1, params.r_b)[0])
-                - int(expand(cs.k_cg, 1, 1, params.r_b)[0])) % params.r_b
+    expected = (int(expand(cs.user_keys[0], 1, 1, params.r)[0])
+                - int(expand(cs.k_cg, 1, 1, params.r)[0])) % params.r
     assert tags.tag_from_bytes(msg.payload) == expected
     assert cs.tag_aggregate(RoundContext(1, (0,))) == msg
 
@@ -224,8 +223,8 @@ def test_finalize_model_reconstructs_encoded_sum():
     assert m_cs == unpack_publish_tag(tag_msg.payload)[0] == 3
     # Oracle: sum of plaintext encodings.
     expected = field.vec_sum([encode(updates[u.uid], params.codec) for u in users],
-                             params.r_w)
-    unmasked = field.vec_add(w1pp, expand(vs.k_vg, 1, 2, params.r_w), params.r_w)
+                             params.r)
+    unmasked = field.vec_add(w1pp, expand(vs.k_vg, 1, 2, params.r), params.r)
     assert np.array_equal(unmasked, expected)
     assert np.array_equal(cs.rounds[1].published, w1pp)
 
@@ -237,12 +236,12 @@ def test_tag_shares_reconstruct_tag_sum():
     updates = {u.uid: rng.uniform(-1, 1, 2) for u in users}
     _, _, tag_msg = run_honest_round(users, cs, vs, updates, 1)
     _, b2p = unpack_publish_tag(tag_msg.payload)
-    key_vec = tags.derive_tag_key(users[0].k_v, 1, 2, params.r_b)
+    key_vec = tags.derive_tag_key(users[0].k_v, 1, 2, params.r)
     expected = sum(
         tags.gen_tag(encode(updates[u.uid], params.codec), key_vec,
-                     params.r_w, params.r_b) for u in users) % params.r_b
-    b1p = int(expand(cs.k_cg, 1, 1, params.r_b)[0])
-    assert (b1p + b2p) % params.r_b == expected
+                     params.r, params.r) for u in users) % params.r
+    b1p = int(expand(cs.k_cg, 1, 1, params.r)[0])
+    assert (b1p + b2p) % params.r == expected
 
 
 def test_user_reconstruct_honest_three_users():
@@ -279,7 +278,7 @@ def test_user_reconstruct_detects_flipped_coordinate():
     m, w1pp = unpack_publish_model(model_msg.payload)
     _, b2p = unpack_publish_tag(tag_msg.payload)
     tampered = w1pp.copy()
-    tampered[2] = (tampered[2] + np.uint64(1)) % np.uint64(params.r_w)
+    tampered[2] = (tampered[2] + np.uint64(1)) % np.uint64(params.r)
     res = users[0].reconstruct_round(model_publication(tampered, m, 1), tag_msg, 1)
     assert not res.verified
     assert res.model is None
@@ -287,8 +286,8 @@ def test_user_reconstruct_detects_flipped_coordinate():
     reason, expected, computed = res.alarm
     assert reason == AlarmReason.TAG_MISMATCH and expected != computed
     # The expected tag is the one the publications vouch for.
-    b1p = int(expand(users[0].k_cg, 1, 1, params.r_b)[0])
-    assert expected == (b1p + b2p) % params.r_b
+    b1p = int(expand(users[0].k_cg, 1, 1, params.r)[0])
+    assert expected == (b1p + b2p) % params.r
 
 
 def test_user_reconstruct_rejects_m_mismatch():
@@ -327,7 +326,11 @@ def test_join_new_user_keys_and_participation():
 
     joiner = join_new_user(cs, vs, rng=random.Random(21))
     assert joiner.uid == 2
-    assert joiner.k_v == users[0].k_v
+    for u in users:
+        assert (joiner.k_cg, joiner.k_vg, joiner.k_v) == (u.k_cg, u.k_vg, u.k_v)
+    others = {k for u in users for k in (u.k_vi, u.k_ci)}
+    assert joiner.k_vi != joiner.k_ci and others.isdisjoint({joiner.k_vi, joiner.k_ci})
+    assert (vs.user_keys[2], cs.user_keys[2]) == (joiner.k_vi, joiner.k_ci)
     # The joiner can verify the already-published round.
     res = joiner.reconstruct_round(model_msg, tag_msg, 1)
     assert res.verified
@@ -429,10 +432,55 @@ def test_cs_rejects_non_canonical_share():
     users, cs, _ = setup(1, params, rng=random.Random(27))
     to_cs, _ = users[0].share_round(np.zeros(2), 1)
     bad = field.vec_from_raw(to_cs.payload).copy()
-    bad[1] = np.uint64(params.r_w)
+    bad[1] = np.uint64(params.r)
     with pytest.raises(ProtocolError, match="non-canonical"):
         cs.receive_share(Message(to_cs.kind, 1, 0, field.vec_to_raw(bad)))
     assert cs.online_ids(1) == []
+
+
+def test_rejected_shares_open_no_round():
+    params = make_params(dim=2)
+    users, cs, vs = setup(2, params, rng=random.Random(41))
+    rng = np.random.default_rng(12)
+    run_honest_round(users, cs, vs, {u.uid: rng.uniform(-1, 1, 2) for u in users}, 1)
+    # User 0's shares open round 2; round 3 is open at neither server.
+    to_cs, to_vs = users[0].share_round(np.zeros(2), 2)
+    cs.receive_share(to_cs)
+    vs.receive_tag_share(to_vs)
+    non_canonical = field.vec_from_raw(to_cs.payload).copy()
+    non_canonical[0] = np.uint64(params.r)
+    model, tag = MessageKind.MODEL_SHARE, MessageKind.TAG_SHARE
+    bad = [(cs.receive_share, to_cs), (vs.receive_tag_share, to_vs),  # duplicates
+           (cs.receive_share, Message(model, 1, 1, to_cs.payload)),  # finalized round
+           (vs.receive_tag_share, Message(tag, 1, 1, to_vs.payload))]
+    for r in (2, 3):
+        bad += [(cs.receive_share, Message(tag, r, 1, to_vs.payload)),
+                (cs.receive_share, Message(model, r, 1, to_cs.payload[:-8])),
+                (cs.receive_share, Message(model, r, 1, b"abc")),
+                (cs.receive_share, Message(model, r, 1, field.vec_to_raw(non_canonical))),
+                (vs.receive_tag_share, Message(model, r, 1, to_cs.payload)),
+                (vs.receive_tag_share, Message(tag, r, 1, b"abc")),
+                (vs.receive_tag_share, Message(tag, r, 1, to_vs.payload + b"\0"))]
+
+    def books():
+        return [{r: sorted(state.shares) for r, state in server.rounds.items()}
+                for server in (cs, vs)]
+
+    before = books()
+    for receive, msg in bad:
+        with pytest.raises(ProtocolError):
+            receive(msg)
+        assert books() == before
+    # Round 2 completes with user 1's honest shares, and both users verify it.
+    to_cs, to_vs = users[1].share_round(np.zeros(2), 2)
+    cs.receive_share(to_cs)
+    vs.receive_tag_share(to_vs)
+    ctx = intersect_online(cs.online_ids(2), vs.online_ids(2), 2)
+    cs.finalize_model(ctx, vs.model_aggregate(ctx))
+    vs.finalize_tag(ctx, cs.tag_aggregate(ctx))
+    for u in users:
+        res = u.reconstruct_round(cs.publish_model_message(2), vs.publish_tag_message(2), 2)
+        assert res.verified and np.array_equal(res.model, np.zeros(2))
 
 
 @pytest.mark.parametrize("r", [BIG_PRIME, MERSENNE_61])

@@ -14,7 +14,7 @@ def key(byte: int) -> KeyMaterial:
 
 
 def vec(values, r=R17):
-    return field.vec_from_ints(values, r)
+    return np.array([v % r for v in values], dtype=np.uint64)
 
 
 def test_share_with_prf_round_trip():

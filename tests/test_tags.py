@@ -5,13 +5,13 @@ import pytest
 
 from vsecagg import field
 from vsecagg.codec import CodecParams, encode
-from vsecagg.field import find_prime_above
+from vsecagg.field import FieldModulus
 from vsecagg.prf import KeyMaterial
 from vsecagg.tags import (TAG_BYTES, derive_tag_key, gen_tag, tag_from_bytes,
                           tag_to_bytes, verify)
 
 R97 = 97
-BIG_PRIME = find_prime_above(1 << 60)
+BIG_PRIME = FieldModulus((1 << 60) + 33)  # the smallest prime above 2^60
 
 
 def key(byte: int) -> KeyMaterial:
@@ -32,17 +32,22 @@ def test_derive_tag_key_elements_are_units():
     assert int(kv.max()) <= BIG_PRIME - 1
 
 
+def test_derive_tag_key_smallest_modulus():
+    kv = derive_tag_key(key(11), 1, 1_000, 3)
+    assert set(np.unique(kv)) == {1, 2}
+
+
 def test_gen_tag_dot_product_example():
-    w = field.vec_from_ints([2, 3], R97)
-    kv = field.vec_from_ints([5, 7], R97)
+    w = np.array([2, 3], dtype=np.uint64)
+    kv = np.array([5, 7], dtype=np.uint64)
     assert gen_tag(w, kv, R97, R97) == 31
-    zero = field.vec_from_ints([0, 0], R97)
+    zero = np.array([0, 0], dtype=np.uint64)
     assert gen_tag(zero, kv, R97, R97) == 0
 
 
 def test_gen_tag_length_mismatch():
     with pytest.raises(field.FieldError):
-        gen_tag(field.vec_from_ints([1], R97), field.vec_from_ints([1, 2], R97), R97, R97)
+        gen_tag(np.array([1], dtype=np.uint64), np.array([1, 2], dtype=np.uint64), R97, R97)
 
 
 def test_gen_tag_linearity_without_wrap():
@@ -57,11 +62,11 @@ def test_gen_tag_linearity_without_wrap():
 
 
 def test_verify_examples():
-    w = field.vec_from_ints([2, 3], R97)
-    kv = field.vec_from_ints([5, 7], R97)
+    w = np.array([2, 3], dtype=np.uint64)
+    kv = np.array([5, 7], dtype=np.uint64)
     assert verify(w, 31, kv, R97, R97)
     assert not verify(w, 32, kv, R97, R97)
-    zero = field.vec_from_ints([0, 0], R97)
+    zero = np.array([0, 0], dtype=np.uint64)
     assert verify(zero, 0, kv, R97, R97)
 
 
@@ -80,7 +85,7 @@ def test_cross_field_lift_completeness():
     # R_w != R_b: tags act on the signed integer lift, so aggregated
     # verification still holds while sums stay within capacity.
     r_w = BIG_PRIME
-    r_b = find_prime_above(1 << 45)
+    r_b = FieldModulus((1 << 45) + 59)  # the smallest prime above 2^45
     rng = np.random.default_rng(3)
     kv = derive_tag_key(key(4), 1, 10, r_b)
     p = CodecParams(delta=1 << 20, r_w=r_w, n_max=4)
