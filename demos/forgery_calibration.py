@@ -21,5 +21,5 @@ within = (abs(result.tamper_rate - result.bound) < 3 * result.stderr
 print(f"both rates within 3 SE of bound: {within}")
 
 big = default_params(RunConfig()).r
-prod = forgery_calibration(r_b=big, trials=10_000, seed=2, r_w=big)
+prod = forgery_calibration(r_b=big, trials=10_000, seed=2)
 print(f"\nproduction modulus {big}: pass rate over 10k trials = {prod.tamper_rate}")

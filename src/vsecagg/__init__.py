@@ -21,7 +21,7 @@ from .prf import KeyMaterial, concat_keys, derive_cipher_key, expand
 from .roles import (CsState, ProtocolParams, RoundContext, UserState, VsState,
                     init_model_from_seeds, intersect_online, join_new_user, setup)
 from .sharing import share_with_prf
-from .tags import derive_tag_key, gen_tag, verify
+from .tags import derive_tag_key, gen_tag
 from .wire import Message, MessageKind, TrafficLedger, deserialize, serialize
 
 __version__ = "0.1.0"

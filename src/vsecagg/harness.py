@@ -451,15 +451,26 @@ class CalibrationResult:
         return math.sqrt(p * (1 - p) / self.trials)
 
 
-def forgery_calibration(r_b: int, trials: int, seed: int = 0,
-                        dim: int = 4, r_w: Optional[int] = None) -> CalibrationResult:
-    """Empirical forgery pass rates against the 1/max(R_b, R_w) analysis.
+def _lifted_tag(v: np.ndarray, key_vec: np.ndarray, r_w: int, r_b: int) -> int:
+    """Tag over Z_{r_b} of ``v`` over Z_{r_w}: each residue's signed lift, reduced mod r_b.
 
-    The vector forgery perturbs one random coordinate of a valid
-    aggregate (over Z_{R_w}) by a random nonzero offset and counts how
-    often verification still passes; the tag forgery guesses a random
-    tag for a fixed tampered vector.  Both rates should sit near 1/R_b
-    when R_b is small and R_w large.
+    Both moduli are below 2^61, so the lift and its reduction fit in ``int64``.
+    """
+    lifted = (field.vec_to_signed(v, r_w) % np.int64(r_b)).astype(np.uint64)
+    return tags.gen_tag(lifted, key_vec, r_b)
+
+
+def forgery_calibration(r_b: int, trials: int, seed: int = 0,
+                        dim: int = 4) -> CalibrationResult:
+    """Empirical forgery pass rates of a tag over a prime R_b against 1/R_b.
+
+    Models stay over the protocol's prime R_w = 2^61 - 1 and only the
+    tag modulus shrinks, so that small rates can be resolved; the tag
+    acts on the signed integer lift of each residue.  The vector forgery
+    perturbs one random coordinate of a valid aggregate by a random
+    nonzero offset and counts how often its tag still matches; the tag
+    forgery guesses a random tag for a fixed tampered vector.  Both
+    rates should sit near 1/R_b when R_b is small.
     """
     if trials < 1 or dim < 1:
         raise ConfigError("trials and dim must be positive")
@@ -467,11 +478,11 @@ def forgery_calibration(r_b: int, trials: int, seed: int = 0,
         r_b = FieldModulus(r_b)
     except field.FieldError as exc:
         raise ConfigError(str(exc)) from None
-    r_w = default_params(RunConfig()).r if r_w is None else r_w
+    r_w = default_params(RunConfig()).r
     rng = np.random.default_rng(seed)
     w = rng.integers(0, r_w, size=dim, dtype=np.uint64)
     key_vec = rng.integers(1, r_b, size=dim, dtype=np.uint64)
-    b = tags.gen_tag(w, key_vec, r_w, r_b)
+    b = _lifted_tag(w, key_vec, r_w, r_b)
 
     passes = 0
     coords = rng.integers(0, dim, size=trials)
@@ -479,13 +490,13 @@ def forgery_calibration(r_b: int, trials: int, seed: int = 0,
     for j, off in zip(coords, offsets):
         v = w.copy()
         v[j] = (v[j] + off) % np.uint64(r_w)
-        if tags.verify(v, b, key_vec, r_w, r_b):
+        if _lifted_tag(v, key_vec, r_w, r_b) == b:
             passes += 1
     tamper_rate = passes / trials
 
     v = w.copy()
     v[0] = (v[0] + np.uint64(1)) % np.uint64(r_w)
-    t = tags.gen_tag(v, key_vec, r_w, r_b)
+    t = _lifted_tag(v, key_vec, r_w, r_b)
     guesses = rng.integers(0, r_b, size=trials)
     guess_rate = float(np.count_nonzero(guesses == t)) / trials
 

@@ -19,9 +19,9 @@ masked there in place.  One ``max`` per chunk shows whether every word
 was accepted; only a chunk that holds a rejected word is compacted, and
 only then does the shortfall need another draw.  Under a modulus just
 below a power of two, such as the default 2^61 - 1, almost no chunk
-holds one.  A draw sized from the acceptance rate can run past the end
-of the output, so the output vector is a view of a buffer a few words
-longer.
+holds one.  No draw asks for more words than the output still lacks,
+so an expansion takes exactly ``length`` words of keystream whenever
+none is rejected.
 
 Each key builds its AES-CTR context once and keeps it.  Every expansion
 re-points that context at its round's counter block with ``reset_nonce``
@@ -34,10 +34,8 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import math
 import secrets
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -99,12 +97,9 @@ def concat_keys(k1: KeyMaterial, k2: KeyMaterial) -> KeyMaterial:
     return KeyMaterial(k1.data + k2.data)
 
 
-def derive_cipher_key(master: Union[KeyMaterial, bytes]) -> bytes:
-    """SHA-256 digest of the master secret, used as the AES-256 key."""
-    data = master.data if isinstance(master, KeyMaterial) else master
-    if not data:
-        raise PrfError("cannot derive a cipher key from empty input")
-    return hashlib.sha256(data).digest()
+def derive_cipher_key(key: KeyMaterial) -> bytes:
+    """SHA-256 digest of the secret key bytes, used as the AES-256 key."""
+    return hashlib.sha256(key.data).digest()
 
 
 def _keystream(key: KeyMaterial, v0: int):
@@ -114,15 +109,6 @@ def _keystream(key: KeyMaterial, v0: int):
     enc = key.encryptor
     enc.reset_nonce(v0.to_bytes(8, "little") + bytes(8))
     return enc
-
-
-def _draw_words(want: int, rate: float) -> int:
-    """Keystream words to draw for ``want`` more accepted ones.
-
-    The expected count plus four standard deviations of the binomial
-    accept count, so the last draw almost never falls short.
-    """
-    return int((want + 4 * math.sqrt(want * (1 - rate))) / rate) + 16
 
 
 def _check_modulus(modulus: int) -> None:
@@ -144,17 +130,14 @@ def expand(key: KeyMaterial, v0: int, length: int, modulus: int) -> np.ndarray:
     bits = modulus.bit_length()
     mask = np.uint64((1 << bits) - 1)
     bound = np.uint64(modulus)
-    rate = modulus / (1 << bits)  # acceptance probability, at least 1/2
     enc = _keystream(key, v0)
-    # The last draw may run past length: by at most what the first draw
-    # adds on top of its want, plus two spare words, since older
-    # cryptography releases need len(data) + 15 bytes of room in update_into.
-    first = min(length, _DRAW_WORDS)
-    out = np.empty(length + _draw_words(first, rate) - first + 2, dtype="<u8")
+    # Two spare words past length: older cryptography releases need
+    # len(data) + 15 bytes of room in update_into.
+    out = np.empty(length + 2, dtype="<u8")
     out_bytes = memoryview(out).cast("B")
     filled = 0
     while filled < length:
-        nwords = min(_DRAW_WORDS, _draw_words(length - filled, rate))
+        nwords = min(_DRAW_WORDS, length - filled)
         enc.update_into(_ZEROS[:8 * nwords],
                         out_bytes[8 * filled:8 * (filled + nwords + 2)])
         words = out[filled:filled + nwords]

@@ -21,8 +21,9 @@ base.
 Users require the participant counts published by the two servers to
 agree before decoding: the tag covers the sum but not the divisor, so a
 lying CS could otherwise skew the mean undetected.  Counts that disagree
-are a COUNT_MISMATCH alarm, and a publication that does not parse is a
-MALFORMED_PUBLICATION alarm, each returned like every other failed check.
+are a COUNT_MISMATCH alarm, a publication of the wrong kind or that does
+not parse a MALFORMED_PUBLICATION alarm, and one of another round a
+ROUND_MISMATCH alarm, each returned like every other failed check.
 """
 
 from __future__ import annotations
@@ -125,6 +126,11 @@ class ReconstructResult:
     alarm: Optional[Tuple[AlarmReason, int, int]] = None
 
 
+def _rejected(round_index: int, reason: AlarmReason, first: int,
+              second: int) -> ReconstructResult:
+    return ReconstructResult(round_index, False, None, (reason, first, second))
+
+
 class UserState:
     """One federated-learning participant."""
 
@@ -170,7 +176,7 @@ class UserState:
             raise ProtocolError(f"update has {encoded.size} parameters, expected {p.dim}")
         share = sharing.share_with_prf(encoded, self.k_vi, round_index, p.r)
         key_vec = tags.derive_tag_key(self.k_v, round_index, p.dim, p.r)
-        b_i = tags.gen_tag(encoded, key_vec, p.r, p.r)
+        b_i = tags.gen_tag(encoded, key_vec, p.r)
         b_i2 = (b_i - expand_one(self.k_ci, round_index, p.r)) % p.r
         self._last_shared_round = round_index
         self._tag_key = (round_index, key_vec)
@@ -185,38 +191,41 @@ class UserState:
                           weighted: bool = False) -> ReconstructResult:
         """Read both publications, unmask the aggregate, check the tag, decode on success."""
         p = self.params
+        for msg, kind in ((model_msg, MessageKind.PUBLISH_MODEL),
+                          (tag_msg, MessageKind.PUBLISH_TAG)):
+            if msg.kind is not kind:
+                return _rejected(round_index, AlarmReason.MALFORMED_PUBLICATION,
+                                 int(msg.kind), len(msg.payload))
+            if msg.round_index != round_index:
+                return _rejected(round_index, AlarmReason.ROUND_MISMATCH,
+                                 round_index, msg.round_index)
         reading = model_msg
         try:
             m_cs, w1pp = unpack_publish_model(model_msg.payload)
             reading = tag_msg
             m_vs, b2p = unpack_publish_tag(tag_msg.payload)
         except WireError:
-            return ReconstructResult(round_index, False, None,
-                                     (AlarmReason.MALFORMED_PUBLICATION, int(reading.kind),
-                                      len(reading.payload)))
+            return _rejected(round_index, AlarmReason.MALFORMED_PUBLICATION,
+                             int(reading.kind), len(reading.payload))
         if m_cs != m_vs:
-            return ReconstructResult(round_index, False, None,
-                                     (AlarmReason.COUNT_MISMATCH, m_cs, m_vs))
+            return _rejected(round_index, AlarmReason.COUNT_MISMATCH, m_cs, m_vs)
         # Fail closed before any arithmetic on an aggregate that is not d
         # residues mod R.
         if w1pp.size != p.dim:
-            return ReconstructResult(round_index, False, None,
-                                     (AlarmReason.LENGTH_MISMATCH, p.dim, int(w1pp.size)))
+            return _rejected(round_index, AlarmReason.LENGTH_MISMATCH, p.dim, int(w1pp.size))
         bad = field.first_non_canonical(w1pp, p.r)
         if bad is not None:
-            return ReconstructResult(round_index, False, None,
-                                     (AlarmReason.NON_CANONICAL, bad, int(w1pp[bad])))
+            return _rejected(round_index, AlarmReason.NON_CANONICAL, bad, int(w1pp[bad]))
         expected = (expand_one(self.k_cg, round_index, p.r) + b2p) % p.r
         w_prime = field.vec_add(w1pp, expand(self.k_vg, round_index, p.dim, p.r), p.r)
         if self._tag_key is not None and self._tag_key[0] == round_index:
             key_vec = self._tag_key[1]
         else:
             key_vec = tags.derive_tag_key(self.k_v, round_index, p.dim, p.r)
-        computed = tags.gen_tag(w_prime, key_vec, p.r, p.r)
+        computed = tags.gen_tag(w_prime, key_vec, p.r)
         if computed != expected:
             # State stays untouched; the caller surfaces the alarm.
-            return ReconstructResult(round_index, False, None,
-                                     (AlarmReason.TAG_MISMATCH, expected, computed))
+            return _rejected(round_index, AlarmReason.TAG_MISMATCH, expected, computed)
         if weighted:
             signed = field.vec_to_signed(w_prime, p.r)
             weight_sum = signed[-1] / p.codec.delta
@@ -243,9 +252,12 @@ class _Server:
     _name: str    # "CS" or "VS"
     _sender: int  # sender id of every message the server builds
 
-    def __init__(self, params: ProtocolParams, seed: KeyMaterial):
+    def __init__(self, params: ProtocolParams, seed: KeyMaterial, payload_bytes: int):
         self.params = params
         self.seed = seed  # this server's half of the initial-model seed pair
+        # Size of every share and reshare the server receives: d words at
+        # the CS, one tag at the VS.
+        self.payload_bytes = payload_bytes
         self.user_keys: Dict[int, KeyMaterial] = {}
         # Open rounds, plus the last finalized round without its shares.
         self.rounds: Dict[int, _ServerRound] = {}
@@ -261,24 +273,24 @@ class _Server:
         return sorted(state.shares) if state else []
 
     def _round_of(self, msg: Message, kind: MessageKind) -> Optional[_ServerRound]:
-        """State of the open round ``msg`` belongs to, once its kind and round
-        pass; None while that round holds no share."""
+        """State of the open round ``msg`` belongs to, once its kind, round and
+        payload size pass; None while that round holds no share."""
         if msg.kind is not kind:
             raise ProtocolError(f"{self._name} cannot accept {msg.kind.name}")
         if msg.round_index <= self.finalized_round:
             raise StaleRoundError(f"{self._name} already finalized round "
                                   f"{self.finalized_round}; got round {msg.round_index}")
+        if len(msg.payload) != self.payload_bytes:
+            raise ProtocolError(f"{kind.name} from sender {msg.sender} has "
+                                f"{len(msg.payload)} bytes, expected {self.payload_bytes}")
         return self.rounds.get(msg.round_index)
 
-    def _check_share(self, msg: Message, kind: MessageKind, size: int) -> None:
-        """Raise unless ``msg`` is a new user share of ``size`` payload bytes."""
+    def _check_share(self, msg: Message, kind: MessageKind) -> None:
+        """Raise unless ``msg`` is a new user share."""
         state = self._round_of(msg, kind)
         if state is not None and msg.sender in state.shares:
             raise DuplicateShareError(
                 f"round {msg.round_index}: duplicate share from user {msg.sender}")
-        if len(msg.payload) != size:
-            raise ProtocolError(f"share from user {msg.sender} has {len(msg.payload)} "
-                                f"bytes, expected {size}")
 
     def _keep_share(self, msg: Message, share) -> None:
         """Keep a share that passed every check; the first one opens its round."""
@@ -328,12 +340,12 @@ class CsState(_Server):
 
     def __init__(self, params: ProtocolParams, k_cg: KeyMaterial,
                  k_cv: KeyMaterial, seed: KeyMaterial):
-        super().__init__(params, seed)
+        super().__init__(params, seed, 8 * params.dim)
         self.k_cg = k_cg
         self.k_cv = k_cv
 
     def receive_share(self, msg: Message) -> None:
-        self._check_share(msg, MessageKind.MODEL_SHARE, 8 * self.params.dim)
+        self._check_share(msg, MessageKind.MODEL_SHARE)
         vec = field.vec_from_raw(msg.payload)
         _require_canonical(vec, self.params.r, f"share from user {msg.sender}")
         self._keep_share(msg, vec)
@@ -365,12 +377,12 @@ class VsState(_Server):
 
     def __init__(self, params: ProtocolParams, k_vg: KeyMaterial,
                  k_vv: KeyMaterial, seed: KeyMaterial):
-        super().__init__(params, seed)
+        super().__init__(params, seed, tags.TAG_BYTES)
         self.k_vg = k_vg
         self.k_vv = k_vv
 
     def receive_tag_share(self, msg: Message) -> None:
-        self._check_share(msg, MessageKind.TAG_SHARE, tags.TAG_BYTES)
+        self._check_share(msg, MessageKind.TAG_SHARE)
         self._keep_share(msg, tags.tag_from_bytes(msg.payload))
 
     def model_aggregate(self, ctx: RoundContext) -> Message:

@@ -188,9 +188,10 @@ class AlarmReason(IntEnum):
 
     TAG_MISMATCH = 1    # tag expected from the VS's publication, tag recomputed
     COUNT_MISMATCH = 2  # participant count published by the CS, by the VS
-    NON_CANONICAL = 3   # first aggregate coordinate holding a residue >= R_w, its value
+    NON_CANONICAL = 3   # first aggregate coordinate holding a residue >= R, its value
     LENGTH_MISMATCH = 4  # model dimension d, length of the published aggregate
-    MALFORMED_PUBLICATION = 5  # kind of the unparsable publication, its payload length
+    MALFORMED_PUBLICATION = 5  # kind of the wrong-kind or unparsable publication, its payload length
+    ROUND_MISMATCH = 6  # round being reconstructed, round the publication names
 
 
 # -- traffic accounting ------------------------------------------------------

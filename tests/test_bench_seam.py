@@ -30,8 +30,15 @@ def run_crowd(trace: int) -> dict:
 
 
 def test_traced_crowd_run_is_correct_and_reports_spans():
-    result = run_crowd(trace=1)
-    assert result["metrics"]["sharing.share_with_prf.ms"]["value"] > 0
+    metrics = {name: m["value"] for name, m in run_crowd(trace=1)["metrics"].items()}
+    assert metrics["sharing.share_with_prf.ms"] > 0
+    assert metrics["tags.gen_tag.calls"] > 0
+    # No expansion draws a keystream word past its output.  The keystream
+    # count also holds expand_one's one-word draws (3m + 1 a round, against
+    # 4m + 1 expansions), so what lies beyond the expanded elements must
+    # stay below one word per expansion.
+    keystream_words = metrics["prf.expand.elems"] / metrics["prf.accept_ratio"]
+    assert keystream_words - metrics["prf.expand.elems"] < metrics["prf.expand.calls"]
 
 
 def test_untraced_crowd_run_reports_every_end_to_end_metric():

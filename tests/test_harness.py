@@ -352,8 +352,21 @@ def test_oracle_weighted():
 
 
 def test_forgery_calibration_large_modulus_never_passes():
-    result = forgery_calibration(BIG_PRIME, trials=1_000, seed=3, r_w=BIG_PRIME)
+    # At R_b = R_w = 2^61 - 1 a nonzero offset times a unit never vanishes.
+    result = forgery_calibration(FieldModulus((1 << 61) - 1), trials=1_000, seed=3)
     assert result.tamper_rate == 0.0
+
+
+@pytest.mark.parametrize("r_b, trials, seed, dim, rates", [
+    (11, 20_000, 1, 4, (0.0894, 0.092)),
+    (3, 5_000, 4, 7, (0.3322, 0.3414)),
+    ((1 << 61) - 1, 1_000, 3, 4, (0.0, 0.0)),
+])
+def test_forgery_calibration_pinned_rates(r_b, trials, seed, dim, rates):
+    # The same seed draws the same forgeries, so a change to the lift or
+    # the tag kernel shows here as a changed rate.
+    result = forgery_calibration(r_b, trials, seed=seed, dim=dim)
+    assert (result.tamper_rate, result.guess_rate) == rates
 
 
 def test_forgery_calibration_small_modulus_rates():

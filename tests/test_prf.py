@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from vsecagg import prf
 from vsecagg.field import FieldModulus
 from vsecagg.prf import KeyMaterial, PrfError, concat_keys, derive_cipher_key, expand
 from vsecagg.tags import derive_tag_key
 
 BIG_PRIME = FieldModulus((1 << 60) + 33)  # the smallest prime above 2^60
+MERSENNE_61 = FieldModulus((1 << 61) - 1)  # the protocol's prime
 
 
 def key(byte: int) -> KeyMaterial:
@@ -30,7 +32,6 @@ def test_key_generate_seeded_is_reproducible():
 
 def test_derive_cipher_key_is_sha256():
     master = b"\x01\x02\x03"
-    assert derive_cipher_key(master) == hashlib.sha256(master).digest()
     assert derive_cipher_key(KeyMaterial(master)) == hashlib.sha256(master).digest()
 
 
@@ -38,8 +39,6 @@ def test_derive_cipher_key_deterministic_and_sensitive():
     assert derive_cipher_key(key(1)) == derive_cipher_key(key(1))
     flipped = KeyMaterial(bytes([0x01 ^ 0x80]) + key(1).data[1:])
     assert derive_cipher_key(flipped) != derive_cipher_key(key(1))
-    with pytest.raises(PrfError):
-        derive_cipher_key(b"")
 
 
 def test_concat_keys():
@@ -115,3 +114,26 @@ def test_expand_unit_never_zero():
 def test_expand_unit_deterministic():
     assert np.array_equal(derive_tag_key(key(12), 5, 50, 97),
                           derive_tag_key(key(12), 5, 50, 97))
+
+
+@pytest.mark.parametrize("modulus", [MERSENNE_61, MERSENNE_61 - 1])
+@pytest.mark.parametrize("length", [1, 1000, (1 << 15) + 1, 100_000])
+def test_expand_draws_exactly_the_words_it_returns(monkeypatch, modulus, length):
+    # The protocol's prime and its unit-group modulus reject a word with
+    # probability at most 2^-60, so no draw here is rejected and none may
+    # overshoot the output.
+    drawn = []
+    keystream = prf._keystream
+
+    class Counting:
+        def __init__(self, enc):
+            self.enc = enc
+
+        def update_into(self, data, buf):
+            drawn.append(len(data))
+            return self.enc.update_into(data, buf)
+
+    monkeypatch.setattr(prf, "_keystream", lambda k, v0: Counting(keystream(k, v0)))
+    out = expand(key(13), 2, length, modulus)
+    assert out.shape == (length,)
+    assert sum(drawn) == 8 * length

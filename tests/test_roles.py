@@ -238,8 +238,8 @@ def test_tag_shares_reconstruct_tag_sum():
     _, b2p = unpack_publish_tag(tag_msg.payload)
     key_vec = tags.derive_tag_key(users[0].k_v, 1, 2, params.r)
     expected = sum(
-        tags.gen_tag(encode(updates[u.uid], params.codec), key_vec,
-                     params.r, params.r) for u in users) % params.r
+        tags.gen_tag(encode(updates[u.uid], params.codec), key_vec, params.r)
+        for u in users) % params.r
     b1p = int(expand(cs.k_cg, 1, 1, params.r)[0])
     assert (b1p + b2p) % params.r == expected
 
@@ -586,10 +586,12 @@ def test_finalize_rejects_a_reshare_of_the_wrong_kind_or_round():
         vs.receive_tag_share(to_vs)
     ctx = RoundContext(2, (0, 1))
     w_t, b_t = vs.model_aggregate(ctx), cs.tag_aggregate(ctx)
-    for bad in (b_t, replace(w_t, round_index=1), replace(w_t, round_index=3)):
+    for bad in (b_t, replace(w_t, round_index=1), replace(w_t, round_index=3),
+                replace(w_t, payload=b"abc"), replace(w_t, payload=w_t.payload[:-8])):
         with pytest.raises(ProtocolError):
             cs.finalize_model(ctx, bad)
-    for bad in (w_t, replace(b_t, round_index=1), replace(b_t, round_index=3)):
+    for bad in (w_t, replace(b_t, round_index=1), replace(b_t, round_index=3),
+                replace(b_t, payload=b"abc")):
         with pytest.raises(ProtocolError):
             vs.finalize_tag(ctx, bad)
     assert cs.finalized_round == vs.finalized_round == 0
@@ -597,3 +599,41 @@ def test_finalize_rejects_a_reshare_of_the_wrong_kind_or_round():
     cs.finalize_model(ctx, w_t)
     vs.finalize_tag(ctx, b_t)
     assert cs.finalized_round == vs.finalized_round == 2
+    for u in users:
+        res = u.reconstruct_round(cs.publish_model_message(2), vs.publish_tag_message(2), 2)
+        assert res.verified and np.array_equal(res.model, np.zeros(2))
+
+
+def test_user_rejects_a_publication_of_another_round():
+    params = make_params(dim=2)
+    users, cs, vs = setup(2, params, rng=random.Random(34))
+    rng = np.random.default_rng(10)
+    updates = {u.uid: rng.uniform(-1, 1, 2) for u in users}
+    _, model_1, tag_1 = run_honest_round(users, cs, vs, updates, 1)
+    assert users[0].reconstruct_round(model_1, tag_1, 1).verified
+    model = users[0].current_model
+    _, model_2, tag_2 = run_honest_round(users, cs, vs, updates, 2)
+    # Round 1's publications replayed at round 2, both or one of them.
+    for pair in ((model_1, tag_1), (model_1, tag_2), (model_2, tag_1)):
+        res = users[0].reconstruct_round(*pair, 2)
+        assert not res.verified and res.model is None
+        assert res.alarm == (AlarmReason.ROUND_MISMATCH, 2, 1)
+        assert users[0].current_model is model and users[0].last_verified_round == 1
+    assert users[0].reconstruct_round(model_2, tag_2, 2).verified
+
+
+def test_user_rejects_publications_of_the_wrong_kind():
+    # At d = 1 both publications are 16 bytes, so swapped they would parse.
+    params = make_params(dim=1)
+    users, cs, vs = setup(2, params, rng=random.Random(35))
+    rng = np.random.default_rng(11)
+    updates = {u.uid: rng.uniform(-1, 1, 1) for u in users}
+    _, model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 1)
+    assert len(model_msg.payload) == len(tag_msg.payload)
+    for pair, wrong in (((tag_msg, model_msg), tag_msg), ((model_msg, model_msg), model_msg)):
+        res = users[0].reconstruct_round(*pair, 1)
+        assert not res.verified and res.model is None
+        assert res.alarm == (AlarmReason.MALFORMED_PUBLICATION, int(wrong.kind),
+                             len(wrong.payload))
+        assert users[0].current_model is None and users[0].last_verified_round is None
+    assert users[0].reconstruct_round(model_msg, tag_msg, 1).verified
