@@ -9,14 +9,14 @@ Library layout:
   tags      constant-size linear verification tags and their unit key vectors
   roles     user / computation-server / verification-server state machines
   wire      message framing, channels, traffic accounting
-  harness   simulation driver, adversary injection, oracles, benchmarks
+  harness   simulation driver, adversary injection, oracles, stage timings
   cli       vsecagg command-line entry point
 """
 
 from .codec import CodecParams, check_capacity, decode, encode
 from .field import FieldModulus
-from .harness import (AdversarySpec, MetricsReport, RunConfig, bench,
-                      forgery_calibration, plaintext_oracle, run_simulation)
+from .harness import (AdversarySpec, MetricsReport, RunConfig, forgery_calibration,
+                      plaintext_oracle, run_simulation)
 from .prf import KeyMaterial, concat_keys, derive_cipher_key, expand
 from .roles import (CsState, ProtocolParams, RoundContext, UserState, VsState,
                     init_model_from_seeds, intersect_online, join_new_user, setup)

@@ -1,4 +1,4 @@
-"""Command-line driver: simulate, bench, calibrate, oracle."""
+"""Command-line driver: simulate, calibrate, oracle."""
 
 from __future__ import annotations
 
@@ -9,8 +9,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .harness import (AdversarySpec, ConfigError, RunConfig, bench, default_params,
-                      draw_round, forgery_calibration, plaintext_oracle, run_simulation,
+from .harness import (AdversarySpec, ConfigError, RunConfig, default_params, draw_round,
+                      forgery_calibration, plaintext_oracle, run_simulation,
                       supported_adversaries)
 from .roles import setup
 
@@ -66,12 +66,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="Dual-server verifiable secure aggregation simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run a multi-round aggregation simulation")
+    sim = sub.add_parser("simulate", help="run aggregation rounds; report stage times, alarms")
     _add_run_flags(sim)
-
-    ben = sub.add_parser("bench", help="median time of each protocol stage over real rounds")
-    _add_run_flags(ben)
-    ben.add_argument("--reps", type=int, default=10)
 
     cal = sub.add_parser("calibrate", help="Monte Carlo forgery pass-rate calibration")
     cal.add_argument("--modulus", type=int, default=11)
@@ -97,11 +93,6 @@ def _run(args) -> int:
         report = run_simulation(_config(args))
         _emit(report.to_text(), args.report_out)
         return 0 if report.exit_ok else 1
-
-    if args.command == "bench":
-        result = bench(_config(args), reps=args.reps)
-        _emit(result.to_text(), args.report_out)
-        return 0
 
     if args.command == "calibrate":
         result = forgery_calibration(args.modulus, args.trials,

@@ -1,4 +1,4 @@
-"""Multi-round simulation driver, adversary injection, oracles, and benchmarks.
+"""Multi-round simulation driver, adversary injection, oracles, and stage timings.
 
 Synthetic update vectors (uniform in [-1, 1] by default) stand in for
 locally trained models: the aggregation math is exercised in full
@@ -13,7 +13,8 @@ import math
 import random
 import statistics
 import time
-from dataclasses import dataclass, field as dc_field, replace
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field as dc_field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -160,6 +161,10 @@ class Alarm:
     second: int
 
 
+# The stages run_round times, in the order a round runs them.
+STAGES = ("share", "vs_aggregate", "cs_aggregate", "eval", "verify")
+
+
 @dataclass
 class RoundRecord:
     round_index: int
@@ -169,7 +174,7 @@ class RoundRecord:
     adversarial: bool = False
     detected: bool = False
     oracle_deviation: float = 0.0
-    wall_time: float = 0.0
+    wall_time: float = 0.0  # seconds in the run_round call
     # Stage name -> seconds of each call in that stage (see run_round).
     spans: Dict[str, List[float]] = dc_field(default_factory=dict)
 
@@ -198,6 +203,11 @@ class MetricsReport:
         devs = [r.oracle_deviation for r in self.rounds if r.verified]
         return max(devs) if devs else 0.0
 
+    def stage_ms(self, stage: str) -> Optional[float]:
+        """Median milliseconds of ``stage``'s spans over every round that ran, or None."""
+        spans = [s for rec in self.rounds for s in rec.spans.get(stage, ())]
+        return 1e3 * statistics.median(spans) if spans else None
+
     def to_text(self) -> str:
         lines = [
             f"users={self.config.users}",
@@ -217,6 +227,14 @@ class MetricsReport:
                 f"adversarial={rec.adversarial} detected={rec.detected} "
                 f"oracle_deviation={rec.oracle_deviation:.3e} "
                 f"wall_time={rec.wall_time:.4f}")
+        for stage in STAGES:
+            median = self.stage_ms(stage)
+            if median is not None:
+                lines.append(f"stage={stage} median_ms={median:.3f}")
+        for alarm in self.alarms:
+            lines.append(f"alarm round={alarm.round_index} uid={alarm.uid} "
+                         f"reason={alarm.reason.name} first={alarm.first} "
+                         f"second={alarm.second}")
         for (link, r), entry in sorted(self.ledger.entries.items()):
             lines.append(
                 f"traffic link={link} round={r} payload={entry.payload_bytes} "
@@ -267,13 +285,19 @@ def plaintext_oracle(updates: Dict[int, np.ndarray], participants: Sequence[int]
 
 
 class _Network:
-    """Per-link channels plus a shared ledger; memory or socket backend."""
+    """Per-link channels plus a shared ledger; memory or socket backend.
+
+    In socket mode a frame is written on a sender thread while the
+    caller reads it, so a frame larger than the socket buffers cannot
+    block its own delivery.  Party work stays on the calling thread.
+    """
 
     def __init__(self, mode: str):
         self.mode = mode
         self.ledger = TrafficLedger()
         # Link name -> (sending end, receiving end), one memory link for both.
         self._links: Dict[str, tuple] = {}
+        self._sender = ThreadPoolExecutor(1) if mode == "socket" else None
 
     def transfer(self, name: str, msg: Message) -> Message:
         """Send through the named link, opened on first use, and deliver to the far end."""
@@ -285,13 +309,21 @@ class _Network:
                 link = MemoryLink(name, self.ledger)
                 ends = (link, link)
             self._links[name] = ends
-        ends[0].send(msg)
-        return ends[1].recv()
+        if self._sender is None:
+            ends[0].send(msg)
+            return ends[1].recv()
+        sent = self._sender.submit(ends[0].send, msg)
+        try:
+            return ends[1].recv()
+        finally:
+            sent.result()  # the frame is written, or the sender's error is raised
 
     def close(self) -> None:
         for ends in self._links.values():
             for link in ends:
                 link.close()
+        if self._sender is not None:
+            self._sender.shutdown()
 
 
 @dataclass
@@ -406,17 +438,17 @@ def run_simulation(cfg: RunConfig) -> MetricsReport:
     report = MetricsReport(cfg, params.r)
     try:
         for r in range(1, cfg.rounds + 1):
-            start = time.perf_counter()
             online, updates = draw_round(cfg, users, rng, update_rng)
             rec = RoundRecord(r, tuple(u.uid for u in online))
             rec.adversarial = bool(cfg.adversary) and cfg.adversary.round_index == r
+            report.rounds.append(rec)
             if not online:
                 rec.aborted = True
-                rec.wall_time = time.perf_counter() - start
-                report.rounds.append(rec)
                 continue
+            start = time.perf_counter()
             outcome = run_round(online, all_users, cs, vs, net, r, updates, rng,
                                 weights=weights, adversary=cfg.adversary)
+            rec.wall_time = time.perf_counter() - start
             rec.participants = tuple(outcome.results)
             # Every participant that rejects the round raises an alarm.
             alarms = outcome.alarms
@@ -429,8 +461,6 @@ def run_simulation(cfg: RunConfig) -> MetricsReport:
                 oracle = plaintext_oracle(updates, rec.participants, params.codec, weights)
                 rec.oracle_deviation = max(float(np.max(np.abs(res.model - oracle)))
                                            for res in outcome.results.values())
-            rec.wall_time = time.perf_counter() - start
-            report.rounds.append(rec)
     finally:
         report.ledger = net.ledger
         net.close()
@@ -501,52 +531,3 @@ def forgery_calibration(r_b: int, trials: int, seed: int = 0,
     guess_rate = float(np.count_nonzero(guesses == t)) / trials
 
     return CalibrationResult(r_b, trials, tamper_rate, guess_rate, 1.0 / r_b)
-
-
-@dataclass
-class BenchResult:
-    dim: int
-    users: int              # the users that ran, at most 32
-    reps: int
-    share_ms: float         # median user share_round: encode, mask, tag key, tag
-    cs_aggregate_ms: float  # median CS share sum + the VS's reshare w_t
-    vs_aggregate_ms: float  # median VS mask regeneration + sum
-    eval_ms: float          # median CS tag-share evaluation
-    verify_ms: float        # median user reconstruct_round: unmask, tag check, decode
-    up_payload_bytes: int   # per-user per-round upload payload, from the ledger
-
-    def to_text(self) -> str:
-        lines = [f"dim={self.dim}", f"users={self.users}", f"reps={self.reps}"]
-        for name in ("share_ms", "cs_aggregate_ms", "vs_aggregate_ms",
-                     "eval_ms", "verify_ms", "up_payload_bytes"):
-            value = getattr(self, name)
-            lines.append(f"{name}={value:.3f}" if isinstance(value, float)
-                         else f"{name}={value}")
-        return "\n".join(lines) + "\n"
-
-
-def bench(cfg: RunConfig, reps: int = 10) -> BenchResult:
-    """Median stage times over ``reps`` real rounds of ``run_simulation``.
-
-    The rounds run with at most 32 users (the first ones, with their
-    weights), keeping the shares the CS holds bounded at large d, and
-    the result reports the users that ran; every other field of ``cfg``
-    applies as given.  Each time is the median of that stage's spans in
-    run_round over every round that ran.
-    """
-    users = min(cfg.users, 32)
-    weights = cfg.weights[:users] if cfg.weights is not None else None
-    report = run_simulation(replace(cfg, users=users, rounds=reps, weights=weights))
-    ran = [rec for rec in report.rounds if not rec.aborted]
-    if not ran:
-        raise ConfigError("no benchmark round ran: every user dropped out of every round")
-
-    def median_ms(stage: str) -> float:
-        return 1e3 * statistics.median(s for rec in ran for s in rec.spans.get(stage, ()))
-
-    uid, r = ran[0].participants[0], ran[0].round_index
-    up_payload_bytes = (report.ledger.payload_bytes(f"user{uid}->cs", r)
-                        + report.ledger.payload_bytes(f"user{uid}->vs", r))
-    return BenchResult(cfg.dim, users, reps, median_ms("share"),
-                       median_ms("cs_aggregate"), median_ms("vs_aggregate"),
-                       median_ms("eval"), median_ms("verify"), up_payload_bytes)

@@ -27,7 +27,8 @@ Each key builds its AES-CTR context once and keeps it.  Every expansion
 re-points that context at its round's counter block with ``reset_nonce``
 instead of setting up a new cipher, so a key's context serves one
 expansion at a time: an expansion must finish before the next one on the
-same key starts.  The program is single-threaded, in socket mode too.
+same key starts.  Party work runs on one thread, in socket mode too;
+there a second thread only writes frames to the sockets.
 """
 
 from __future__ import annotations

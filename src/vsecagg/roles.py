@@ -28,6 +28,7 @@ ROUND_MISMATCH alarm, each returned like every other failed check.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -107,10 +108,12 @@ def _require_canonical(vec: np.ndarray, r: int, what: str) -> None:
         raise ProtocolError(f"{what} holds non-canonical residues")
 
 
+@functools.lru_cache(maxsize=1)
 def init_model_from_seeds(s1: KeyMaterial, s2: KeyMaterial, dim: int, r: int) -> np.ndarray:
     """Initial model every user derives identically; neither seed alone fixes it.
 
-    Read-only, so one array can be shared by every user.
+    Read-only, so one array is shared by every user, joiners included:
+    the last one derived is kept and returned again for the same seeds.
     """
     model = expand(concat_keys(s1, s2), 0, dim, r)
     model.setflags(write=False)
@@ -149,7 +152,7 @@ class UserState:
         self.current_model: Optional[np.ndarray] = None
         self.last_verified_round: Optional[int] = None
         self._last_shared_round = 0
-        # (round, key vector) of the last shared round, reused to verify it.
+        # (round, key vector) of the last shared round, reused once to verify it.
         self._tag_key: Optional[Tuple[int, np.ndarray]] = None
 
     def _encode_update(self, update, weight: Optional[float]) -> np.ndarray:
@@ -220,6 +223,7 @@ class UserState:
         w_prime = field.vec_add(w1pp, expand(self.k_vg, round_index, p.dim, p.r), p.r)
         if self._tag_key is not None and self._tag_key[0] == round_index:
             key_vec = self._tag_key[1]
+            self._tag_key = None  # a d-word vector no later round reads
         else:
             key_vec = tags.derive_tag_key(self.k_v, round_index, p.dim, p.r)
         computed = tags.gen_tag(w_prime, key_vec, p.r)

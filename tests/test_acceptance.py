@@ -4,6 +4,7 @@ them).  Tolerances are fixed here, not calibrated after the fact."""
 
 import random
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from scipy import stats
 from vsecagg import field
 from vsecagg.codec import CodecParams
 from vsecagg.field import FieldModulus
-from vsecagg.harness import (AdversarySpec, RunConfig, bench, default_params,
+from vsecagg.harness import (AdversarySpec, RunConfig, default_params,
                              forgery_calibration, plaintext_oracle,
                              run_round, run_simulation, _Network)
 from vsecagg.prf import KeyMaterial, expand
@@ -131,22 +132,23 @@ def test_criterion_5_scaling_shapes():
     Absolute ceilings are lenient commodity-CPU bounds, not the
     reference hardware's milliseconds.
     """
-    # Best of three bench passes per size: the medians inside bench()
-    # absorb per-call jitter, the outer min absorbs whole-pass stalls.
-    # Each pass runs every size in turn, so drift in host speed hits all
-    # sizes alike instead of landing on one of them.
+    # Best of three 7-round simulations per size: the span medians absorb
+    # per-call jitter, the outer min absorbs whole-pass stalls.  Each pass
+    # runs every size in turn, so drift in host speed hits all sizes alike
+    # instead of landing on one of them.
     def best(configs):
         runs = [[] for _ in configs]
         for _ in range(3):
             for cfg, cfg_runs in zip(configs, runs):
-                cfg_runs.append(bench(cfg, reps=7))
-        return [min(cfg_runs, key=lambda r: r.share_ms) for cfg_runs in runs]
+                cfg_runs.append(run_simulation(replace(cfg, rounds=7)))
+        return [min(cfg_runs, key=lambda report: report.stage_ms("share"))
+                for cfg_runs in runs]
 
     dims = (20_000, 40_000, 80_000)
     by_d = dict(zip(dims, best([RunConfig(users=10, dim=d, seed=1) for d in dims])))
-    share_by_d = {d: result.share_ms for d, result in by_d.items()}
-    eval_by_d = {d: result.eval_ms for d, result in by_d.items()}
-    ceilings = {"share": by_d[20_000].share_ms, "verify": by_d[20_000].verify_ms}
+    share_by_d = {d: report.stage_ms("share") for d, report in by_d.items()}
+    eval_by_d = {d: report.stage_ms("eval") for d, report in by_d.items()}
+    ceilings = {"share": share_by_d[20_000], "verify": by_d[20_000].stage_ms("verify")}
     # Doubling d should roughly double share time.  The band excludes
     # quadratic growth (ratio 4) but tolerates mild cache-miss
     # superlinearity as the share's working set outgrows L2.
@@ -161,12 +163,9 @@ def test_criterion_5_scaling_shapes():
     assert spread_eval <= 1.5 or max(eval_by_d.values()) <= 1.0, \
         f"eval time grows with d: {eval_by_d}"
 
-    # bench runs at most 32 users, so these are the counts it can compare.
     ns = (8, 16, 32)
-    share_by_n = {}
-    for n, result in zip(ns, best([RunConfig(users=n, dim=20_000, seed=1) for n in ns])):
-        assert result.users == n
-        share_by_n[n] = result.share_ms
+    share_by_n = {n: report.stage_ms("share") for n, report in
+                  zip(ns, best([RunConfig(users=n, dim=20_000, seed=1) for n in ns]))}
     spread_n = max(share_by_n.values()) / min(share_by_n.values())
     assert spread_n <= 1.5, f"share time spread over n = {spread_n:.2f}"
 

@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -8,11 +9,12 @@ from vsecagg import harness
 from vsecagg.cli import main as cli_main
 from vsecagg.codec import CodecParams
 from vsecagg.field import FieldModulus
-from vsecagg.harness import (ADVERSARY_ACTIONS, AdversarySpec, Alarm, ConfigError,
-                             RunConfig, bench, default_params, forgery_calibration,
+from vsecagg.harness import (ADVERSARY_ACTIONS, STAGES, AdversarySpec, Alarm, ConfigError,
+                             RunConfig, default_params, forgery_calibration,
                              plaintext_oracle, run_simulation)
 from vsecagg.roles import CsState, VsState, setup
-from vsecagg.wire import AlarmReason, MessageKind, pack_online_list, unpack_online_list
+from vsecagg.wire import (AlarmReason, Message, MessageKind, pack_online_list,
+                         unpack_online_list)
 
 BIG_PRIME = FieldModulus((1 << 60) + 33)  # the smallest prime above 2^60
 
@@ -283,8 +285,9 @@ def test_reproducibility_identical_reports():
     cfg = RunConfig(users=4, dim=3, rounds=3, dropout=0.2, seed=77)
     a = run_simulation(cfg)
     b = run_simulation(cfg)
+    # Wall times and stage medians are the only wall-clock fields.
     strip = lambda text: "\n".join(line for line in text.splitlines()
-                                   if "wall_time" not in line)
+                                   if "wall_time" not in line and "median_ms" not in line)
     assert strip(a.to_text()) == strip(b.to_text())
 
 
@@ -376,12 +379,6 @@ def test_forgery_calibration_small_modulus_rates():
     assert abs(result.guess_rate - 1 / 11) < band
 
 
-def test_bench_reports_expected_up_traffic():
-    result = bench(RunConfig(users=10, dim=20_000, seed=1), reps=3)
-    assert result.up_payload_bytes == 160_008
-    assert result.share_ms > 0 and result.verify_ms > 0
-
-
 def test_cli_simulate_exit_codes(tmp_path):
     out = tmp_path / "report.txt"
     rc = cli_main(["simulate", "--users", "3", "--dim", "2", "--rounds", "1",
@@ -431,8 +428,6 @@ def test_cli_oracle_matches_simulated_round_one(monkeypatch, capsys, tmp_path, w
      "--adversary", "vs:tamper_model_share:1"],
     ["oracle", "--users", "2", "--dim", "1", "--seed", "0", "--dropout", "0.9"],
     ["simulate", "--adversary", "cs:tamper_aggregate:first"],
-    # Nobody is online in the only benchmark round, as in the oracle case.
-    ["bench", "--users", "2", "--dim", "1", "--seed", "0", "--dropout", "0.9", "--reps", "1"],
     ["simulate", "--delta-exp", "60"],  # the capacity check fails
     ["simulate", "--delta-exp", "-1"],
     ["simulate", "--prime-bits", "61"],
@@ -445,7 +440,7 @@ def test_cli_oracle_matches_simulated_round_one(monkeypatch, capsys, tmp_path, w
     ["simulate", "--users", "2", "--weights-file", "{tmp}/missing.txt"],
     ["simulate", "--users", "2", "--weights-file", "{tmp}/zero.txt"],
     ["oracle", "--users", "2", "--weights-file", "{tmp}/large.txt"],
-    ["bench", "--users", "2", "--weights-file", "{tmp}/nan.txt"],
+    ["simulate", "--users", "2", "--weights-file", "{tmp}/nan.txt"],
 ])
 def test_cli_config_error_is_a_usage_error(capsys, tmp_path, argv):
     for name, text in (("words", "1.0\nheavy\n"), ("zero", "0\n1\n"),
@@ -464,21 +459,61 @@ def test_cli_weights_file(tmp_path, capsys):
     rc = cli_main(["simulate", "--users", "2", "--dim", "2", "--rounds", "1",
                    "--seed", "2", "--weights-file", str(weights)])
     assert rc == 0
-    capsys.readouterr()
-    rc = cli_main(["bench", "--users", "2", "--dim", "2", "--reps", "2",
-                   "--seed", "2", "--weights-file", str(weights)])
-    assert rc == 0
-    # The weight travels as one more coordinate: 8 * (d + 1) + 8 bytes up.
-    assert "up_payload_bytes=32\n" in capsys.readouterr().out
-
-
-def test_cli_bench_in_socket_mode_with_dropout(capsys):
-    rc = cli_main(["bench", "--users", "6", "--dim", "16", "--reps", "3", "--seed", "4",
-                   "--mode", "socket", "--dropout", "0.5"])
-    assert rc == 0
     out = capsys.readouterr().out
-    assert "users=6\n" in out and "up_payload_bytes=136\n" in out
-    # bench runs at most 32 users and reports the count that ran.
-    rc = cli_main(["bench", "--users", "40", "--dim", "2", "--reps", "1", "--seed", "4"])
-    assert rc == 0
-    assert "users=32\n" in capsys.readouterr().out
+    # The weight travels as one more coordinate: 8 * (d + 1) bytes of model
+    # share up, next to the 8-byte tag share.
+    assert "traffic link=user0->cs round=1 payload=24 " in out
+    assert "traffic link=user0->vs round=1 payload=8 " in out
+
+
+def test_cli_simulate_in_socket_mode_with_dropout_reports_stages_and_alarms(capsys):
+    rc = cli_main(["simulate", "--users", "6", "--dim", "16", "--rounds", "3", "--seed", "4",
+                   "--mode", "socket", "--dropout", "0.5",
+                   "--adversary", "cs:tamper_aggregate:2"])
+    assert rc == 0  # the tampered round is detected
+    lines = capsys.readouterr().out.splitlines()
+    stages = [line.split()[0] for line in lines if line.startswith("stage=")]
+    assert stages == [f"stage={stage}" for stage in STAGES]
+    (round_2,) = [line for line in lines if line.startswith("round=2 ")]
+    m = int(round_2.split()[1].removeprefix("m="))
+    alarms = [line for line in lines if line.startswith("alarm ")]
+    assert 1 <= m < 6  # dropout took users out of the tampered round
+    assert len(alarms) == m
+    assert all(line.startswith("alarm round=2 ") and " reason=TAG_MISMATCH " in line
+               for line in alarms)
+
+
+def test_stage_medians_come_from_the_round_spans():
+    report = run_simulation(RunConfig(users=3, dim=8, rounds=3, seed=5))
+    for stage in STAGES:  # 3 or 9 spans each: the median is the middle one
+        spans = sorted(s for rec in report.rounds for s in rec.spans[stage])
+        assert report.stage_ms(stage) == pytest.approx(1e3 * spans[len(spans) // 2])
+        assert f"stage={stage} median_ms={report.stage_ms(stage):.3f}\n" in report.to_text()
+    # No user is online in the only round: no stage ran.
+    report = run_simulation(RunConfig(users=2, dim=1, seed=0, dropout=0.9))
+    assert report.rounds[0].aborted
+    assert report.stage_ms("share") is None and "stage=" not in report.to_text()
+
+
+def test_wall_time_is_the_run_round_call(monkeypatch):
+    real_oracle = harness.plaintext_oracle
+
+    def slow_oracle(*args, **kwargs):
+        time.sleep(0.05)
+        return real_oracle(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "plaintext_oracle", slow_oracle)
+    report = run_simulation(RunConfig(users=3, dim=4, rounds=2, seed=1))
+    assert all(rec.verified for rec in report.rounds)
+    assert all(0 < rec.wall_time < 0.05 for rec in report.rounds)
+
+
+def test_socket_network_carries_a_frame_larger_than_the_socket_buffers():
+    payload = np.arange(2 * 2 ** 20, dtype=np.uint64).tobytes()  # 16 MB
+    net = harness._Network("socket")
+    try:
+        got = net.transfer("user0->cs", Message(MessageKind.MODEL_SHARE, 1, 0, payload))
+    finally:
+        net.close()
+    assert got.payload == payload
+    assert net.ledger.payload_bytes("user0->cs", 1) == len(payload)

@@ -112,7 +112,7 @@ def test_initial_model_is_shared_and_read_only():
     users, cs, vs = setup(3, params, rng=random.Random(4))
     joiner = join_new_user(cs, vs, rng=random.Random(5))
     assert all(u.initial_model is users[0].initial_model for u in users)
-    assert np.array_equal(joiner.initial_model, users[0].initial_model)
+    assert joiner.initial_model is users[0].initial_model
     for u in (users[0], joiner):
         with pytest.raises(ValueError):
             u.initial_model[0] = 1
