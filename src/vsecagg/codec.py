@@ -16,11 +16,15 @@ and the capacity check keep every rounded value within +-(R_w - 1)/2.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import field
+
+# Shifting an int64 word's bits right by 63 leaves its sign bit.
+_SIGN_SHIFT = np.uint64(63)
 
 
 class CodecError(ValueError):
@@ -54,6 +58,15 @@ class CodecParams:
                 f"[{self.x_min}, {self.x_max}] at delta={self.delta} can wrap mod {self.r_w}"
             )
 
+    # encode's operands, built on its first call rather than on each one.
+    @functools.cached_property
+    def _delta_f64(self) -> float:
+        return float(self.delta)
+
+    @functools.cached_property
+    def _r_w_u64(self) -> np.uint64:
+        return np.uint64(self.r_w)
+
 
 def check_capacity(params: CodecParams, m: int) -> bool:
     """True iff m participants' worst-case encoded sum cannot wrap mod R_w."""
@@ -69,21 +82,22 @@ def encode(values, params: CodecParams) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     # NaN propagates through min/max and fails both comparisons, and an
     # infinity lies outside the finite bounds, so one pair checks it all.
-    if v.size and not (params.x_min <= v.min() and v.max() <= params.x_max):
+    if v.size and not (params.x_min <= np.minimum.reduce(v)
+                       and np.maximum.reduce(v) <= params.x_max):
         bad = np.nonzero((v < params.x_min) | (v > params.x_max) | ~np.isfinite(v))[0]
         raise CodecError(
             f"value {v[bad[0]]!r} at index {int(bad[0])} outside "
             f"[{params.x_min}, {params.x_max}]"
         )
-    scaled = v * params.delta
+    scaled = v * params._delta_f64
     # Adding +-0.5 and truncating equals sign(s) * floor(|s| + 0.5): IEEE
     # rounding is symmetric in sign, so s - 0.5 is exactly -(|s| + 0.5).
     scaled += np.copysign(0.5, scaled)
     out = scaled.astype(np.int64).view(np.uint64)
     # A negative q reads as 2^64 + q, and adding r wraps it to q + r.  The
     # words of ``scaled``, no longer needed, hold r where q is negative.
-    sign = np.right_shift(out, np.uint64(63), out=scaled.view(np.uint64))
-    sign *= np.uint64(params.r_w)
+    sign = np.right_shift(out, _SIGN_SHIFT, out=scaled.view(np.uint64))
+    sign *= params._r_w_u64
     out += sign
     return out
 

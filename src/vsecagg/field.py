@@ -24,13 +24,15 @@ exact in fixed-width words:
   A limb product is below 2^32, so up to 2^21 of them sum below 2^53,
   where every float64 integer and every partial sum is exact in any
   order.  ``dot`` therefore runs the sixteen limb-pair sums as one small
-  float64 BLAS matrix product per block of words, and turns the 4 x 4
-  sums into Python integers once per 2^21 words.
+  float64 BLAS matrix product per block of words, and once per 2^21
+  words adds the 4 x 4 sums of each weight in int64 and turns the
+  seven results into one Python integer.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import functools
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -109,7 +111,7 @@ def _check_lengths(a: np.ndarray, b: np.ndarray) -> None:
 
 def first_non_canonical(a: np.ndarray, r: int) -> Optional[int]:
     """Index of the first element of ``a`` that is not below r, or None."""
-    if a.size == 0 or int(a.max()) < r:
+    if a.size == 0 or int(np.maximum.reduce(a)) < r:
         return None
     return int(np.argmax(a >= np.uint64(r)))
 
@@ -175,13 +177,19 @@ def vec_sum(vectors, r: int) -> np.ndarray:
     return acc
 
 
+@functools.lru_cache(maxsize=8)
+def _signed_limits(r: int) -> Tuple[np.uint64, np.int64]:
+    """(largest residue with a non-negative representative, r), as numpy words."""
+    return np.uint64((r - 1) // 2), np.int64(r)
+
+
 def vec_to_signed(a: np.ndarray, r: int) -> np.ndarray:
     """Signed representatives as int64 (valid since r < 2^61)."""
-    half = np.uint64((r - 1) // 2)
+    half, r_word = _signed_limits(r)
     # A residue below 2^61 reads the same as an int64.  Branch-free: a
     # boolean-mask update is several times slower on the half-and-half
     # masks that uniform residues give.
-    out = (a > half) * np.int64(r)
+    out = (a > half) * r_word
     return np.subtract(a.view(np.int64), out, out=out)
 
 
@@ -193,8 +201,8 @@ _DOT_BLOCK = 1 << 14
 _DOT_FOLD_BLOCKS = (1 << 21) // _DOT_BLOCK
 _DOT_A = np.empty((_DOT_BLOCK, 4))
 _DOT_B = np.empty((_DOT_BLOCK, 4))
-# The weight of sums[i, j] below, in row-major order: 2^(16 (i + j)).
-_DOT_SHIFTS = [16 * (i + j) for i in range(4) for j in range(4)]
+# Every operand word must lie below this.
+_DOT_LIMIT = np.uint64(1 << 63)
 
 
 def _limb_view(a: np.ndarray) -> np.ndarray:
@@ -202,12 +210,25 @@ def _limb_view(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype="<u8").view("<u2").reshape(-1, 4)
 
 
+def _weighted_total(sums: np.ndarray) -> int:
+    """The sum of sums[i, j] * 2^(16 (i + j)) over the 4 x 4 limb-pair sums.
+
+    Each exact float64 sum is below 2^53, so the up to four sums of one
+    weight add in int64 below 2^55; only those seven sums are shifted.
+    """
+    s = sums.astype(np.int64).ravel().tolist()
+    return (s[0] + ((s[1] + s[4]) << 16) + ((s[2] + s[5] + s[8]) << 32)
+            + ((s[3] + s[6] + s[9] + s[12]) << 48) + ((s[7] + s[10] + s[13]) << 64)
+            + ((s[11] + s[14]) << 80) + (s[15] << 96))
+
+
 def dot(a: np.ndarray, b: np.ndarray, r: int) -> int:
     """Modular dot product, exact for operands below 2^63."""
     _check_lengths(a, b)
     if a.size == 0:
         return 0
-    if max(int(a.max()), int(b.max())) >> 63:
+    # A word is below 2^63 unless its top bit is set, in either operand's maximum.
+    if np.maximum.reduce(a) | np.maximum.reduce(b) >= _DOT_LIMIT:
         raise FieldError("dot operands must lie below 2^63")
     a_limbs, b_limbs = _limb_view(a), _limb_view(b)
     total = 0
@@ -220,8 +241,7 @@ def dot(a: np.ndarray, b: np.ndarray, r: int) -> int:
         b_block[...] = b_limbs[start:start + n]
         sums += a_block.T @ b_block
         if k % _DOT_FOLD_BLOCKS == 0 or start + n == a.size:
-            total += sum(map(int.__lshift__, sums.astype(np.int64).ravel().tolist(),
-                             _DOT_SHIFTS))
+            total += _weighted_total(sums)
             sums[...] = 0
     return total % r
 

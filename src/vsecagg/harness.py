@@ -107,6 +107,9 @@ class AdversarySpec:
         if attack is None or attack.server != self.target:
             raise ConfigError(f"unsupported adversary {self.target}:{self.action}; "
                               f"supported: {supported_adversaries()}")
+        if self.round_index < 1:
+            raise ConfigError(f"adversary round {self.round_index} is not a round: "
+                              "rounds are numbered from 1")
 
     @classmethod
     def parse(cls, text: str) -> "AdversarySpec":
@@ -148,6 +151,9 @@ class RunConfig:
             raise ConfigError(f"prime bits must lie in [1, {field.MAX_MODULUS_BITS - 1}]")
         if not 0 <= self.delta_exp <= field.MAX_MODULUS_BITS:
             raise ConfigError(f"delta exponent must lie in [0, {field.MAX_MODULUS_BITS}]")
+        if self.adversary is not None and self.adversary.round_index > self.rounds:
+            raise ConfigError(f"adversary round {self.adversary.round_index} is past the "
+                              f"last of {self.rounds} rounds")
 
 
 @dataclass(frozen=True)

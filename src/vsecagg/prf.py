@@ -37,6 +37,7 @@ import functools
 import hashlib
 import secrets
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -51,6 +52,8 @@ MAX_EXPAND_LEN = 1 << 32
 _DRAW_WORDS = 1 << 15
 # The plaintext of every draw: CTR-mode keystream is the encryption of zeros.
 _ZEROS = memoryview(bytes(8 * _DRAW_WORDS))
+# The plaintext of each one-word draw in ``expand_one``.
+_ZERO_WORD = bytes(8)
 
 
 class PrfError(ValueError):
@@ -108,13 +111,22 @@ def _keystream(key: KeyMaterial, v0: int):
     if not 0 <= v0 < 1 << 64:
         raise PrfError(f"round index {v0} outside 64-bit range")
     enc = key.encryptor
-    enc.reset_nonce(v0.to_bytes(8, "little") + bytes(8))
+    # Below 2^64, the 16 little-endian bytes of v0 are its low 8 bytes, then zeros.
+    enc.reset_nonce(v0.to_bytes(16, "little"))
     return enc
 
 
-def _check_modulus(modulus: int) -> None:
+@functools.lru_cache(maxsize=8)
+def _limits(modulus: int) -> Tuple[int, np.uint64, np.uint64]:
+    """(mask, mask as uint64, modulus as uint64) of an admissible ``modulus``.
+
+    Validated and built once per modulus; an inadmissible one raises on
+    every call, since a raising call caches nothing.
+    """
     if not 1 < modulus <= 1 << 61:
         raise PrfError(f"modulus {modulus} outside (1, 2^61]")
+    mask = (1 << modulus.bit_length()) - 1
+    return mask, np.uint64(mask), np.uint64(modulus)
 
 
 def expand(key: KeyMaterial, v0: int, length: int, modulus: int) -> np.ndarray:
@@ -127,10 +139,7 @@ def expand(key: KeyMaterial, v0: int, length: int, modulus: int) -> np.ndarray:
         raise PrfError("expansion length must be at least 1")
     if length >= MAX_EXPAND_LEN:
         raise PrfError(f"expansion length {length} exceeds the 2^32 keystream budget")
-    _check_modulus(modulus)
-    bits = modulus.bit_length()
-    mask = np.uint64((1 << bits) - 1)
-    bound = np.uint64(modulus)
+    _, mask, bound = _limits(modulus)
     enc = _keystream(key, v0)
     # Two spare words past length: older cryptography releases need
     # len(data) + 15 bytes of room in update_into.
@@ -143,7 +152,7 @@ def expand(key: KeyMaterial, v0: int, length: int, modulus: int) -> np.ndarray:
                         out_bytes[8 * filled:8 * (filled + nwords + 2)])
         words = out[filled:filled + nwords]
         words &= mask
-        if words.max() >= bound:
+        if np.maximum.reduce(words) >= bound:
             kept = np.compress(words < bound, words)
             words[:kept.size] = kept
             nwords = kept.size
@@ -153,11 +162,10 @@ def expand(key: KeyMaterial, v0: int, length: int, modulus: int) -> np.ndarray:
 
 def expand_one(key: KeyMaterial, v0: int, modulus: int) -> int:
     """``int(expand(key, v0, 1, modulus)[0])``, drawn one word at a time."""
-    _check_modulus(modulus)
-    mask = (1 << modulus.bit_length()) - 1
+    mask = _limits(modulus)[0]
     enc = _keystream(key, v0)
     while True:
-        word = int.from_bytes(enc.update(bytes(8)), "little") & mask
+        word = int.from_bytes(enc.update(_ZERO_WORD), "little") & mask
         if word < modulus:
             return word
 

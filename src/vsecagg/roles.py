@@ -75,7 +75,8 @@ class ProtocolParams:
     dim: int
     codec: codec.CodecParams
 
-    @property
+    # Cached: every kernel call of a round reads it.
+    @functools.cached_property
     def r(self) -> int:
         """The one prime R of models and tags: the codec's modulus."""
         return self.codec.r_w

@@ -56,7 +56,11 @@ class MessageKind(IntEnum):
     PUBLISH_TAG = 8
 
 
-@dataclass(frozen=True)
+# Kind byte -> kind: a dict lookup is cheaper than calling the enum.
+_KINDS = {int(kind): kind for kind in MessageKind}
+
+
+@dataclass(frozen=True, init=False)
 class Message:
     kind: MessageKind
     round_index: int
@@ -64,6 +68,15 @@ class Message:
     # bytes, or a read-only byte view: of an array's words, or of the
     # frame the message was received in.
     payload: bytes
+
+    def __init__(self, kind: MessageKind, round_index: int, sender: int, payload: bytes):
+        # The frozen dataclass's own __init__ sets each field through
+        # object.__setattr__; writing the instance dict once is cheaper.
+        fields = self.__dict__
+        fields["kind"] = kind
+        fields["round_index"] = round_index
+        fields["sender"] = sender
+        fields["payload"] = payload
 
     @property
     def frame(self) -> bytes:
@@ -122,17 +135,16 @@ def deserialize(data: bytes) -> Message:
     magic, kind, round_index, sender, length = HEADER.unpack_from(data)
     if magic != MAGIC:
         raise BadMagicError(f"bad magic {magic!r}", 0)
-    try:
-        kind = MessageKind(kind)
-    except ValueError:
-        raise UnknownKindError(f"unknown message kind {kind}", 4) from None
+    known = _KINDS.get(kind)
+    if known is None:
+        raise UnknownKindError(f"unknown message kind {kind}", 4)
     end = HEADER.size + length
     if len(data) < end:
         raise TruncatedFrameError("frame truncated mid-payload", len(data))
     if end != len(data):
         raise LengthMismatchError(
             f"{len(data) - end} trailing bytes after frame", end)
-    return Message(kind, round_index, sender, memoryview(data)[HEADER.size:end])
+    return Message(known, round_index, sender, memoryview(data)[HEADER.size:end])
 
 
 # -- payload layouts ---------------------------------------------------------
@@ -211,7 +223,10 @@ class TrafficLedger:
     entries: Dict[Tuple[str, int], LinkTraffic] = dc_field(default_factory=dict)
 
     def record(self, link: str, round_index: int, payload_len: int, frame_len: int) -> None:
-        entry = self.entries.setdefault((link, round_index), LinkTraffic())
+        key = (link, round_index)
+        entry = self.entries.get(key)
+        if entry is None:
+            entry = self.entries[key] = LinkTraffic()
         entry.payload_bytes += payload_len
         entry.total_bytes += frame_len
         entry.messages += 1

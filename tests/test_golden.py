@@ -10,11 +10,15 @@ does not.
 The runs: seeds 1-5, each plain, with dropout 0.3, with weights 1-5, at
 ``prime_bits=50`` and under every entry of ``ADVERSARY_ACTIONS`` at
 round 2 with magnitude 5, at n = 5, d = 6 and 3 rounds; plus one run at
-d = 3 * 2^15 + 5, past several PRF draws and ``field.dot`` blocks.
+d = 3 * 2^15 + 5, past several PRF draws and ``field.dot`` blocks.  Each
+runs over the in-memory channel and over a loopback socket, and both
+deliver the same frames.
 """
 
 import hashlib
 from dataclasses import replace
+
+import pytest
 
 from vsecagg import harness, wire
 from vsecagg.harness import ADVERSARY_ACTIONS, AdversarySpec, RunConfig, run_simulation
@@ -23,9 +27,12 @@ GOLDEN_SMALL = "2e4632993f6c5e202511ece594fa8ece3aecd6f9fbde6959c555e920459fb10f
 GOLDEN_LARGE = "fd49f36feae559542733c209d262aafc2c6e9b4414f851441172ccb59c7bd5ee"
 
 
-def small_configs():
+MODES = ("memory", "socket")
+
+
+def small_configs(mode):
     for seed in range(1, 6):
-        base = RunConfig(users=5, dim=6, rounds=3, seed=seed)
+        base = RunConfig(users=5, dim=6, rounds=3, seed=seed, mode=mode)
         yield base
         yield replace(base, dropout=0.3)
         yield replace(base, weights=(1.0, 2.0, 3.0, 4.0, 5.0))
@@ -60,10 +67,12 @@ def transcript_digest(monkeypatch, configs) -> str:
     return digest.hexdigest()
 
 
-def test_small_transcripts_match_golden_digest(monkeypatch):
-    assert transcript_digest(monkeypatch, small_configs()) == GOLDEN_SMALL
+@pytest.mark.parametrize("mode", MODES)
+def test_small_transcripts_match_golden_digest(monkeypatch, mode):
+    assert transcript_digest(monkeypatch, small_configs(mode)) == GOLDEN_SMALL
 
 
-def test_large_transcript_matches_golden_digest(monkeypatch):
-    cfg = RunConfig(users=3, dim=3 * (1 << 15) + 5, rounds=2, seed=7)
+@pytest.mark.parametrize("mode", MODES)
+def test_large_transcript_matches_golden_digest(monkeypatch, mode):
+    cfg = RunConfig(users=3, dim=3 * (1 << 15) + 5, rounds=2, seed=7, mode=mode)
     assert transcript_digest(monkeypatch, [cfg]) == GOLDEN_LARGE

@@ -32,6 +32,9 @@ def test_run_config_validation():
         RunConfig(mode="carrier-pigeon")
     with pytest.raises(ConfigError):
         RunConfig(users=2, weights=(1.0,))
+    with pytest.raises(ConfigError):
+        RunConfig(rounds=2, adversary=AdversarySpec("cs", "tamper_aggregate", 3))
+    assert RunConfig(rounds=2, adversary=AdversarySpec("cs", "tamper_aggregate", 2)).adversary
 
 
 def test_adversary_spec_parse():
@@ -42,6 +45,9 @@ def test_adversary_spec_parse():
         AdversarySpec.parse("cs:read_minds:1")
     with pytest.raises(ConfigError):
         AdversarySpec.parse("cs:forge_tag")
+    for round_index in (0, -1):
+        with pytest.raises(ConfigError):
+            AdversarySpec("cs", "tamper_aggregate", round_index)
 
 
 def test_honest_run_verifies_with_tight_oracle():
@@ -454,6 +460,11 @@ def test_cli_oracle_matches_simulated_round_one(monkeypatch, capsys, tmp_path, w
     ["simulate", "--users", "2", "--weights-file", "{tmp}/zero.txt"],
     ["oracle", "--users", "2", "--weights-file", "{tmp}/large.txt"],
     ["simulate", "--users", "2", "--weights-file", "{tmp}/nan.txt"],
+    # An attack in a round the run never reaches would do nothing.
+    ["simulate", "--users", "3", "--dim", "4", "--rounds", "2",
+     "--adversary", "cs:tamper_aggregate:99"],
+    ["simulate", "--users", "3", "--dim", "4", "--rounds", "2",
+     "--adversary", "cs:tamper_aggregate:0"],
 ])
 def test_cli_config_error_is_a_usage_error(capsys, tmp_path, argv):
     for name, text in (("words", "1.0\nheavy\n"), ("zero", "0\n1\n"),

@@ -115,6 +115,13 @@ def test_dot_rejects_operands_beyond_three_limbs():
     a = np.array([1 << 63], dtype=np.uint64)
     with pytest.raises(FieldError):
         field.dot(a, np.ones(1, dtype=np.uint64), BIG_PRIME)
+    # In either operand, and wherever the word sits.
+    for top in (1 << 63, (1 << 64) - 1):
+        b = np.array([5, top, 7], dtype=np.uint64)
+        with pytest.raises(FieldError):
+            field.dot(np.ones(3, dtype=np.uint64), b, BIG_PRIME)
+        with pytest.raises(FieldError):
+            field.dot(b, np.ones(3, dtype=np.uint64), BIG_PRIME)
     below = np.array([(1 << 63) - 1], dtype=np.uint64)
     assert field.dot(below, below, BIG_PRIME) == reference_dot(below, below, BIG_PRIME)
 
@@ -347,6 +354,38 @@ def test_expand_one_interleaved_with_array_expansions(modulus):
         assert prf.expand_one(key, v0, modulus) == one
         assert np.array_equal(prf.expand(key, v0, 65, modulus),
                               reference_expand(key, v0, 65, modulus))
+
+
+@pytest.mark.parametrize("modulus", [MERSENNE_61, R97])
+def test_expansions_at_the_last_round_index(modulus):
+    # The counter block is v0's 16 little-endian bytes: its low 8 bytes,
+    # then zeros.  2^64 - 1 is the last index that fits in those 8 bytes.
+    key = KeyMaterial(b"\x0f" * 16)
+    last = (1 << 64) - 1
+    assert np.array_equal(prf.expand(key, last, 1001, modulus),
+                          reference_expand(key, last, 1001, modulus))
+    assert prf.expand_one(key, last, modulus) == int(reference_expand(key, last, 1, modulus)[0])
+    for bad in (last + 1, -1):
+        with pytest.raises(prf.PrfError):
+            prf.expand(key, bad, 1, modulus)
+        with pytest.raises(prf.PrfError):
+            prf.expand_one(key, bad, modulus)
+
+
+def test_inadmissible_modulus_raises_on_every_call():
+    # A modulus's mask and bound are kept once built; a rejected one must
+    # be rejected again, also after the same key expanded under a good one.
+    key = KeyMaterial(b"\x10" * 16)
+    for bad in (1, (1 << 61) + 1):
+        for _ in range(2):
+            with pytest.raises(prf.PrfError):
+                prf.expand(key, 1, 8, bad)
+            with pytest.raises(prf.PrfError):
+                prf.expand_one(key, 1, bad)
+            assert np.array_equal(prf.expand(key, 1, 8, MERSENNE_61),
+                                  reference_expand(key, 1, 8, MERSENNE_61))
+            assert prf.expand_one(key, 1, MERSENNE_61) == \
+                int(reference_expand(key, 1, 1, MERSENNE_61)[0])
 
 
 def test_sent_payload_view_is_read_only_and_the_frame_a_copy():
