@@ -19,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from vsecagg import codec, field, harness, prf, tags, wire
 from vsecagg.field import FieldError, FieldModulus
@@ -277,22 +278,40 @@ def test_vec_sum_rejects_length_mismatch():
             pairwise(a, b, R97)
 
 
-# 2^61 - 1 (the default) and 2^61 - 2 (its unit-group expansion) accept
-# almost every word, so their chunks are kept in place.  97, the 2^60
-# prime, that prime - 1 and 2^61 reject a quarter to a half of the words
-# and 127 one in 128, so chunks there are compacted and some last draws
-# fall short.
-@pytest.mark.parametrize("modulus", [R97, 127, BIG_PRIME, BIG_PRIME - 1, 1 << 61,
-                                     MERSENNE_61, MERSENNE_61 - 1])
-@pytest.mark.parametrize("length", [1, 63, 64, 65, 1000, 8191, 8193, prf._DRAW_WORDS - 1,
-                                    prf._DRAW_WORDS + 1, 2 * prf._DRAW_WORDS + 1,
-                                    100_000])
-def test_expand_bit_identical_to_reference(modulus, length):
+def assert_expansions_match_reference(modulus, length):
     key = KeyMaterial(b"\x09" * 16)
-    for v0 in (0, 7):
+    for v0 in (0, 7, (1 << 64) - 1):
         out = prf.expand(key, v0, length, modulus)
         assert out.dtype == np.uint64 and out.shape == (length,)
         assert np.array_equal(out, reference_expand(key, v0, length, modulus))
+
+
+# 2^61 - 1 (the default) and 2^61 - 2 (its unit-group expansion) accept
+# almost every word, so their first draw is kept in place.  97, the 2^60
+# prime, that prime - 1 and 2^61 reject a quarter to a half of the words
+# and 127 one in 128, so draws there are compacted and the shortfall
+# comes from CTR, some of it after an odd number of words.
+EXPAND_MODULI = [R97, 127, BIG_PRIME, BIG_PRIME - 1, 1 << 61, MERSENNE_61, MERSENNE_61 - 1]
+
+
+@pytest.mark.parametrize("modulus", EXPAND_MODULI)
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 6, 63, 64, 65, 1000,
+                                    prf._GCM_MIN_WORDS - 1, prf._GCM_MIN_WORDS,
+                                    prf._GCM_MIN_WORDS + 1, 8191, 8193,
+                                    prf._DRAW_WORDS - 1, prf._DRAW_WORDS + 1,
+                                    2 * prf._DRAW_WORDS + 1, 100_000])
+def test_expand_bit_identical_to_reference(modulus, length):
+    assert_expansions_match_reference(modulus, length)
+
+
+@pytest.mark.parametrize("modulus", EXPAND_MODULI)
+@pytest.mark.parametrize("length", [4, 5, 6, 7, 63, 64, 65, 1000])
+def test_short_first_draw_bit_identical_to_reference(monkeypatch, modulus, length):
+    # With the ECB/GCM path opened to every output that holds the 4-word
+    # head, these lengths cross the head/bulk boundary; 4 makes a GCM
+    # call with no data, whose tag alone fills the spare words.
+    monkeypatch.setattr(prf, "_GCM_MIN_WORDS", prf._HEAD_WORDS)
+    assert_expansions_match_reference(modulus, length)
 
 
 def test_derive_tag_key_at_default_modulus_matches_reference():
@@ -314,21 +333,64 @@ def test_interleaved_expansions_match_reference(modulus):
                           reference_expand(a, 7, 65, modulus - 1) + np.uint64(1))
 
 
-def test_cipher_context_made_once_per_key(monkeypatch):
-    made = []
+def test_zero_buffer_grows_for_a_longer_draw(monkeypatch):
+    # Start from the import-time buffer, which holds one CTR draw.
+    monkeypatch.setattr(prf, "_zeros", memoryview(bytes(8 * prf._DRAW_WORDS)))
+    key = KeyMaterial(b"\x11" * 16)
+    long = 3 * prf._DRAW_WORDS + 5
+    for modulus in (MERSENNE_61, BIG_PRIME):
+        assert np.array_equal(prf.expand(key, 5, long, modulus),
+                              reference_expand(key, 5, long, modulus))
+        assert len(prf._zeros) >= 8 * (long - 4)
+        for length in (prf._DRAW_WORDS + 3, 1000, 5):
+            assert np.array_equal(prf.expand(key, 6, length, modulus),
+                                  reference_expand(key, 6, length, modulus))
+        assert len(prf._zeros) >= 8 * (long - 4)
 
-    def counting_cipher(*args, **kwargs):
-        made.append(args)
-        return Cipher(*args, **kwargs)
+
+@pytest.mark.parametrize("bulk_words", [1, 5, 6])
+@pytest.mark.parametrize("modulus", [MERSENNE_61, R97])
+def test_draw_past_the_gcm_call_limit_continues_in_ctr(monkeypatch, bulk_words, modulus):
+    # One GCM call draws at most ``_BULK_WORDS`` words (2^28 - 1 in
+    # full); CTR draws the rest, after an odd or an even first draw.
+    monkeypatch.setattr(prf, "_BULK_WORDS", bulk_words)
+    monkeypatch.setattr(prf, "_GCM_MIN_WORDS", prf._HEAD_WORDS)
+    key = KeyMaterial(b"\x12" * 16)
+    for length in (4, 5, 6, 11, 1000):
+        assert np.array_equal(prf.expand(key, 8, length, modulus),
+                              reference_expand(key, 8, length, modulus))
+
+
+def test_cipher_context_made_once_per_key(monkeypatch):
+    made, derived = [], []
+    real_derive = prf.derive_cipher_key
+
+    def counting_cipher(algorithm, mode):
+        made.append(type(mode).__name__)
+        return Cipher(algorithm, mode)
+
+    def counting_aead(cipher_key):
+        made.append("AESGCM")
+        return AESGCM(cipher_key)
+
+    def counting_derive(key):
+        derived.append(key)
+        return real_derive(key)
 
     monkeypatch.setattr(prf, "Cipher", counting_cipher)
+    monkeypatch.setattr(prf, "AESGCM", counting_aead)
+    monkeypatch.setattr(prf, "derive_cipher_key", counting_derive)
     k = KeyMaterial(b"\x05" * 16)
     assert k.cipher is k.cipher and k.cipher.key == hashlib.sha256(k.data).digest()
+    # Lengths 1 and 100 take CTR alone; 9000 takes the ECB head and the
+    # GCM bulk, then CTR for the words the 2^60 prime rejects.
     for v0, length in ((4, 1), (4, 9000), (2, 100), (4, 1)):
         assert np.array_equal(prf.expand(k, v0, length, BIG_PRIME),
                               reference_expand(k, v0, length, BIG_PRIME))
-    assert len(made) == 1
+    assert sorted(made) == ["AESGCM", "CTR", "ECB"]
+    assert len(derived) == 1
     assert prf._keystream(k, 9) is k.encryptor
+    assert k.ecb is k.ecb and k.aead is k.aead
     # The cached cipher objects take no part in key equality.
     assert k == KeyMaterial(k.data)
 
@@ -366,8 +428,9 @@ def test_expansions_at_the_last_round_index(modulus):
                           reference_expand(key, last, 1001, modulus))
     assert prf.expand_one(key, last, modulus) == int(reference_expand(key, last, 1, modulus)[0])
     for bad in (last + 1, -1):
-        with pytest.raises(prf.PrfError):
-            prf.expand(key, bad, 1, modulus)
+        for length in (1, prf._GCM_MIN_WORDS):
+            with pytest.raises(prf.PrfError):
+                prf.expand(key, bad, length, modulus)
         with pytest.raises(prf.PrfError):
             prf.expand_one(key, bad, modulus)
 

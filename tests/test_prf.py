@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -118,22 +120,46 @@ def test_expand_unit_deterministic():
 
 @pytest.mark.parametrize("modulus", [MERSENNE_61, MERSENNE_61 - 1])
 @pytest.mark.parametrize("length", [1, 1000, (1 << 15) + 1, 100_000])
-def test_expand_draws_exactly_the_words_it_returns(monkeypatch, modulus, length):
+def test_expand_draws_exactly_the_words_it_returns(modulus, length):
     # The protocol's prime and its unit-group modulus reject a word with
     # probability at most 2^-60, so no draw here is rejected and none may
-    # overshoot the output.
+    # overshoot the output.  Every keystream byte is counted: the ECB
+    # head, the GCM bulk and the CTR draws.
     drawn = []
-    keystream = prf._keystream
 
     class Counting:
-        def __init__(self, enc):
-            self.enc = enc
+        def __init__(self, inner):
+            self.inner = inner
+
+        def update(self, data):
+            drawn.append(len(data))
+            return self.inner.update(data)
 
         def update_into(self, data, buf):
             drawn.append(len(data))
-            return self.enc.update_into(data, buf)
+            return self.inner.update_into(data, buf)
 
-    monkeypatch.setattr(prf, "_keystream", lambda k, v0: Counting(keystream(k, v0)))
-    out = expand(key(13), 2, length, modulus)
+        def encrypt_into(self, nonce, data, associated_data, buf):
+            drawn.append(len(data))
+            return self.inner.encrypt_into(nonce, data, associated_data, buf)
+
+        def __getattr__(self, name):
+            return getattr(self.inner, name)
+
+    k = key(13)
+    for name in ("encryptor", "ecb", "aead"):
+        # Replaces the cached cipher object with a counting wrapper.
+        vars(k)[name] = Counting(getattr(k, name))
+    out = expand(k, 2, length, modulus)
     assert out.shape == (length,)
     assert sum(drawn) == 8 * length
+
+
+def test_used_key_survives_pickle_and_deepcopy():
+    k = key(14)
+    first = expand(k, 3, 1001, BIG_PRIME)
+    for copied in (pickle.loads(pickle.dumps(k)), copy.deepcopy(k)):
+        assert copied == k and hash(copied) == hash(k)
+        assert np.array_equal(expand(copied, 3, 1001, BIG_PRIME), first)
+        assert prf.expand_one(copied, 3, MERSENNE_61) == prf.expand_one(k, 3, MERSENNE_61)
+    assert np.array_equal(expand(k, 3, 1001, BIG_PRIME), first)
