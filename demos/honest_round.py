@@ -14,7 +14,7 @@ import random
 import numpy as np
 
 from vsecagg.harness import RunConfig, default_params, plaintext_oracle
-from vsecagg.roles import intersect_online, setup
+from vsecagg.roles import setup
 
 params = default_params(RunConfig(users=3, dim=4))
 r = params.r
@@ -37,15 +37,19 @@ for u in users:
     cs.receive_share(to_cs)
     vs.receive_tag_share(to_vs)
 
-# --- Aggregate stage: servers agree on who participated, then each sums
-# its own shares.  VS regenerates the second model shares from user keys.
-ctx = intersect_online(cs.online_ids(1), vs.online_ids(1), 1)
-print(f"participant intersection: {ctx.participants} (m = {ctx.m})")
+# --- Aggregate stage: the servers swap online lists, and each fixes its
+# participants as the peer's list intersected with the users it holds a
+# share from.  Then each sums its own shares; VS regenerates the second
+# model shares from user keys.
+vs.receive_online_list(cs.online_list(1))
+cs.receive_online_list(vs.online_list(1))
+participants = cs.rounds[1].participants
+print(f"participant intersection: {participants} (m = {len(participants)})")
 
-w_t = vs.model_aggregate(ctx)      # RESHARE_MODEL: VS partial, global mask removed
-cs.finalize_model(ctx, w_t)        # masked aggregate w''_1
-b_t = cs.tag_aggregate(ctx)        # RESHARE_TAG: CS tag partial
-vs.finalize_tag(ctx, b_t)          # tag aggregate b'_2
+w_t = vs.model_aggregate(1)        # RESHARE_MODEL: VS partial, global mask removed
+cs.finalize_model(w_t)             # masked aggregate w''_1
+b_t = cs.tag_aggregate(1)          # RESHARE_TAG: CS tag partial
+vs.finalize_tag(b_t)               # tag aggregate b'_2
 model_msg = cs.publish_model_message(1)
 tag_msg = vs.publish_tag_message(1)
 print(f"CS publishes w''_1 (first coords: {cs.rounds[1].published[:2]}), "
@@ -57,6 +61,6 @@ for u in users:
     result = u.reconstruct_round(model_msg, tag_msg, round_index=1)
     print(f"user {u.uid}: verified={result.verified} model={np.round(result.model, 6)}")
 
-oracle = plaintext_oracle(updates, list(ctx.participants), params.codec)
+oracle = plaintext_oracle(updates, participants, params.codec)
 print(f"plaintext oracle mean:      {oracle}")
 print(f"max deviation from oracle:  {np.max(np.abs(result.model - oracle)):.3e}")

@@ -21,10 +21,8 @@ import numpy as np
 
 from . import codec, field, roles, tags
 from .field import FieldModulus, find_prime_below
-from .roles import (CsState, ProtocolParams, RoundContext, UserState, VsState,
-                    intersect_online, setup)
-from .wire import (AlarmReason, MemoryLink, Message, MessageKind, TrafficLedger,
-                   pack_online_list, socket_link_pair, unpack_online_list)
+from .roles import CsState, ProtocolParams, UserState, VsState, setup
+from .wire import AlarmReason, MemoryLink, Message, TrafficLedger, socket_link_pair
 
 
 class ConfigError(ValueError):
@@ -38,44 +36,44 @@ def _bumped(vec: np.ndarray, coord: int, magnitude: int, r: int) -> np.ndarray:
     return out
 
 
-def _tamper_model_share(cs: CsState, ctx: RoundContext, rng: random.Random,
+def _tamper_model_share(cs: CsState, round_index: int, rng: random.Random,
                         magnitude: int) -> None:
-    shares = cs.rounds[ctx.round_index].shares
-    victim = ctx.participants[rng.randrange(ctx.m)]
-    shares[victim] = _bumped(shares[victim], rng.randrange(cs.params.dim), magnitude,
-                             cs.params.r)
+    state = cs.rounds[round_index]
+    victim = rng.choice(state.participants)
+    state.shares[victim] = _bumped(state.shares[victim], rng.randrange(cs.params.dim),
+                                   magnitude, cs.params.r)
 
 
-def _drop_participant(cs: CsState, ctx: RoundContext, rng: random.Random,
+def _drop_participant(cs: CsState, round_index: int, rng: random.Random,
                       magnitude: int) -> None:
     # The CS claims the victim participated but omits its share from the sum.
-    victim = ctx.participants[rng.randrange(ctx.m)]
+    victim = rng.choice(cs.rounds[round_index].participants)
     rng.randrange(cs.params.dim)  # the coordinate draw of a share attack
-    cs.rounds[ctx.round_index].shares[victim] = np.zeros(cs.params.dim, dtype=np.uint64)
+    cs.rounds[round_index].shares[victim] = np.zeros(cs.params.dim, dtype=np.uint64)
 
 
-def _tamper_aggregate(cs: CsState, ctx: RoundContext, rng: random.Random,
+def _tamper_aggregate(cs: CsState, round_index: int, rng: random.Random,
                       magnitude: int) -> None:
-    state = cs.rounds[ctx.round_index]
+    state = cs.rounds[round_index]
     state.published = _bumped(state.published, rng.randrange(cs.params.dim), magnitude,
                               cs.params.r)
 
 
-def _lie_about_m(cs: CsState, ctx: RoundContext, rng: random.Random,
+def _lie_about_m(cs: CsState, round_index: int, rng: random.Random,
                  magnitude: int) -> None:
-    cs.rounds[ctx.round_index].m += max(1, magnitude)
+    cs.rounds[round_index].m += max(1, magnitude)
 
 
-def _forge_tag(vs: VsState, ctx: RoundContext, rng: random.Random,
+def _forge_tag(vs: VsState, round_index: int, rng: random.Random,
                magnitude: int) -> None:
-    vs.rounds[ctx.round_index].published = rng.randrange(vs.params.r)
+    vs.rounds[round_index].published = rng.randrange(vs.params.r)
 
 
 @dataclass(frozen=True)
 class Attack:
     server: str   # "cs" or "vs": the server that performs it
     stage: str    # the step of run_round it follows
-    apply: Callable[..., None]  # (server, ctx, rng, magnitude): changes the round state
+    apply: Callable[..., None]  # (server, round_index, rng, magnitude): changes its round
 
 
 # Every modelled attack; run_round knows none of them by name.
@@ -393,34 +391,30 @@ def run_round(users_online: List[UserState], all_users: Dict[int, UserState],
     for msg in vs_inbox:
         vs.receive_tag_share(msg)
 
-    from_cs = net.transfer("cs->vs", Message(MessageKind.ONLINE_LIST, round_index, 0,
-                                             pack_online_list(cs.online_ids(round_index))))
-    from_vs = net.transfer("vs->cs", Message(MessageKind.ONLINE_LIST, round_index, 1,
-                                             pack_online_list(vs.online_ids(round_index))))
-    # The servers intersect the lists they received, not the ones they sent.
-    ctx = intersect_online(unpack_online_list(from_cs.payload),
-                           unpack_online_list(from_vs.payload), round_index)
+    vs.receive_online_list(net.transfer("cs->vs", cs.online_list(round_index)))
+    cs.receive_online_list(net.transfer("vs->cs", vs.online_list(round_index)))
 
     def attack_after(stage: str) -> None:
         attack = ADVERSARY_ACTIONS[adv.action] if adv else None
         if attack and attack.stage == stage:
-            attack.apply(cs if attack.server == "cs" else vs, ctx, rng, adv.magnitude)
+            attack.apply(cs if attack.server == "cs" else vs, round_index, rng, adv.magnitude)
 
     attack_after("intersect")
-    w_t = net.transfer("vs->cs", timed("vs_aggregate", vs.model_aggregate, ctx))
-    timed("cs_aggregate", cs.finalize_model, ctx, w_t)
+    w_t = net.transfer("vs->cs", timed("vs_aggregate", vs.model_aggregate, round_index))
+    timed("cs_aggregate", cs.finalize_model, w_t)
     attack_after("finalize_model")
-    b_t = net.transfer("cs->vs", timed("eval", cs.tag_aggregate, ctx))
-    vs.finalize_tag(ctx, b_t)
+    b_t = net.transfer("cs->vs", timed("eval", cs.tag_aggregate, round_index))
+    vs.finalize_tag(b_t)
     attack_after("finalize_tag")
 
     model_msg = cs.publish_model_message(round_index)
     tag_msg = vs.publish_tag_message(round_index)
+    # The CS sends the model publication, so its participants receive it.
     results = {uid: timed("verify", all_users[uid].reconstruct_round,
                           net.transfer(f"cs->user{uid}", model_msg),
                           net.transfer(f"vs->user{uid}", tag_msg),
                           round_index, weighted=weights is not None)
-               for uid in ctx.participants}
+               for uid in cs.rounds[round_index].participants}
     return _RoundOutcome(results, cs.rounds[round_index].published,
                          vs.rounds[round_index].published, spans)
 

@@ -5,7 +5,8 @@ for one prime R, the codec's modulus:
 
   Share        user i sends  w_i1 = enc(w_i) - F_{Kvi}(r)  to CS and
                b_i2 = tag(enc(w_i)) - F_{Kci}(r, 1)        to VS.
-  Aggregate    servers intersect their received-from ID sets; VS sends
+  Aggregate    servers swap online lists, and each intersects the peer's
+               list with its own senders, once per round; VS sends
                w_t = sum_i F_{Kvi}(r) - F_{Kvg}(r) to CS, which publishes
                w''_1 = sum_i w_i1 + w_t together with m; CS sends
                b_t = sum_i F_{Kci}(r,1) - F_{Kcg}(r,1) to VS, which
@@ -14,9 +15,9 @@ for one prime R, the codec's modulus:
                tag, and on success decodes the mean.
 
 Each role builds the messages it sends and reads the messages it
-receives: the shares, the reshares w_t and b_t, and both publications.
-The CS and VS keep their round bookkeeping and checks in one shared
-base.
+receives.  The CS and VS share one round book, which answers one reshare
+per round: two, for different participant sets, would differ by one
+user's mask and so reveal that user's update to the peer.
 
 Users require the participant counts published by the two servers to
 agree before decoding: the tag covers the sum but not the divisor, so a
@@ -30,14 +31,15 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import codec, field, sharing, tags
 from .prf import KeyMaterial, concat_keys, expand, expand_one
-from .wire import (AlarmReason, Message, MessageKind, WireError, pack_publish_model,
-                   pack_publish_tag, unpack_publish_model, unpack_publish_tag)
+from .wire import (AlarmReason, Message, MessageKind, WireError, pack_online_list,
+                   pack_publish_model, pack_publish_tag, unpack_online_list,
+                   unpack_publish_model, unpack_publish_tag)
 
 
 class ProtocolError(Exception):
@@ -53,10 +55,6 @@ class DuplicateShareError(ProtocolError):
 
 
 class StaleRoundError(ProtocolError):
-    pass
-
-
-class MissingShareError(ProtocolError):
     pass
 
 
@@ -80,27 +78,6 @@ class ProtocolParams:
     def r(self) -> int:
         """The one prime R of models and tags: the codec's modulus."""
         return self.codec.r_w
-
-
-@dataclass(frozen=True)
-class RoundContext:
-    """Finalized participant set of one round."""
-
-    round_index: int
-    participants: Tuple[int, ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.participants)
-
-
-def intersect_online(cs_ids: Iterable[int], vs_ids: Iterable[int],
-                     round_index: int) -> RoundContext:
-    """Sorted intersection of the servers' received-from sets."""
-    common = sorted(set(cs_ids) & set(vs_ids))
-    if not common:
-        raise EmptyIntersectionError(f"round {round_index}: no user reached both servers")
-    return RoundContext(round_index, tuple(common))
 
 
 def _require_canonical(vec: np.ndarray, r: int, what: str) -> None:
@@ -247,6 +224,8 @@ class UserState:
 class _ServerRound:
     # Each user's share of the round: a model share at the CS, a tag share at the VS.
     shares: Dict[int, object] = dc_field(default_factory=dict)
+    participants: Optional[Tuple[int, ...]] = None  # fixed once; no share is taken after
+    reshared: bool = False  # the server's one reshare of the round is sent
     published: Optional[object] = None
     m: Optional[int] = None
 
@@ -273,28 +252,52 @@ class _Server:
             raise DuplicateIdError(f"user id {uid} already registered at {self._name}")
         self.user_keys[uid] = key
 
-    def online_ids(self, round_index: int) -> List[int]:
+    def online_list(self, round_index: int) -> Message:
+        """ONLINE_LIST to the peer server: the users this server holds a share from."""
         state = self.rounds.get(round_index)
-        return sorted(state.shares) if state else []
+        return Message(MessageKind.ONLINE_LIST, round_index, self._sender,
+                       pack_online_list(state.shares if state else ()))
 
-    def _round_of(self, msg: Message, kind: MessageKind) -> Optional[_ServerRound]:
-        """State of the open round ``msg`` belongs to, once its kind, round and
-        payload size pass; None while that round holds no share."""
+    def receive_online_list(self, msg: Message) -> None:
+        """Fix the round's participants: the peer's list intersected with this
+        server's own received-from set."""
+        state = self._open_round(msg, MessageKind.ONLINE_LIST)
+        try:
+            peer_ids = unpack_online_list(msg.payload)
+        except WireError as exc:
+            raise ProtocolError(f"{self._name} got a malformed online list: {exc}") from None
+        if state is not None and state.participants is not None:
+            raise ProtocolError(f"round {msg.round_index}: {self._name} already fixed them")
+        common = tuple(sorted(set(peer_ids) & set(state.shares))) if state else ()
+        if not common:
+            raise EmptyIntersectionError(f"round {msg.round_index}: no user reached both servers")
+        state.participants = common
+
+    def _open_round(self, msg: Message, kind: MessageKind) -> Optional[_ServerRound]:
+        """State of the open round ``msg`` belongs to, once its kind and round
+        pass; None while that round holds no share."""
         if msg.kind is not kind:
             raise ProtocolError(f"{self._name} cannot accept {msg.kind.name}")
         if msg.round_index <= self.finalized_round:
             raise StaleRoundError(f"{self._name} already finalized round "
                                   f"{self.finalized_round}; got round {msg.round_index}")
+        return self.rounds.get(msg.round_index)
+
+    def _round_of(self, msg: Message, kind: MessageKind) -> Optional[_ServerRound]:
+        """As ``_open_round``, once the payload size passes too."""
+        state = self._open_round(msg, kind)
         if len(msg.payload) != self.payload_bytes:
             raise ProtocolError(f"{kind.name} from sender {msg.sender} has "
                                 f"{len(msg.payload)} bytes, expected {self.payload_bytes}")
-        return self.rounds.get(msg.round_index)
+        return state
 
     def _check_share(self, msg: Message, kind: MessageKind) -> None:
-        """Raise unless ``msg`` is a new share from a registered user."""
+        """Raise unless ``msg`` is a new share from a registered user, in time."""
         state = self._round_of(msg, kind)
         if msg.sender not in self.user_keys:
             raise UnknownParticipantError(f"{self._name} has no key for user {msg.sender}")
+        if state is not None and state.participants is not None:
+            raise ProtocolError(f"round {msg.round_index}: late share from user {msg.sender}")
         if state is not None and msg.sender in state.shares:
             raise DuplicateShareError(
                 f"round {msg.round_index}: duplicate share from user {msg.sender}")
@@ -303,39 +306,40 @@ class _Server:
         """Keep a share that passed every check; the first one opens its round."""
         self.rounds.setdefault(msg.round_index, _ServerRound()).shares[msg.sender] = share
 
-    def _participant_shares(self, ctx: RoundContext, reshare: Message,
-                            kind: MessageKind) -> list:
+    def _fixed(self, round_index: int) -> _ServerRound:
+        state = self.rounds.get(round_index)
+        if state is None or state.participants is None:
+            raise ProtocolError(f"round {round_index}: {self._name} has fixed no participants")
+        return state
+
+    def _reshare_keys(self, round_index: int) -> List[KeyMaterial]:
+        """The participants' keys, for the server's one reshare of the round."""
+        state = self._fixed(round_index)
+        if state.reshared:
+            raise ProtocolError(f"round {round_index}: {self._name} already sent its reshare")
+        state.reshared = True
+        return [self.user_keys[uid] for uid in state.participants]
+
+    def _participant_shares(self, reshare: Message, kind: MessageKind) -> list:
         """Every participant's share, once ``reshare`` passed the checks of a share."""
-        if reshare.round_index != ctx.round_index:
-            raise ProtocolError(f"{self._name} got a reshare of round {reshare.round_index} "
-                                f"for round {ctx.round_index}")
-        state = self._round_of(reshare, kind)
-        shares = state.shares if state else {}
-        missing = [uid for uid in ctx.participants if uid not in shares]
-        if missing:
-            raise MissingShareError(
-                f"round {ctx.round_index}: {self._name} has no share from users {missing}")
-        return [shares[uid] for uid in ctx.participants]
+        self._round_of(reshare, kind)
+        state = self._fixed(reshare.round_index)
+        return [state.shares[uid] for uid in state.participants]
 
-    def _known_keys(self, ctx: RoundContext) -> List[KeyMaterial]:
-        for uid in ctx.participants:
-            if uid not in self.user_keys:
-                raise UnknownParticipantError(f"{self._name} has no key for user {uid}")
-        return [self.user_keys[uid] for uid in ctx.participants]
-
-    def _finalize(self, ctx: RoundContext, published) -> None:
-        """Keep the round's publication; drop its shares and every earlier round."""
-        state = self.rounds[ctx.round_index]
+    def _finalize(self, reshare: Message, published) -> None:
+        """Keep the reshare's round's publication; drop its shares and every earlier round."""
+        round_index = reshare.round_index
+        state = self.rounds[round_index]
         state.published = published
-        state.m = ctx.m
+        state.m = len(state.participants)
         state.shares = {}
-        for r in [r for r in self.rounds if r < ctx.round_index]:
+        for r in [r for r in self.rounds if r < round_index]:
             del self.rounds[r]
-        self.finalized_round = ctx.round_index
+        self.finalized_round = round_index
 
     def _publication(self, round_index: int, kind: MessageKind, pack) -> Message:
-        state = self.rounds[round_index]
-        if state.published is None:
+        state = self.rounds.get(round_index)
+        if state is None or state.published is None:
             raise ProtocolError(f"round {round_index} not finalized at {self._name}")
         return Message(kind, round_index, self._sender, pack(state.m, state.published))
 
@@ -357,20 +361,20 @@ class CsState(_Server):
         _require_canonical(vec, self.params.r, f"share from user {msg.sender}")
         self._keep_share(msg, vec)
 
-    def finalize_model(self, ctx: RoundContext, reshare: Message) -> None:
+    def finalize_model(self, reshare: Message) -> None:
         """w''_1 = sum of participant shares + w_t from the VS's RESHARE_MODEL, kept with m."""
         p = self.params
-        shares = self._participant_shares(ctx, reshare, MessageKind.RESHARE_MODEL)
+        shares = self._participant_shares(reshare, MessageKind.RESHARE_MODEL)
         w_t = field.vec_from_raw(reshare.payload)
-        _require_canonical(w_t, p.r, f"round {ctx.round_index}: reshare w_t from the VS")
-        self._finalize(ctx, field.vec_add(field.vec_sum(shares, p.r), w_t, p.r))
+        _require_canonical(w_t, p.r, f"round {reshare.round_index}: reshare w_t from the VS")
+        self._finalize(reshare, field.vec_add(field.vec_sum(shares, p.r), w_t, p.r))
 
-    def tag_aggregate(self, ctx: RoundContext) -> Message:
+    def tag_aggregate(self, round_index: int) -> Message:
         """RESHARE_TAG to the VS: b_t = sum of regenerated tag shares minus the global mask."""
-        r, round_index = self.params.r, ctx.round_index
-        b1 = sum(expand_one(key, round_index, r) for key in self._known_keys(ctx))
+        r = self.params.r
+        b1 = sum(expand_one(key, round_index, r) for key in self._reshare_keys(round_index))
         b_t = (b1 - expand_one(self.k_cg, round_index, r)) % r
-        return Message(MessageKind.RESHARE_TAG, ctx.round_index, self._sender,
+        return Message(MessageKind.RESHARE_TAG, round_index, self._sender,
                        tags.tag_to_bytes(b_t))
 
     def publish_model_message(self, round_index: int) -> Message:
@@ -392,20 +396,20 @@ class VsState(_Server):
         self._check_share(msg, MessageKind.TAG_SHARE)
         self._keep_share(msg, tags.tag_from_bytes(msg.payload))
 
-    def model_aggregate(self, ctx: RoundContext) -> Message:
+    def model_aggregate(self, round_index: int) -> Message:
         """RESHARE_MODEL to the CS: w_t = sum of regenerated user masks minus the global mask."""
         p = self.params
         # A generator: each mask is added and dropped before the next is made.
-        total = field.vec_sum((expand(key, ctx.round_index, p.dim, p.r)
-                               for key in self._known_keys(ctx)), p.r)
-        w_t = field.vec_sub(total, expand(self.k_vg, ctx.round_index, p.dim, p.r), p.r)
-        return Message(MessageKind.RESHARE_MODEL, ctx.round_index, self._sender,
+        total = field.vec_sum((expand(key, round_index, p.dim, p.r)
+                               for key in self._reshare_keys(round_index)), p.r)
+        w_t = field.vec_sub(total, expand(self.k_vg, round_index, p.dim, p.r), p.r)
+        return Message(MessageKind.RESHARE_MODEL, round_index, self._sender,
                        field.vec_to_raw(w_t))
 
-    def finalize_tag(self, ctx: RoundContext, reshare: Message) -> None:
+    def finalize_tag(self, reshare: Message) -> None:
         """b'_2 = sum of participant tag shares + b_t from the CS's RESHARE_TAG, kept with m."""
-        b2 = sum(self._participant_shares(ctx, reshare, MessageKind.RESHARE_TAG))
-        self._finalize(ctx, (b2 + tags.tag_from_bytes(reshare.payload)) % self.params.r)
+        b2 = sum(self._participant_shares(reshare, MessageKind.RESHARE_TAG))
+        self._finalize(reshare, (b2 + tags.tag_from_bytes(reshare.payload)) % self.params.r)
 
     def publish_tag_message(self, round_index: int) -> Message:
         return self._publication(round_index, MessageKind.PUBLISH_TAG, pack_publish_tag)

@@ -238,9 +238,27 @@ def test_malformed_publication_alarm_per_participant(monkeypatch, server, publis
     assert not any(res.verified or res.model is not None for res in outcome.results.values())
 
 
+def four_user_round(net, vs_skips=()):
+    """One round of four users over ``net``; the VS never receives the tag
+    shares of the users in ``vs_skips``."""
+    params = default_params(RunConfig(users=4, dim=3))
+    rng = random.Random(3)
+    users, cs, vs = setup(4, params, rng=rng)
+    receive = vs.receive_tag_share
+    vs.receive_tag_share = lambda msg: None if msg.sender in vs_skips else receive(msg)
+    updates = {0: np.zeros(3), 1: np.full(3, 0.25), 2: np.full(3, 0.5), 3: np.full(3, 0.75)}
+    try:
+        outcome = harness.run_round(users, {u.uid: u for u in users}, cs, vs, net, 1,
+                                    updates, rng)
+    finally:
+        net.close()
+    return outcome, cs, vs
+
+
 def test_servers_intersect_the_online_lists_they_received():
-    # The VS's list reaches the CS without user 2, so user 2 is no participant
-    # although both servers hold its share.
+    # The VS's list reaches the CS without user 2. Each server intersects the
+    # list it received with the shares it holds, so the CS fixes {0, 1, 3}
+    # and the VS {0, 1, 2, 3}, and the users see the two counts disagree.
     class DroppingNetwork(harness._Network):
         def transfer(self, name, msg):
             delivered = super().transfer(name, msg)
@@ -249,19 +267,22 @@ def test_servers_intersect_the_online_lists_they_received():
                 delivered = replace(delivered, payload=pack_online_list(ids))
             return delivered
 
-    params = default_params(RunConfig(users=4, dim=3))
-    rng = random.Random(3)
-    users, cs, vs = setup(4, params, rng=rng)
-    all_users = {u.uid: u for u in users}
-    net = DroppingNetwork("memory")
-    updates = {0: np.zeros(3), 1: np.full(3, 0.25), 2: np.full(3, 0.5), 3: np.full(3, 0.75)}
-    outcome = harness.run_round(users, all_users, cs, vs, net, 1, updates, rng)
-    net.close()
+    outcome, cs, vs = four_user_round(DroppingNetwork("memory"))
+    assert (cs.rounds[1].participants, vs.rounds[1].participants) == ((0, 1, 3), (0, 1, 2, 3))
     assert list(outcome.results) == [0, 1, 3]
-    assert all(res.verified for res in outcome.results.values())
-    for res in outcome.results.values():
-        assert np.array_equal(res.model, np.full(3, 1 / 3))
+    assert [(a.uid, a.reason, a.first, a.second) for a in outcome.alarms] == [
+        (uid, AlarmReason.COUNT_MISMATCH, 3, 4) for uid in (0, 1, 3)]
+
+
+def test_a_share_that_reaches_one_server_leaves_its_user_out_at_both():
+    # User 2's tag share never reaches the VS, so neither server counts user 2.
+    outcome, cs, vs = four_user_round(harness._Network("memory"), vs_skips={2})
+    assert cs.rounds[1].participants == vs.rounds[1].participants == (0, 1, 3)
     assert cs.rounds[1].m == vs.rounds[1].m == 3
+    assert list(outcome.results) == [0, 1, 3]
+    for res in outcome.results.values():
+        assert res.verified
+        assert np.array_equal(res.model, np.full(3, 1 / 3))
 
 
 @pytest.mark.parametrize("adversary", [None, AdversarySpec("cs", "tamper_aggregate", 2)])

@@ -1,4 +1,5 @@
 import random
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -9,12 +10,11 @@ from vsecagg.codec import CodecParams, decode, encode
 from vsecagg.field import FieldModulus
 from vsecagg.prf import KeyMaterial, concat_keys, expand
 from vsecagg.roles import (CsState, DuplicateIdError, DuplicateShareError,
-                           EmptyIntersectionError, MissingShareError,
-                           ProtocolError, ProtocolParams, RoundContext, StaleRoundError,
-                           UserState, VsState, init_model_from_seeds, intersect_online,
+                           EmptyIntersectionError, ProtocolError, ProtocolParams,
+                           StaleRoundError, UserState, VsState, init_model_from_seeds,
                            join_new_user, setup)
-from vsecagg.wire import (AlarmReason, Message, MessageKind, pack_publish_model,
-                          unpack_publish_model, unpack_publish_tag)
+from vsecagg.wire import (AlarmReason, Message, MessageKind, pack_online_list,
+                          pack_publish_model, unpack_publish_model, unpack_publish_tag)
 
 BIG_PRIME = FieldModulus((1 << 60) + 33)  # the smallest prime above 2^60
 MERSENNE_61 = (1 << 61) - 1  # the default modulus
@@ -28,20 +28,49 @@ def make_params(dim=2, r=BIG_PRIME, n_max=10, delta=1 << 40, bound=10.0):
                                                      x_min=-bound, x_max=bound))
 
 
-def run_honest_round(users, cs, vs, updates, r, weights=None):
-    """Drive one round directly through the role APIs (no transport).
-
-    Returns the round's context and its two publications.
-    """
+def share_all(users, cs, vs, updates, r, weights=None):
+    """Every user's two shares of round r, delivered to both servers."""
     for u in users:
         weight = weights[u.uid] if weights else None
         to_cs, to_vs = u.share_round(updates[u.uid], r, weight=weight)
         cs.receive_share(to_cs)
         vs.receive_tag_share(to_vs)
-    ctx = intersect_online(cs.online_ids(r), vs.online_ids(r), r)
-    cs.finalize_model(ctx, vs.model_aggregate(ctx))
-    vs.finalize_tag(ctx, cs.tag_aggregate(ctx))
-    return ctx, cs.publish_model_message(r), vs.publish_tag_message(r)
+
+
+def swap_lists(cs, vs, r):
+    """The servers' ONLINE_LIST exchange of round r, as run_round routes it."""
+    vs.receive_online_list(cs.online_list(r))
+    cs.receive_online_list(vs.online_list(r))
+
+
+def aggregate(cs, vs, r):
+    """The list exchange, both reshares and both finalizations of round r."""
+    swap_lists(cs, vs, r)
+    cs.finalize_model(vs.model_aggregate(r))
+    vs.finalize_tag(cs.tag_aggregate(r))
+
+
+def run_honest_round(users, cs, vs, updates, r, weights=None):
+    """Drive one round directly through the role APIs (no transport).
+
+    Returns the round's two publications.
+    """
+    share_all(users, cs, vs, updates, r, weights)
+    aggregate(cs, vs, r)
+    return cs.publish_model_message(r), vs.publish_tag_message(r)
+
+
+def list_message(ids, r, sender=1):
+    return Message(MessageKind.ONLINE_LIST, r, sender, pack_online_list(ids))
+
+
+def assert_all_verify(users, cs, vs, r, model=None):
+    """Every user verifies round r's publications, and decodes ``model`` if given."""
+    for u in users:
+        res = u.reconstruct_round(cs.publish_model_message(r), vs.publish_tag_message(r), r)
+        assert res.verified
+        if model is not None:
+            assert np.array_equal(res.model, model)
 
 
 def model_publication(vec, m, r):
@@ -151,22 +180,13 @@ def test_share_round_rejects_stale_round():
         users[0].share_round(np.zeros(2), 1)
 
 
-def test_intersect_online():
-    ctx = intersect_online({1, 2, 3}, {2, 3, 4}, 1)
-    assert ctx.participants == (2, 3)
-    assert ctx.m == 2
-    full = intersect_online({1, 2}, {1, 2}, 1)
-    assert full.participants == (1, 2)
-    with pytest.raises(EmptyIntersectionError):
-        intersect_online({1}, {2}, 1)
-
-
 def test_vs_model_aggregate_hand_summed():
     r = 17
     params = make_params(dim=1, r=r, n_max=1, delta=1, bound=4.0)
-    _, cs, vs = setup(2, params, rng=random.Random(8))
-    ctx = RoundContext(1, (0, 1))
-    msg = vs.model_aggregate(ctx)
+    users, cs, vs = setup(2, params, rng=random.Random(8))
+    share_all(users, cs, vs, {0: np.zeros(1), 1: np.ones(1)}, 1)
+    swap_lists(cs, vs, 1)
+    msg = vs.model_aggregate(1)
     assert (msg.kind, msg.round_index, msg.sender) == (MessageKind.RESHARE_MODEL, 1, 1)
     w_t = field.vec_from_raw(msg.payload)
     expected = (int(expand(vs.user_keys[0], 1, 1, r)[0])
@@ -176,41 +196,160 @@ def test_vs_model_aggregate_hand_summed():
 
 
 def test_vs_model_aggregate_order_independent():
+    # Two VSs with the same keys take the tag shares and the CS's list in
+    # different orders; both fix participants (0, 1, 2) and answer alike.
     params = make_params(dim=4)
-    _, _, vs = setup(3, params, rng=random.Random(9))
-    a = vs.model_aggregate(RoundContext(1, (0, 1, 2)))
-    b = vs.model_aggregate(RoundContext(1, (2, 0, 1)))
-    assert bytes(a.payload) == bytes(b.payload)
-
-
-def test_vs_model_aggregate_unknown_participant():
-    from vsecagg.roles import UnknownParticipantError
-    params = make_params()
-    _, _, vs = setup(1, params, rng=random.Random(10))
-    with pytest.raises(UnknownParticipantError):
-        vs.model_aggregate(RoundContext(1, (0, 99)))
+    users, _, vs_a = setup(3, params, rng=random.Random(9))
+    _, _, vs_b = setup(3, params, rng=random.Random(9))
+    to_vs = [u.share_round(np.zeros(4), 1)[1] for u in users]
+    for msg in to_vs:
+        vs_a.receive_tag_share(msg)
+    for msg in reversed(to_vs):
+        vs_b.receive_tag_share(msg)
+    vs_a.receive_online_list(list_message([0, 1, 2], 1, sender=0))
+    vs_b.receive_online_list(Message(MessageKind.ONLINE_LIST, 1, 0,
+                                     struct.pack("<3I", 2, 0, 1)))
+    assert vs_a.rounds[1].participants == vs_b.rounds[1].participants == (0, 1, 2)
+    assert bytes(vs_a.model_aggregate(1).payload) == bytes(vs_b.model_aggregate(1).payload)
 
 
 def test_cs_tag_aggregate_single_term():
     params = make_params()
-    _, cs, _ = setup(1, params, rng=random.Random(11))
-    msg = cs.tag_aggregate(RoundContext(1, (0,)))
+    users, cs, vs = setup(1, params, rng=random.Random(11))
+    share_all(users, cs, vs, {0: np.zeros(2)}, 1)
+    swap_lists(cs, vs, 1)
+    msg = cs.tag_aggregate(1)
     assert (msg.kind, msg.round_index, msg.sender) == (MessageKind.RESHARE_TAG, 1, 0)
     expected = (int(expand(cs.user_keys[0], 1, 1, params.r)[0])
                 - int(expand(cs.k_cg, 1, 1, params.r)[0])) % params.r
     assert tags.tag_from_bytes(msg.payload) == expected
-    assert cs.tag_aggregate(RoundContext(1, (0,))) == msg
 
 
-def test_cs_rejects_duplicate_share_and_missing_share():
+def test_each_server_sends_one_reshare_per_round():
+    # A second answer for another participant set would differ from the
+    # first by one user's mask, which the peer server could strip from that
+    # user's share.
+    params = make_params(dim=3)
+    users, cs, vs = setup(3, params, rng=random.Random(36))
+    share_all(users, cs, vs, {u.uid: np.full(3, 0.5) for u in users}, 1)
+    swap_lists(cs, vs, 1)
+    w_t, b_t = vs.model_aggregate(1), cs.tag_aggregate(1)
+    with pytest.raises(ProtocolError, match="already sent its reshare"):
+        vs.model_aggregate(1)
+    with pytest.raises(ProtocolError, match="already sent its reshare"):
+        cs.tag_aggregate(1)
+    cs.finalize_model(w_t)
+    # The CS answers after finalizing its round, and still only once.
+    with pytest.raises(ProtocolError, match="already sent its reshare"):
+        cs.tag_aggregate(1)
+    vs.finalize_tag(b_t)
+    assert_all_verify(users, cs, vs, 1, np.full(3, 0.5))
+
+
+def test_servers_reshare_only_for_fixed_participants():
+    params = make_params()
+    users, cs, vs = setup(2, params, rng=random.Random(37))
+    # Nothing fixed: no round, or a round whose lists were not exchanged.
+    for request in (vs.model_aggregate, cs.tag_aggregate):
+        with pytest.raises(ProtocolError, match="fixed no participants"):
+            request(1)
+    share_all(users, cs, vs, {u.uid: np.zeros(2) for u in users}, 1)
+    for request in (vs.model_aggregate, cs.tag_aggregate):
+        with pytest.raises(ProtocolError, match="fixed no participants"):
+            request(1)
+    aggregate(cs, vs, 1)
+    assert_all_verify(users, cs, vs, 1, np.zeros(2))
+
+
+def test_servers_fix_participants_once():
+    params = make_params()
+    users, cs, vs = setup(3, params, rng=random.Random(38))
+    share_all(users, cs, vs, {u.uid: np.full(2, 0.25 * u.uid) for u in users}, 1)
+    vs.receive_online_list(cs.online_list(1))
+    bad = [(vs, cs.online_list(1)),  # a second list
+           (vs, list_message([2], 1, sender=0)),  # a second list naming one user
+           (cs, Message(MessageKind.RESHARE_MODEL, 1, 1, pack_online_list([0, 1, 2]))),
+           (cs, Message(MessageKind.ONLINE_LIST, 1, 1, b"abc"))]
+    for server, msg in bad:
+        with pytest.raises(ProtocolError):
+            server.receive_online_list(msg)
+    assert vs.rounds[1].participants == (0, 1, 2) and cs.rounds[1].participants is None
+    cs.receive_online_list(vs.online_list(1))
+    with pytest.raises(ProtocolError):
+        cs.receive_online_list(list_message([0], 1))
+    assert cs.rounds[1].participants == (0, 1, 2)
+    cs.finalize_model(vs.model_aggregate(1))
+    vs.finalize_tag(cs.tag_aggregate(1))
+    # A list for a finalized round.
+    for server, sender in ((cs, 1), (vs, 0)):
+        with pytest.raises(StaleRoundError):
+            server.receive_online_list(list_message([0, 1, 2], 1, sender))
+    assert cs.rounds[1].m == vs.rounds[1].m == 3
+    assert_all_verify(users, cs, vs, 1, np.full(2, 0.25))
+
+
+def test_empty_intersection_fixes_no_participants():
+    params = make_params()
+    users, cs, vs = setup(2, params, rng=random.Random(39))
+    with pytest.raises(EmptyIntersectionError):
+        cs.receive_online_list(list_message([0, 1], 1))  # the CS holds no share yet
+    assert 1 not in cs.rounds
+    share_all(users, cs, vs, {u.uid: np.zeros(2) for u in users}, 1)
+    for ids in ([], [5]):
+        with pytest.raises(EmptyIntersectionError):
+            cs.receive_online_list(list_message(ids, 1))
+    assert cs.rounds[1].participants is None
+    aggregate(cs, vs, 1)
+    assert_all_verify(users, cs, vs, 1, np.zeros(2))
+
+
+@pytest.mark.parametrize("server", ["cs", "vs"])
+def test_server_rejects_a_share_after_fixing_participants(server):
+    params = make_params()
+    users, cs, vs = setup(3, params, rng=random.Random(40))
+    share_all(users[:2], cs, vs, {0: np.zeros(2), 1: np.ones(2)}, 1)
+    swap_lists(cs, vs, 1)
+    to_cs, to_vs = users[2].share_round(np.full(2, 0.5), 1)
+    target, receive, late = ((cs, cs.receive_share, to_cs) if server == "cs"
+                             else (vs, vs.receive_tag_share, to_vs))
+    with pytest.raises(ProtocolError, match="late share from user 2"):
+        receive(late)
+    assert list(target.rounds[1].shares) == [0, 1]
+    assert target.rounds[1].participants == (0, 1)
+    cs.finalize_model(vs.model_aggregate(1))
+    vs.finalize_tag(cs.tag_aggregate(1))
+    assert_all_verify(users[:2], cs, vs, 1, np.full(2, 0.5))
+
+
+def test_publication_of_a_round_not_finalized_raises():
+    params = make_params()
+    users, cs, vs = setup(2, params, rng=random.Random(42))
+    rng = np.random.default_rng(13)
+
+    def rejected(r):
+        for publish in (cs.publish_model_message, vs.publish_tag_message):
+            with pytest.raises(ProtocolError, match=f"round {r} not finalized"):
+                publish(r)
+
+    rejected(0)
+    rejected(5)  # unknown at fresh servers
+    for r in (1, 2):
+        run_honest_round(users, cs, vs, {u.uid: rng.uniform(-1, 1, 2) for u in users}, r)
+    rejected(1)  # dropped when round 2 finalized
+    share_all(users, cs, vs, {u.uid: np.zeros(2) for u in users}, 3)
+    swap_lists(cs, vs, 3)
+    rejected(3)  # open
+    assert_all_verify(users, cs, vs, 2)
+
+
+def test_cs_rejects_duplicate_share():
     params = make_params()
     users, cs, _ = setup(2, params, rng=random.Random(12))
     to_cs, _ = users[0].share_round(np.zeros(2), 1)
     cs.receive_share(to_cs)
     with pytest.raises(DuplicateShareError):
         cs.receive_share(to_cs)
-    with pytest.raises(MissingShareError, match=r"\[1\]"):
-        cs.finalize_model(RoundContext(1, (0, 1)), reshare_model(np.zeros(2, dtype=np.uint64), 1))
+    assert list(cs.rounds[1].shares) == [0]
 
 
 def test_finalize_model_reconstructs_encoded_sum():
@@ -218,7 +357,7 @@ def test_finalize_model_reconstructs_encoded_sum():
     users, cs, vs = setup(3, params, rng=random.Random(13))
     rng = np.random.default_rng(0)
     updates = {u.uid: rng.uniform(-1, 1, 2) for u in users}
-    _, model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 1)
+    model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 1)
     m_cs, w1pp = unpack_publish_model(model_msg.payload)
     assert m_cs == unpack_publish_tag(tag_msg.payload)[0] == 3
     # Oracle: sum of plaintext encodings.
@@ -234,7 +373,7 @@ def test_tag_shares_reconstruct_tag_sum():
     users, cs, vs = setup(2, params, rng=random.Random(14))
     rng = np.random.default_rng(1)
     updates = {u.uid: rng.uniform(-1, 1, 2) for u in users}
-    _, _, tag_msg = run_honest_round(users, cs, vs, updates, 1)
+    _, tag_msg = run_honest_round(users, cs, vs, updates, 1)
     _, b2p = unpack_publish_tag(tag_msg.payload)
     key_vec = tags.derive_tag_key(users[0].k_v, 1, 2, params.r)
     expected = sum(
@@ -249,7 +388,7 @@ def test_user_reconstruct_honest_three_users():
     users, cs, vs = setup(3, params, rng=random.Random(15))
     rng = np.random.default_rng(2)
     updates = {u.uid: rng.uniform(-1, 1, 2) for u in users}
-    _, model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 1)
+    model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 1)
     mean = np.mean([updates[u.uid] for u in users], axis=0)
     for u in users:
         res = u.reconstruct_round(model_msg, tag_msg, 1)
@@ -263,7 +402,7 @@ def test_user_reconstruct_single_participant_identity():
     params = make_params(dim=3, n_max=1)
     users, cs, vs = setup(1, params, rng=random.Random(16))
     update = np.array([0.75, -0.5, 0.125])
-    _, model_msg, tag_msg = run_honest_round(users, cs, vs, {0: update}, 1)
+    model_msg, tag_msg = run_honest_round(users, cs, vs, {0: update}, 1)
     res = users[0].reconstruct_round(model_msg, tag_msg, 1)
     assert res.verified
     assert np.max(np.abs(res.model - update)) <= 0.5 / params.codec.delta
@@ -274,7 +413,7 @@ def test_user_reconstruct_detects_flipped_coordinate():
     users, cs, vs = setup(3, params, rng=random.Random(17))
     rng = np.random.default_rng(3)
     updates = {u.uid: rng.uniform(-1, 1, 4) for u in users}
-    _, model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 1)
+    model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 1)
     m, w1pp = unpack_publish_model(model_msg.payload)
     _, b2p = unpack_publish_tag(tag_msg.payload)
     tampered = w1pp.copy()
@@ -295,10 +434,10 @@ def test_user_reconstruct_rejects_m_mismatch():
     users, cs, vs = setup(2, params, rng=random.Random(18))
     rng = np.random.default_rng(4)
     updates = {u.uid: rng.uniform(-1, 1, 2) for u in users}
-    _, model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 1)
+    model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 1)
     assert users[0].reconstruct_round(model_msg, tag_msg, 1).verified
     model = users[0].current_model
-    _, model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 2)
+    model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 2)
     m, w1pp = unpack_publish_model(model_msg.payload)
     # Everything but the CS's count is honest, so only the count check can fire.
     res = users[0].reconstruct_round(model_publication(w1pp, m + 1, 2), tag_msg, 2)
@@ -322,7 +461,7 @@ def test_join_new_user_keys_and_participation():
     users, cs, vs = setup(2, params, rng=random.Random(20))
     rng = np.random.default_rng(5)
     updates = {u.uid: rng.uniform(-1, 1, 2) for u in users}
-    _, model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 1)
+    model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 1)
 
     joiner = join_new_user(cs, vs, rng=random.Random(21))
     assert joiner.uid == 2
@@ -337,7 +476,7 @@ def test_join_new_user_keys_and_participation():
 
     everyone = users + [joiner]
     updates2 = {u.uid: rng.uniform(-1, 1, 2) for u in everyone}
-    _, model_msg2, tag_msg2 = run_honest_round(everyone, cs, vs, updates2, 2)
+    model_msg2, tag_msg2 = run_honest_round(everyone, cs, vs, updates2, 2)
     mean = np.mean([updates2[u.uid] for u in everyone], axis=0)
     res2 = joiner.reconstruct_round(model_msg2, tag_msg2, 2)
     assert res2.verified
@@ -357,7 +496,7 @@ def test_weighted_round_matches_weighted_oracle():
     users, cs, vs = setup(2, params, rng=random.Random(23))
     weights = {0: 1.0, 1: 3.0}
     updates = {0: np.array([0.5, -0.5]), 1: np.array([0.25, 0.75])}
-    _, model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 1, weights=weights)
+    model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 1, weights=weights)
     res = users[0].reconstruct_round(model_msg, tag_msg, 1, weighted=True)
     assert res.verified
     expected = (updates[0] * 1.0 + updates[1] * 3.0) / 4.0
@@ -374,10 +513,10 @@ def test_weighted_unit_weights_match_unweighted():
     # unweighted path on the padded vector.
     updates = {0: np.array([0.5, -0.25]), 1: np.array([0.125, 0.875])}
     weights = {0: 1.0, 1: 1.0}
-    _, model_w, tag_w = run_honest_round(users_w, cs_w, vs_w, updates, 1, weights=weights)
+    model_w, tag_w = run_honest_round(users_w, cs_w, vs_w, updates, 1, weights=weights)
     res_w = users_w[0].reconstruct_round(model_w, tag_w, 1, weighted=True)
     padded = {uid: np.append(v, 1.0) for uid, v in updates.items()}
-    _, model_p, tag_p = run_honest_round(users_p, cs_p, vs_p, padded, 1)
+    model_p, tag_p = run_honest_round(users_p, cs_p, vs_p, padded, 1)
     res_p = users_p[0].reconstruct_round(model_p, tag_p, 1)
     assert res_w.verified and res_p.verified
     assert np.allclose(res_w.model, res_p.model[:-1], atol=0.5 / params.codec.delta)
@@ -389,7 +528,7 @@ def test_server_state_stays_within_one_round_over_many_rounds():
     rng = np.random.default_rng(5)
     for r in range(1, 61):
         updates = {u.uid: rng.uniform(-1, 1, 8) for u in users}
-        _, model_msg, tag_msg = run_honest_round(users, cs, vs, updates, r)
+        model_msg, tag_msg = run_honest_round(users, cs, vs, updates, r)
         # Only the finalized round is kept, with its publication but no shares.
         assert list(cs.rounds) == [r] and list(vs.rounds) == [r]
         assert not cs.rounds[r].shares and not vs.rounds[r].shares
@@ -409,22 +548,23 @@ def test_servers_reject_shares_for_finalized_rounds():
             continue
         cs.receive_share(to_cs)
         vs.receive_tag_share(to_vs)
-    ctx = RoundContext(1, (0, 1))
-    cs.finalize_model(ctx, vs.model_aggregate(ctx))
-    vs.finalize_tag(ctx, cs.tag_aggregate(ctx))
+    swap_lists(cs, vs, 1)
+    w_t, b_t = vs.model_aggregate(1), cs.tag_aggregate(1)
+    cs.finalize_model(w_t)
+    vs.finalize_tag(b_t)
     with pytest.raises(StaleRoundError):
         cs.receive_share(late["cs"])
     with pytest.raises(StaleRoundError):
         vs.receive_tag_share(late["vs"])
     with pytest.raises(StaleRoundError):
-        cs.finalize_model(ctx, vs.model_aggregate(ctx))
+        cs.finalize_model(w_t)
     with pytest.raises(StaleRoundError):
-        vs.finalize_tag(ctx, cs.tag_aggregate(ctx))
+        vs.finalize_tag(b_t)
     # The next round is open.
     to_cs, to_vs = users[2].share_round(np.zeros(2), 2)
     cs.receive_share(to_cs)
     vs.receive_tag_share(to_vs)
-    assert cs.online_ids(2) == vs.online_ids(2) == [2]
+    assert list(cs.rounds[2].shares) == list(vs.rounds[2].shares) == [2]
 
 
 def test_cs_rejects_non_canonical_share():
@@ -435,7 +575,7 @@ def test_cs_rejects_non_canonical_share():
     bad[1] = np.uint64(params.r)
     with pytest.raises(ProtocolError, match="non-canonical"):
         cs.receive_share(Message(to_cs.kind, 1, 0, field.vec_to_raw(bad)))
-    assert cs.online_ids(1) == []
+    assert 1 not in cs.rounds
 
 
 def test_rejected_shares_open_no_round():
@@ -477,12 +617,8 @@ def test_rejected_shares_open_no_round():
     to_cs, to_vs = users[1].share_round(np.zeros(2), 2)
     cs.receive_share(to_cs)
     vs.receive_tag_share(to_vs)
-    ctx = intersect_online(cs.online_ids(2), vs.online_ids(2), 2)
-    cs.finalize_model(ctx, vs.model_aggregate(ctx))
-    vs.finalize_tag(ctx, cs.tag_aggregate(ctx))
-    for u in users:
-        res = u.reconstruct_round(cs.publish_model_message(2), vs.publish_tag_message(2), 2)
-        assert res.verified and np.array_equal(res.model, np.zeros(2))
+    aggregate(cs, vs, 2)
+    assert_all_verify(users, cs, vs, 2, np.zeros(2))
 
 
 @pytest.mark.parametrize("r", [BIG_PRIME, MERSENNE_61])
@@ -491,7 +627,7 @@ def test_user_fails_closed_on_non_canonical_aggregate(r):
     users, cs, vs = setup(3, params, rng=random.Random(29))
     rng = np.random.default_rng(7)
     updates = {u.uid: rng.uniform(-1, 1, 4) for u in users}
-    _, model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 1)
+    model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 1)
     m, w1pp = unpack_publish_model(model_msg.payload)
     one_high = w1pp.copy()
     one_high[2] = np.uint64(r)
@@ -509,7 +645,7 @@ def test_user_fails_closed_on_wrong_length_aggregate():
     users, cs, vs = setup(3, params, rng=random.Random(31))
     rng = np.random.default_rng(8)
     updates = {u.uid: rng.uniform(-1, 1, 4) for u in users}
-    _, model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 1)
+    model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 1)
     m, w1pp = unpack_publish_model(model_msg.payload)
     for published in (w1pp[:3], np.append(w1pp, w1pp[:1]), w1pp[:0]):
         res = users[0].reconstruct_round(model_publication(published, m, 1), tag_msg, 1)
@@ -526,15 +662,15 @@ def test_cs_rejects_non_canonical_reshare():
         to_cs, to_vs = u.share_round(np.zeros(3), 1)
         cs.receive_share(to_cs)
         vs.receive_tag_share(to_vs)
-    ctx = intersect_online(cs.online_ids(1), vs.online_ids(1), 1)
-    w_t = vs.model_aggregate(ctx)
+    swap_lists(cs, vs, 1)
+    w_t = vs.model_aggregate(1)
     one_high = field.vec_from_raw(w_t.payload).copy()
     one_high[1] = np.uint64(MERSENNE_61)
     for bad in (one_high, np.full(3, HIGH_WORD, dtype=np.uint64)):
         with pytest.raises(ProtocolError, match="non-canonical"):
-            cs.finalize_model(ctx, reshare_model(bad, 1))
+            cs.finalize_model(reshare_model(bad, 1))
     assert cs.finalized_round == 0
-    assert cs.finalize_model(ctx, w_t) is None
+    assert cs.finalize_model(w_t) is None
     assert cs.rounds[1].m == 2 and int(cs.rounds[1].published.max()) < MERSENNE_61
 
 
@@ -552,7 +688,7 @@ def test_user_derives_tag_key_once_per_round(monkeypatch):
     rng = np.random.default_rng(6)
     for r in (1, 2):
         updates = {u.uid: rng.uniform(-1, 1, 4) for u in users}
-        _, model_msg, tag_msg = run_honest_round(users, cs, vs, updates, r)
+        model_msg, tag_msg = run_honest_round(users, cs, vs, updates, r)
         for u in users:
             assert u.reconstruct_round(model_msg, tag_msg, r).verified
     assert calls == [1, 1, 2, 2]
@@ -569,7 +705,7 @@ def test_user_rejects_a_publication_that_does_not_parse(kind):
     users, cs, vs = setup(2, params, rng=random.Random(32))
     rng = np.random.default_rng(9)
     updates = {u.uid: rng.uniform(-1, 1, 2) for u in users}
-    _, model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 1)
+    model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 1)
     short = Message(kind, 1, 0, b"\x00" * 3)
     pair = (short, tag_msg) if kind is MessageKind.PUBLISH_MODEL else (model_msg, short)
     res = users[0].reconstruct_round(*pair, 1)
@@ -586,24 +722,22 @@ def test_finalize_rejects_a_reshare_of_the_wrong_kind_or_round():
         to_cs, to_vs = u.share_round(np.zeros(2), 2)
         cs.receive_share(to_cs)
         vs.receive_tag_share(to_vs)
-    ctx = RoundContext(2, (0, 1))
-    w_t, b_t = vs.model_aggregate(ctx), cs.tag_aggregate(ctx)
+    swap_lists(cs, vs, 2)
+    w_t, b_t = vs.model_aggregate(2), cs.tag_aggregate(2)
     for bad in (b_t, replace(w_t, round_index=1), replace(w_t, round_index=3),
                 replace(w_t, payload=b"abc"), replace(w_t, payload=w_t.payload[:-8])):
         with pytest.raises(ProtocolError):
-            cs.finalize_model(ctx, bad)
+            cs.finalize_model(bad)
     for bad in (w_t, replace(b_t, round_index=1), replace(b_t, round_index=3),
                 replace(b_t, payload=b"abc")):
         with pytest.raises(ProtocolError):
-            vs.finalize_tag(ctx, bad)
+            vs.finalize_tag(bad)
     assert cs.finalized_round == vs.finalized_round == 0
     assert list(cs.rounds) == list(vs.rounds) == [2]
-    cs.finalize_model(ctx, w_t)
-    vs.finalize_tag(ctx, b_t)
+    cs.finalize_model(w_t)
+    vs.finalize_tag(b_t)
     assert cs.finalized_round == vs.finalized_round == 2
-    for u in users:
-        res = u.reconstruct_round(cs.publish_model_message(2), vs.publish_tag_message(2), 2)
-        assert res.verified and np.array_equal(res.model, np.zeros(2))
+    assert_all_verify(users, cs, vs, 2, np.zeros(2))
 
 
 def test_user_rejects_a_publication_of_another_round():
@@ -611,10 +745,10 @@ def test_user_rejects_a_publication_of_another_round():
     users, cs, vs = setup(2, params, rng=random.Random(34))
     rng = np.random.default_rng(10)
     updates = {u.uid: rng.uniform(-1, 1, 2) for u in users}
-    _, model_1, tag_1 = run_honest_round(users, cs, vs, updates, 1)
+    model_1, tag_1 = run_honest_round(users, cs, vs, updates, 1)
     assert users[0].reconstruct_round(model_1, tag_1, 1).verified
     model = users[0].current_model
-    _, model_2, tag_2 = run_honest_round(users, cs, vs, updates, 2)
+    model_2, tag_2 = run_honest_round(users, cs, vs, updates, 2)
     # Round 1's publications replayed at round 2, both or one of them.
     for pair in ((model_1, tag_1), (model_1, tag_2), (model_2, tag_1)):
         res = users[0].reconstruct_round(*pair, 2)
@@ -630,7 +764,7 @@ def test_user_rejects_publications_of_the_wrong_kind():
     users, cs, vs = setup(2, params, rng=random.Random(35))
     rng = np.random.default_rng(11)
     updates = {u.uid: rng.uniform(-1, 1, 1) for u in users}
-    _, model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 1)
+    model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 1)
     assert len(model_msg.payload) == len(tag_msg.payload)
     for pair, wrong in (((tag_msg, model_msg), tag_msg), ((model_msg, model_msg), model_msg)):
         res = users[0].reconstruct_round(*pair, 1)
