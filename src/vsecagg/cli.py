@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import random
 import sys
-from typing import List, Optional
+from typing import List, Optional, TextIO
 
 import numpy as np
 
@@ -53,11 +54,20 @@ def _config(args) -> RunConfig:
     )
 
 
-def _emit(text: str, report_out: Optional[str]) -> None:
+def _report_file(path: Optional[str]):
+    """The report file, opened before the job runs: an unwritable path is a usage error."""
+    if not path:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ConfigError(f"report file {path}: {exc}") from None
+
+
+def _emit(text: str, report_out: Optional[TextIO]) -> None:
     sys.stdout.write(text)
-    if report_out:
-        with open(report_out, "w") as fh:
-            fh.write(text)
+    if report_out is not None:
+        report_out.write(text)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -81,17 +91,18 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return _run(args)
+        with _report_file(args.report_out) as report_out:
+            return _run(args, report_out)
     except ConfigError as exc:
         # A configuration the run cannot start from is a usage error.
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
 
 
-def _run(args) -> int:
+def _run(args, report_out: Optional[TextIO]) -> int:
     if args.command == "simulate":
         report = run_simulation(_config(args))
-        _emit(report.to_text(), args.report_out)
+        _emit(report.to_text(), report_out)
         return 0 if report.exit_ok else 1
 
     if args.command == "calibrate":
@@ -101,7 +112,7 @@ def _run(args) -> int:
                 f"tamper_rate={result.tamper_rate:.6f}\n"
                 f"guess_rate={result.guess_rate:.6f}\n"
                 f"bound={result.bound:.6f}\nstderr={result.stderr:.6f}\n")
-        _emit(text, args.report_out)
+        _emit(text, report_out)
         return 0
 
     # oracle: replay the draws of a simulation's first round (setup takes
@@ -115,7 +126,7 @@ def _run(args) -> int:
     weights = dict(enumerate(cfg.weights)) if cfg.weights is not None else None
     mean = plaintext_oracle(updates, sorted(updates), params.codec, weights=weights)
     text = "\n".join(f"{coord}={float(value)!r}" for coord, value in enumerate(mean)) + "\n"
-    _emit(text, args.report_out)
+    _emit(text, report_out)
     return 0
 
 

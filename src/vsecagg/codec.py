@@ -36,7 +36,8 @@ class CodecParams:
     """Scaling factor, working modulus, and admissible value range.
 
     ``n_max`` is the largest participant count the parameters must
-    support; per-round counts are re-checked against the actual m.
+    support.  ``roles`` enforces it at enrolment: no more than ``n_max``
+    users register, so no round sums more than ``n_max`` encodings.
     """
 
     delta: int

@@ -1,10 +1,12 @@
-"""Multi-round simulation driver, adversary injection, oracles, and stage timings.
+"""Multi-round simulation driver, adversary table, oracles, and stage timings.
 
-Synthetic update vectors (uniform in [-1, 1] by default) stand in for
-locally trained models: the aggregation math is exercised in full
-without any ML machinery.  All randomness forks deterministically from
-the master seed, so two runs with the same config produce identical
-transcripts apart from wall-clock fields.
+A malicious server is the messages it sends: each attack rewrites one kind
+of message that its server sends, never the server's state.  Synthetic
+update vectors (uniform in [-1, 1] by default) stand in for locally
+trained models: the aggregation math is exercised in full without any ML
+machinery.  All randomness forks deterministically from the master seed,
+so two runs with the same config produce identical transcripts apart from
+wall-clock fields.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import codec, field, roles, tags
+from . import codec, field, roles, tags, wire
 from .field import FieldModulus, find_prime_below
 from .roles import CsState, ProtocolParams, UserState, VsState, setup
-from .wire import AlarmReason, MemoryLink, Message, TrafficLedger, socket_link_pair
+from .wire import AlarmReason, MemoryLink, Message, MessageKind, TrafficLedger, socket_link_pair
 
 
 class ConfigError(ValueError):
@@ -36,54 +38,59 @@ def _bumped(vec: np.ndarray, coord: int, magnitude: int, r: int) -> np.ndarray:
     return out
 
 
-def _tamper_model_share(cs: CsState, round_index: int, rng: random.Random,
-                        magnitude: int) -> None:
-    state = cs.rounds[round_index]
-    victim = rng.choice(state.participants)
-    state.shares[victim] = _bumped(state.shares[victim], rng.randrange(cs.params.dim),
-                                   magnitude, cs.params.r)
+def _tamper_model_share(cs: CsState, spec, rng, inbox, m, w):
+    # An offset on one participant's share moves the sum by the same offset,
+    # so the victim is drawn only to keep the rng stream of a share attack.
+    rng.choice(cs.rounds[spec.round_index].participants)
+    return m, _bumped(w, rng.randrange(cs.params.dim), spec.magnitude, cs.params.r)
 
 
-def _drop_participant(cs: CsState, round_index: int, rng: random.Random,
-                      magnitude: int) -> None:
+def _drop_participant(cs: CsState, spec, rng, inbox, m, w):
     # The CS claims the victim participated but omits its share from the sum.
-    victim = rng.choice(cs.rounds[round_index].participants)
+    victim = rng.choice(cs.rounds[spec.round_index].participants)
     rng.randrange(cs.params.dim)  # the coordinate draw of a share attack
-    cs.rounds[round_index].shares[victim] = np.zeros(cs.params.dim, dtype=np.uint64)
+    share = next(msg.payload for msg in inbox if msg.sender == victim)
+    return m, field.vec_sub(w, field.vec_from_raw(share), cs.params.r)
 
 
-def _tamper_aggregate(cs: CsState, round_index: int, rng: random.Random,
-                      magnitude: int) -> None:
-    state = cs.rounds[round_index]
-    state.published = _bumped(state.published, rng.randrange(cs.params.dim), magnitude,
-                              cs.params.r)
+def _tamper_aggregate(cs: CsState, spec, rng, inbox, m, w):
+    return m, _bumped(w, rng.randrange(cs.params.dim), spec.magnitude, cs.params.r)
 
 
-def _lie_about_m(cs: CsState, round_index: int, rng: random.Random,
-                 magnitude: int) -> None:
-    cs.rounds[round_index].m += max(1, magnitude)
+def _lie_about_m(cs: CsState, spec, rng, inbox, m, w):
+    return m + max(1, spec.magnitude), w
 
 
-def _forge_tag(vs: VsState, round_index: int, rng: random.Random,
-               magnitude: int) -> None:
-    vs.rounds[round_index].published = rng.randrange(vs.params.r)
+def _forge_tag(vs: VsState, spec, rng, inbox, m, tag):
+    return m, rng.randrange(vs.params.r)
 
 
 @dataclass(frozen=True)
 class Attack:
-    server: str   # "cs" or "vs": the server that performs it
-    stage: str    # the step of run_round it follows
-    apply: Callable[..., None]  # (server, round_index, rng, magnitude): changes its round
+    """A malicious server's rewrite of every message of one kind that it sends.
+
+    ``apply(server, spec, rng, inbox, count, body)`` returns the (count, body)
+    the server sends in place of a publication's; ``inbox`` holds the shares
+    run_round delivered to that server in the attacked round.
+    """
+
+    server: str        # "cs" or "vs": the server that sends the rewritten messages
+    kind: MessageKind  # the kind it rewrites, on each link "<server>->..."
+    apply: Callable[..., tuple]
 
 
 # Every modelled attack; run_round knows none of them by name.
 ADVERSARY_ACTIONS = {
-    "tamper_model_share": Attack("cs", "intersect", _tamper_model_share),
-    "tamper_aggregate": Attack("cs", "finalize_model", _tamper_aggregate),
-    "drop_participant": Attack("cs", "intersect", _drop_participant),
-    "lie_about_m": Attack("cs", "finalize_model", _lie_about_m),
-    "forge_tag": Attack("vs", "finalize_tag", _forge_tag),
+    "tamper_model_share": Attack("cs", MessageKind.PUBLISH_MODEL, _tamper_model_share),
+    "tamper_aggregate": Attack("cs", MessageKind.PUBLISH_MODEL, _tamper_aggregate),
+    "drop_participant": Attack("cs", MessageKind.PUBLISH_MODEL, _drop_participant),
+    "lie_about_m": Attack("cs", MessageKind.PUBLISH_MODEL, _lie_about_m),
+    "forge_tag": Attack("vs", MessageKind.PUBLISH_TAG, _forge_tag),
 }
+
+# How send reads and writes the (count, body) of each kind an attack rewrites.
+_PUBLICATIONS = {MessageKind.PUBLISH_MODEL: (wire.unpack_publish_model, wire.pack_publish_model),
+                 MessageKind.PUBLISH_TAG: (wire.unpack_publish_tag, wire.pack_publish_tag)}
 
 
 def supported_adversaries() -> str:
@@ -193,19 +200,12 @@ class MetricsReport:
 
     @property
     def exit_ok(self) -> bool:
-        for rec in self.rounds:
-            if rec.aborted:
-                continue
-            if rec.adversarial and not rec.detected:
-                return False
-            if not rec.adversarial and not rec.verified:
-                return False
-        return True
+        return all(rec.aborted or (rec.detected if rec.adversarial else rec.verified)
+                   for rec in self.rounds)
 
     @property
     def max_oracle_deviation(self) -> float:
-        devs = [r.oracle_deviation for r in self.rounds if r.verified]
-        return max(devs) if devs else 0.0
+        return max((r.oracle_deviation for r in self.rounds if r.verified), default=0.0)
 
     def stage_ms(self, stage: str) -> Optional[float]:
         """Median milliseconds of ``stage``'s spans over every round that ran, or None."""
@@ -337,8 +337,6 @@ class _Network:
 @dataclass
 class _RoundOutcome:
     results: Dict[int, roles.ReconstructResult]  # every participant's, in order
-    w1pp: np.ndarray
-    b2p: int
     spans: Dict[str, List[float]]
 
     @property
@@ -367,7 +365,21 @@ def run_round(users_online: List[UserState], all_users: Dict[int, UserState],
     evaluation) and ``verify`` (each participant's reconstruct_round).
     """
     adv = adversary if adversary and adversary.round_index == round_index else None
+    attack = ADVERSARY_ACTIONS[adv.action] if adv else None
     spans: Dict[str, List[float]] = {}
+    cs_inbox, vs_inbox = [], []
+    rewritten: Dict[int, Tuple[Message, Message]] = {}  # id(sent): (sent, rewrite)
+
+    # The attack rewrites each message of its kind that its server sends, once per message.
+    def send(name: str, msg: Message) -> Message:
+        if attack and msg.kind is attack.kind and name.startswith(attack.server + "->"):
+            if id(msg) not in rewritten:
+                server, inbox = (cs, cs_inbox) if attack.server == "cs" else (vs, vs_inbox)
+                unpack, pack = _PUBLICATIONS[msg.kind]
+                body = pack(*attack.apply(server, adv, rng, inbox, *unpack(msg.payload)))
+                rewritten[id(msg)] = msg, Message(msg.kind, round_index, msg.sender, body)
+            msg = rewritten[id(msg)][1]
+        return net.transfer(name, msg)
 
     def timed(stage: str, call: Callable, *args, **kwargs):
         start = time.perf_counter()
@@ -375,13 +387,12 @@ def run_round(users_online: List[UserState], all_users: Dict[int, UserState],
         spans.setdefault(stage, []).append(time.perf_counter() - start)
         return result
 
-    cs_inbox, vs_inbox = [], []
     for u in users_online:
         weight = weights[u.uid] if weights is not None else None
         to_cs, to_vs = timed("share", u.share_round, updates[u.uid], round_index,
                              weight=weight)
-        cs_inbox.append(net.transfer(f"user{u.uid}->cs", to_cs))
-        vs_inbox.append(net.transfer(f"user{u.uid}->vs", to_vs))
+        cs_inbox.append(send(f"user{u.uid}->cs", to_cs))
+        vs_inbox.append(send(f"user{u.uid}->vs", to_vs))
     # Delivery order at each server is a seeded shuffle: the published
     # aggregates must not depend on arrival order.
     rng.shuffle(cs_inbox)
@@ -391,32 +402,22 @@ def run_round(users_online: List[UserState], all_users: Dict[int, UserState],
     for msg in vs_inbox:
         vs.receive_tag_share(msg)
 
-    vs.receive_online_list(net.transfer("cs->vs", cs.online_list(round_index)))
-    cs.receive_online_list(net.transfer("vs->cs", vs.online_list(round_index)))
-
-    def attack_after(stage: str) -> None:
-        attack = ADVERSARY_ACTIONS[adv.action] if adv else None
-        if attack and attack.stage == stage:
-            attack.apply(cs if attack.server == "cs" else vs, round_index, rng, adv.magnitude)
-
-    attack_after("intersect")
-    w_t = net.transfer("vs->cs", timed("vs_aggregate", vs.model_aggregate, round_index))
+    vs.receive_online_list(send("cs->vs", cs.online_list(round_index)))
+    cs.receive_online_list(send("vs->cs", vs.online_list(round_index)))
+    w_t = send("vs->cs", timed("vs_aggregate", vs.model_aggregate, round_index))
     timed("cs_aggregate", cs.finalize_model, w_t)
-    attack_after("finalize_model")
-    b_t = net.transfer("cs->vs", timed("eval", cs.tag_aggregate, round_index))
+    b_t = send("cs->vs", timed("eval", cs.tag_aggregate, round_index))
     vs.finalize_tag(b_t)
-    attack_after("finalize_tag")
 
     model_msg = cs.publish_model_message(round_index)
     tag_msg = vs.publish_tag_message(round_index)
     # The CS sends the model publication, so its participants receive it.
     results = {uid: timed("verify", all_users[uid].reconstruct_round,
-                          net.transfer(f"cs->user{uid}", model_msg),
-                          net.transfer(f"vs->user{uid}", tag_msg),
+                          send(f"cs->user{uid}", model_msg),
+                          send(f"vs->user{uid}", tag_msg),
                           round_index, weighted=weights is not None)
                for uid in cs.rounds[round_index].participants}
-    return _RoundOutcome(results, cs.rounds[round_index].published,
-                         vs.rounds[round_index].published, spans)
+    return _RoundOutcome(results, spans)
 
 
 def draw_round(cfg: RunConfig, users: Sequence[UserState], rng: random.Random,
@@ -459,8 +460,7 @@ def run_simulation(cfg: RunConfig) -> MetricsReport:
             rec.verified = not alarms
             rec.spans = outcome.spans
             report.alarms.extend(alarms)
-            if rec.adversarial:
-                rec.detected = not rec.verified
+            rec.detected = rec.adversarial and not rec.verified
             if rec.verified:
                 oracle = plaintext_oracle(updates, rec.participants, params.codec, weights)
                 rec.oracle_deviation = max(float(np.max(np.abs(res.model - oracle)))

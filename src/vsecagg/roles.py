@@ -416,7 +416,14 @@ class VsState(_Server):
 
 
 def _enroll(cs: CsState, vs: VsState, uid: int, initial: np.ndarray, rng) -> UserState:
-    """A user with fresh keys, registered at both servers."""
+    """A user with fresh keys, registered at both servers.
+
+    Participants are registered users, so refusing a user past the codec's
+    ``n_max`` keeps every round's sum of encodings from wrapping mod R.
+    """
+    if len(cs.user_keys) >= cs.params.codec.n_max:
+        raise ProtocolError(f"user {uid} would exceed the codec's n_max of "
+                            f"{cs.params.codec.n_max} users")
     k_vi, k_ci = KeyMaterial.generate(rng), KeyMaterial.generate(rng)
     vs.register_user(uid, k_vi)
     cs.register_user(uid, k_ci)

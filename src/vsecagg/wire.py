@@ -289,6 +289,12 @@ class SocketLink:
         magic, kind, round_index, sender, length = HEADER.unpack(header)
         if magic != MAGIC:
             raise BadMagicError(f"bad magic {magic!r}")
+        # Refused before a byte is allocated for, or read of, the payload.
+        if kind not in _KINDS:
+            raise UnknownKindError(f"unknown message kind {kind}", 4)
+        if length > MAX_PAYLOAD:
+            raise WireError(f"header announces {length} payload bytes, over the "
+                            f"{MAX_PAYLOAD}-byte limit", HEADER.size - 4)
         # The payload is read straight into the frame the message keeps.
         frame = bytearray(HEADER.size + length)
         frame[:HEADER.size] = header

@@ -191,7 +191,7 @@ def test_criterion_6_ordering_invariance():
         net.close()
         assert all(res.verified for res in outcome.results.values())
         models = tuple(outcome.results[uid].model.tobytes() for uid in sorted(outcome.results))
-        transcripts.add((outcome.w1pp.tobytes(), outcome.b2p, models))
+        transcripts.add((cs.rounds[1].published.tobytes(), vs.rounds[1].published, models))
     assert len(transcripts) == 1, "published aggregates depend on delivery order"
     print("\nACCEPTANCE 6: PASS 10 shuffled deliveries, bit-identical "
           "w''_1, b'_2, and reconstructed models")
@@ -258,7 +258,7 @@ def test_criterion_8_weighted_aggregation():
         assert np.max(np.abs(res.model - expected)) <= TOL
     # The weight sum is the last coordinate of the unmasked aggregate.
     mask = expand(users[0].k_vg, 1, params.dim, BIG_PRIME)
-    w_prime = field.vec_add(outcome.w1pp, mask, BIG_PRIME)
+    w_prime = field.vec_add(cs.rounds[1].published, mask, BIG_PRIME)
     weight_sum = int(field.vec_to_signed(w_prime[-1:], BIG_PRIME)[0]) / DELTA
     assert weight_sum == 4.0
     print(f"\nACCEPTANCE 8: PASS weighted mean within {TOL:.1e}, "

@@ -142,6 +142,40 @@ def test_cs_tampering_leaves_the_senders_frames_unchanged(monkeypatch, action):
         assert bytes(payload) == sent
 
 
+@pytest.mark.parametrize("target,action", ISOLATION_CASES)
+def test_an_attack_rewrites_only_its_servers_messages_and_leaves_their_state_honest(
+        target, action):
+    def one_round(adversary):
+        params = default_params(RunConfig(users=4, dim=5))
+        users, cs, vs = setup(4, params, rng=random.Random(7))
+        net = harness._Network("memory")
+        transfer, delivered = net.transfer, []
+
+        def recording(name, msg):
+            delivered.append((name, msg.kind, bytes(msg.frame)))
+            return transfer(name, msg)
+
+        net.transfer = recording
+        updates = {u.uid: np.full(5, 0.1 * u.uid) for u in users}
+        harness.run_round(users, {u.uid: u for u in users}, cs, vs, net, 1, updates,
+                          random.Random(8), adversary=adversary)
+        net.close()
+        state = (cs.rounds[1].published.tobytes(), cs.rounds[1].m, vs.rounds[1].published)
+        return state, delivered
+
+    honest_state, honest = one_round(None)
+    attacked_state, attacked = one_round(AdversarySpec(target, action, 1, 3))
+    # The servers computed the same round; only what the attacker sent differs.
+    assert attacked_state == honest_state
+    assert [link[:2] for link in attacked] == [link[:2] for link in honest]
+    kind = ADVERSARY_ACTIONS[action].kind
+    changed = [name for (name, _, frame), (_, _, sent) in zip(attacked, honest) if frame != sent]
+    assert changed == [name for name, k, _ in honest
+                       if k is kind and name.startswith(target + "->")]
+    assert len(changed) == 4
+    assert len({frame for name, _, frame in attacked if name in changed}) == 1
+
+
 def test_exit_not_ok_propagates_from_honest_failure():
     cfg = RunConfig(users=2, dim=2, rounds=1, seed=1)
     report = run_simulation(cfg)
@@ -345,17 +379,17 @@ def test_socket_round_at_large_dim_is_bit_equal_to_memory_mode(monkeypatch):
     run_round = harness.run_round
 
     def transcript(mode):
-        outcomes = []
+        calls = []
 
-        def recording(*args, **kwargs):
-            outcomes.append(run_round(*args, **kwargs))
-            return outcomes[-1]
+        def recording(users_online, all_users, cs, vs, *args, **kwargs):
+            calls.append((cs, vs, run_round(users_online, all_users, cs, vs, *args, **kwargs)))
+            return calls[-1][2]
 
         monkeypatch.setattr(harness, "run_round", recording)
         report = run_simulation(RunConfig(users=3, dim=200_000, rounds=1, seed=12, mode=mode))
         assert report.rounds[0].verified
-        (outcome,) = outcomes
-        return (outcome.w1pp.tobytes(), outcome.b2p, report.ledger.entries,
+        ((cs, vs, outcome),) = calls
+        return (cs.rounds[1].published.tobytes(), vs.rounds[1].published, report.ledger.entries,
                 {uid: res.model.tobytes() for uid, res in outcome.results.items()})
 
     assert transcript("memory") == transcript("socket")
@@ -486,6 +520,10 @@ def test_cli_oracle_matches_simulated_round_one(monkeypatch, capsys, tmp_path, w
      "--adversary", "cs:tamper_aggregate:99"],
     ["simulate", "--users", "3", "--dim", "4", "--rounds", "2",
      "--adversary", "cs:tamper_aggregate:0"],
+    # A report that cannot be written is refused before the job runs.
+    ["simulate", "--report-out", "{tmp}/missing/x"],
+    ["calibrate", "--trials", "10", "--report-out", "{tmp}/missing/x"],
+    ["oracle", "--report-out", "{tmp}/missing/x"],
 ])
 def test_cli_config_error_is_a_usage_error(capsys, tmp_path, argv):
     for name, text in (("words", "1.0\nheavy\n"), ("zero", "0\n1\n"),

@@ -8,6 +8,7 @@ import pytest
 from vsecagg import field, tags
 from vsecagg.codec import CodecParams, decode, encode
 from vsecagg.field import FieldModulus
+from vsecagg.harness import RunConfig, default_params
 from vsecagg.prf import KeyMaterial, concat_keys, expand
 from vsecagg.roles import (CsState, DuplicateIdError, DuplicateShareError,
                            EmptyIntersectionError, ProtocolError, ProtocolParams,
@@ -182,7 +183,7 @@ def test_share_round_rejects_stale_round():
 
 def test_vs_model_aggregate_hand_summed():
     r = 17
-    params = make_params(dim=1, r=r, n_max=1, delta=1, bound=4.0)
+    params = make_params(dim=1, r=r, n_max=2, delta=1, bound=3.0)
     users, cs, vs = setup(2, params, rng=random.Random(8))
     share_all(users, cs, vs, {0: np.zeros(1), 1: np.ones(1)}, 1)
     swap_lists(cs, vs, 1)
@@ -454,6 +455,19 @@ def test_shares_differ_across_rounds():
     to_cs_1, _ = users[0].share_round(update, 1)
     to_cs_2, _ = users[0].share_round(update, 2)
     assert to_cs_1.payload != to_cs_2.payload
+
+
+def test_enrolment_past_n_max_is_refused_before_a_round_can_wrap_the_sum():
+    # At n_max = 3, four users sending 10.0 would sum past (R - 1)/2 and
+    # wrap, and every participant would verify the mean -6.
+    params = default_params(RunConfig(users=3, dim=2, prime_bits=45, delta_exp=40))
+    assert params.codec.n_max == 3
+    users, cs, vs = setup(3, params, rng=random.Random(22))
+    with pytest.raises(ProtocolError):
+        join_new_user(cs, vs, rng=random.Random(23))
+    assert len(cs.user_keys) == len(vs.user_keys) == 3
+    with pytest.raises(ProtocolError):
+        setup(4, params, rng=random.Random(22))
 
 
 def test_join_new_user_keys_and_participation():

@@ -176,6 +176,25 @@ def test_ledger_accumulates_monotonically():
     assert net.ledger.entries[("a->b", 2)].messages == 5
 
 
+@pytest.mark.parametrize("kind, length, max_payload, error, match", [
+    (99, 8, wire.MAX_PAYLOAD, UnknownKindError, "kind 99"),
+    (int(MessageKind.MODEL_SHARE), 65, 64, wire.WireError, "65 payload bytes"),
+])
+def test_socket_link_refuses_a_bad_header_before_reading_its_payload(
+        monkeypatch, kind, length, max_payload, error, match):
+    # Only the header is sent: a receiver that waited for the payload would time out.
+    monkeypatch.setattr(wire, "MAX_PAYLOAD", max_payload)
+    sender, receiver = socket_link_pair()
+    receiver._sock.settimeout(1.0)
+    try:
+        sender._sock.sendall(HEADER.pack(MAGIC, kind, 1, 0, length))
+        with pytest.raises(error, match=match):
+            receiver.recv()
+    finally:
+        sender.close()
+        receiver.close()
+
+
 def test_socket_link_loopback():
     sender, receiver = socket_link_pair()
     try:
