@@ -15,6 +15,7 @@ import numpy as np
 
 from vsecagg.harness import RunConfig, default_params, plaintext_oracle
 from vsecagg.roles import setup
+from vsecagg.wire import unpack_publish_model, unpack_publish_tag
 
 params = default_params(RunConfig(users=3, dim=4))
 r = params.r
@@ -42,18 +43,20 @@ for u in users:
 # share from.  Then each sums its own shares; VS regenerates the second
 # model shares from user keys.
 vs.receive_online_list(cs.online_list(1))
-cs.receive_online_list(vs.online_list(1))
-participants = cs.rounds[1].participants
+participants = cs.receive_online_list(vs.online_list(1))
 print(f"participant intersection: {participants} (m = {len(participants)})")
 
 w_t = vs.model_aggregate(1)        # RESHARE_MODEL: VS partial, global mask removed
-cs.finalize_model(w_t)             # masked aggregate w''_1
 b_t = cs.tag_aggregate(1)          # RESHARE_TAG: CS tag partial
-vs.finalize_tag(b_t)               # tag aggregate b'_2
-model_msg = cs.publish_model_message(1)
-tag_msg = vs.publish_tag_message(1)
-print(f"CS publishes w''_1 (first coords: {cs.rounds[1].published[:2]}), "
-      f"VS publishes b'_2 = {vs.rounds[1].published}")
+# Each server sends its reshare before it finalizes: finalizing returns the
+# round's publication and drops the round from the server's state.
+model_msg = cs.finalize_model(w_t)  # PUBLISH_MODEL: masked aggregate w''_1 and m
+tag_msg = vs.finalize_tag(b_t)      # PUBLISH_TAG: tag aggregate b'_2 and m
+m, w1pp = unpack_publish_model(model_msg.payload)
+_, b2p = unpack_publish_tag(tag_msg.payload)
+print(f"CS publishes w''_1 (first coords: {w1pp[:2]}) with m = {m}, "
+      f"VS publishes b'_2 = {b2p}")
+print(f"rounds held after publication: CS {cs.rounds}, VS {vs.rounds}")
 
 # --- Reconstruct stage: every user reads both publications, unmasks,
 # verifies, decodes.

@@ -38,30 +38,29 @@ def _bumped(vec: np.ndarray, coord: int, magnitude: int, r: int) -> np.ndarray:
     return out
 
 
-def _tamper_model_share(cs: CsState, spec, rng, inbox, m, w):
+def _tamper_model_share(cs: CsState, spec, rng, shares, m, w):
     # An offset on one participant's share moves the sum by the same offset,
     # so the victim is drawn only to keep the rng stream of a share attack.
-    rng.choice(cs.rounds[spec.round_index].participants)
+    rng.choice(list(shares))
     return m, _bumped(w, rng.randrange(cs.params.dim), spec.magnitude, cs.params.r)
 
 
-def _drop_participant(cs: CsState, spec, rng, inbox, m, w):
+def _drop_participant(cs: CsState, spec, rng, shares, m, w):
     # The CS claims the victim participated but omits its share from the sum.
-    victim = rng.choice(cs.rounds[spec.round_index].participants)
+    victim = rng.choice(list(shares))
     rng.randrange(cs.params.dim)  # the coordinate draw of a share attack
-    share = next(msg.payload for msg in inbox if msg.sender == victim)
-    return m, field.vec_sub(w, field.vec_from_raw(share), cs.params.r)
+    return m, field.vec_sub(w, field.vec_from_raw(shares[victim].payload), cs.params.r)
 
 
-def _tamper_aggregate(cs: CsState, spec, rng, inbox, m, w):
+def _tamper_aggregate(cs: CsState, spec, rng, shares, m, w):
     return m, _bumped(w, rng.randrange(cs.params.dim), spec.magnitude, cs.params.r)
 
 
-def _lie_about_m(cs: CsState, spec, rng, inbox, m, w):
+def _lie_about_m(cs: CsState, spec, rng, shares, m, w):
     return m + max(1, spec.magnitude), w
 
 
-def _forge_tag(vs: VsState, spec, rng, inbox, m, tag):
+def _forge_tag(vs: VsState, spec, rng, shares, m, tag):
     return m, rng.randrange(vs.params.r)
 
 
@@ -69,9 +68,10 @@ def _forge_tag(vs: VsState, spec, rng, inbox, m, tag):
 class Attack:
     """A malicious server's rewrite of every message of one kind that it sends.
 
-    ``apply(server, spec, rng, inbox, count, body)`` returns the (count, body)
-    the server sends in place of a publication's; ``inbox`` holds the shares
-    run_round delivered to that server in the attacked round.
+    ``apply(server, spec, rng, shares, count, body)`` returns the (count, body)
+    the server sends in place of a publication's; ``shares`` maps each of the
+    round's participants at that server, in participant order, to the share
+    run_round delivered to it.
     """
 
     server: str        # "cs" or "vs": the server that sends the rewritten messages
@@ -173,7 +173,7 @@ class Alarm:
 
 
 # The stages run_round times, in the order a round runs them.
-STAGES = ("share", "vs_aggregate", "cs_aggregate", "eval", "verify")
+STAGES = ("share", "vs_aggregate", "eval", "cs_aggregate", "verify")
 
 
 @dataclass
@@ -361,8 +361,8 @@ def run_round(users_online: List[UserState], all_users: Dict[int, UserState],
 
     The outcome's spans time each role call by stage: ``share`` (each
     user's share_round), ``vs_aggregate`` (the VS's mask regeneration),
-    ``cs_aggregate`` (the CS's share sum), ``eval`` (the CS's tag-share
-    evaluation) and ``verify`` (each participant's reconstruct_round).
+    ``eval`` (the CS's tag-share evaluation), ``cs_aggregate`` (the CS's
+    share sum) and ``verify`` (each participant's reconstruct_round).
     """
     adv = adversary if adversary and adversary.round_index == round_index else None
     attack = ADVERSARY_ACTIONS[adv.action] if adv else None
@@ -374,9 +374,12 @@ def run_round(users_online: List[UserState], all_users: Dict[int, UserState],
     def send(name: str, msg: Message) -> Message:
         if attack and msg.kind is attack.kind and name.startswith(attack.server + "->"):
             if id(msg) not in rewritten:
-                server, inbox = (cs, cs_inbox) if attack.server == "cs" else (vs, vs_inbox)
+                server, inbox, ids = ((cs, cs_inbox, cs_ids) if attack.server == "cs"
+                                      else (vs, vs_inbox, vs_ids))
+                delivered = {share.sender: share for share in inbox}
+                shares = {uid: delivered[uid] for uid in ids}
                 unpack, pack = _PUBLICATIONS[msg.kind]
-                body = pack(*attack.apply(server, adv, rng, inbox, *unpack(msg.payload)))
+                body = pack(*attack.apply(server, adv, rng, shares, *unpack(msg.payload)))
                 rewritten[id(msg)] = msg, Message(msg.kind, round_index, msg.sender, body)
             msg = rewritten[id(msg)][1]
         return net.transfer(name, msg)
@@ -402,21 +405,20 @@ def run_round(users_online: List[UserState], all_users: Dict[int, UserState],
     for msg in vs_inbox:
         vs.receive_tag_share(msg)
 
-    vs.receive_online_list(send("cs->vs", cs.online_list(round_index)))
-    cs.receive_online_list(send("vs->cs", vs.online_list(round_index)))
+    vs_ids = vs.receive_online_list(send("cs->vs", cs.online_list(round_index)))
+    cs_ids = cs.receive_online_list(send("vs->cs", vs.online_list(round_index)))
+    # Both reshares go out before either server finalizes: a server that
+    # finalized first would have dropped the round its reshare comes from.
     w_t = send("vs->cs", timed("vs_aggregate", vs.model_aggregate, round_index))
-    timed("cs_aggregate", cs.finalize_model, w_t)
     b_t = send("cs->vs", timed("eval", cs.tag_aggregate, round_index))
-    vs.finalize_tag(b_t)
+    model_msg = timed("cs_aggregate", cs.finalize_model, w_t)
+    tag_msg = vs.finalize_tag(b_t)
 
-    model_msg = cs.publish_model_message(round_index)
-    tag_msg = vs.publish_tag_message(round_index)
     # The CS sends the model publication, so its participants receive it.
     results = {uid: timed("verify", all_users[uid].reconstruct_round,
                           send(f"cs->user{uid}", model_msg),
-                          send(f"vs->user{uid}", tag_msg),
-                          round_index, weighted=weights is not None)
-               for uid in cs.rounds[round_index].participants}
+                          send(f"vs->user{uid}", tag_msg), round_index)
+               for uid in cs_ids}
     return _RoundOutcome(results, spans)
 
 

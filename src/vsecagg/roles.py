@@ -17,7 +17,10 @@ for one prime R, the codec's modulus:
 Each role builds the messages it sends and reads the messages it
 receives.  The CS and VS share one round book, which answers one reshare
 per round: two, for different participant sets, would differ by one
-user's mask and so reveal that user's update to the peer.
+user's mask and so reveal that user's update to the peer.  The book
+holds open rounds only.  A server finalizes a round once its own reshare
+is sent, and finalizing returns the round's publication and drops that
+round and every earlier one, so a finished round leaves no state.
 
 Users require the participant counts published by the two servers to
 agree before decoding: the tag covers the sum but not the divisor, so a
@@ -43,26 +46,6 @@ from .wire import (AlarmReason, Message, MessageKind, WireError, pack_online_lis
 
 
 class ProtocolError(Exception):
-    pass
-
-
-class DuplicateIdError(ProtocolError):
-    pass
-
-
-class DuplicateShareError(ProtocolError):
-    pass
-
-
-class StaleRoundError(ProtocolError):
-    pass
-
-
-class EmptyIntersectionError(ProtocolError):
-    pass
-
-
-class UnknownParticipantError(ProtocolError):
     pass
 
 
@@ -132,6 +115,8 @@ class UserState:
         self._last_shared_round = 0
         # (round, key vector) of the last shared round, reused once to verify it.
         self._tag_key: Optional[Tuple[int, np.ndarray]] = None
+        # Whether the last shared update carried a weight; the user decodes alike.
+        self._weighted = False
 
     def _encode_update(self, update, weight: Optional[float]) -> np.ndarray:
         p = self.params
@@ -149,7 +134,7 @@ class UserState:
         """Produce the round's MODEL_SHARE (to CS) and TAG_SHARE (to VS)."""
         p = self.params
         if round_index <= self._last_shared_round:
-            raise StaleRoundError(
+            raise ProtocolError(
                 f"user {self.uid} already shared round {self._last_shared_round}; "
                 f"got round {round_index}")
         encoded = self._encode_update(update, weight)
@@ -161,6 +146,7 @@ class UserState:
         b_i2 = (b_i - expand_one(self.k_ci, round_index, p.r)) % p.r
         self._last_shared_round = round_index
         self._tag_key = (round_index, key_vec)
+        self._weighted = weight is not None
         return (
             Message(MessageKind.MODEL_SHARE, round_index, self.uid,
                     field.vec_to_raw(share)),
@@ -168,8 +154,8 @@ class UserState:
                     tags.tag_to_bytes(b_i2)),
         )
 
-    def reconstruct_round(self, model_msg: Message, tag_msg: Message, round_index: int,
-                          weighted: bool = False) -> ReconstructResult:
+    def reconstruct_round(self, model_msg: Message, tag_msg: Message,
+                          round_index: int) -> ReconstructResult:
         """Read both publications, unmask the aggregate, check the tag, decode on success."""
         p = self.params
         for msg, kind in ((model_msg, MessageKind.PUBLISH_MODEL),
@@ -208,7 +194,7 @@ class UserState:
         if computed != expected:
             # State stays untouched; the caller surfaces the alarm.
             return _rejected(round_index, AlarmReason.TAG_MISMATCH, expected, computed)
-        if weighted:
+        if self._weighted:
             signed = field.vec_to_signed(w_prime, p.r)
             weight_sum = signed[-1] / p.codec.delta
             # One division, as in codec.decode: delta * weight_sum is exact.
@@ -226,8 +212,6 @@ class _ServerRound:
     shares: Dict[int, object] = dc_field(default_factory=dict)
     participants: Optional[Tuple[int, ...]] = None  # fixed once; no share is taken after
     reshared: bool = False  # the server's one reshare of the round is sent
-    published: Optional[object] = None
-    m: Optional[int] = None
 
 
 class _Server:
@@ -243,13 +227,14 @@ class _Server:
         # the CS, one tag at the VS.
         self.payload_bytes = payload_bytes
         self.user_keys: Dict[int, KeyMaterial] = {}
-        # Open rounds, plus the last finalized round without its shares.
+        # Open rounds only: a round leaves, with every earlier one, when it
+        # is finalized into its publication.
         self.rounds: Dict[int, _ServerRound] = {}
         self.finalized_round = 0
 
     def register_user(self, uid: int, key: KeyMaterial) -> None:
         if uid in self.user_keys:
-            raise DuplicateIdError(f"user id {uid} already registered at {self._name}")
+            raise ProtocolError(f"user id {uid} already registered at {self._name}")
         self.user_keys[uid] = key
 
     def online_list(self, round_index: int) -> Message:
@@ -258,9 +243,9 @@ class _Server:
         return Message(MessageKind.ONLINE_LIST, round_index, self._sender,
                        pack_online_list(state.shares if state else ()))
 
-    def receive_online_list(self, msg: Message) -> None:
-        """Fix the round's participants: the peer's list intersected with this
-        server's own received-from set."""
+    def receive_online_list(self, msg: Message) -> Tuple[int, ...]:
+        """Fix and return the round's participants: the peer's list intersected
+        with this server's own received-from set."""
         state = self._open_round(msg, MessageKind.ONLINE_LIST)
         try:
             peer_ids = unpack_online_list(msg.payload)
@@ -270,8 +255,9 @@ class _Server:
             raise ProtocolError(f"round {msg.round_index}: {self._name} already fixed them")
         common = tuple(sorted(set(peer_ids) & set(state.shares))) if state else ()
         if not common:
-            raise EmptyIntersectionError(f"round {msg.round_index}: no user reached both servers")
+            raise ProtocolError(f"round {msg.round_index}: no user reached both servers")
         state.participants = common
+        return common
 
     def _open_round(self, msg: Message, kind: MessageKind) -> Optional[_ServerRound]:
         """State of the open round ``msg`` belongs to, once its kind and round
@@ -279,8 +265,8 @@ class _Server:
         if msg.kind is not kind:
             raise ProtocolError(f"{self._name} cannot accept {msg.kind.name}")
         if msg.round_index <= self.finalized_round:
-            raise StaleRoundError(f"{self._name} already finalized round "
-                                  f"{self.finalized_round}; got round {msg.round_index}")
+            raise ProtocolError(f"{self._name} already finalized round "
+                                f"{self.finalized_round}; got round {msg.round_index}")
         return self.rounds.get(msg.round_index)
 
     def _round_of(self, msg: Message, kind: MessageKind) -> Optional[_ServerRound]:
@@ -295,11 +281,11 @@ class _Server:
         """Raise unless ``msg`` is a new share from a registered user, in time."""
         state = self._round_of(msg, kind)
         if msg.sender not in self.user_keys:
-            raise UnknownParticipantError(f"{self._name} has no key for user {msg.sender}")
+            raise ProtocolError(f"{self._name} has no key for user {msg.sender}")
         if state is not None and state.participants is not None:
             raise ProtocolError(f"round {msg.round_index}: late share from user {msg.sender}")
         if state is not None and msg.sender in state.shares:
-            raise DuplicateShareError(
+            raise ProtocolError(
                 f"round {msg.round_index}: duplicate share from user {msg.sender}")
 
     def _keep_share(self, msg: Message, share) -> None:
@@ -321,27 +307,23 @@ class _Server:
         return [self.user_keys[uid] for uid in state.participants]
 
     def _participant_shares(self, reshare: Message, kind: MessageKind) -> list:
-        """Every participant's share, once ``reshare`` passed the checks of a share."""
+        """Every participant's share, once ``reshare`` passed the checks of a share
+        and this server sent its own reshare, which the peer needs to finalize."""
         self._round_of(reshare, kind)
         state = self._fixed(reshare.round_index)
+        if not state.reshared:
+            raise ProtocolError(f"round {reshare.round_index}: {self._name} has not "
+                                "sent its reshare")
         return [state.shares[uid] for uid in state.participants]
 
-    def _finalize(self, reshare: Message, published) -> None:
-        """Keep the reshare's round's publication; drop its shares and every earlier round."""
+    def _finalize(self, reshare: Message, kind: MessageKind, pack, body) -> Message:
+        """The reshare's round's publication; that round and every earlier one leave."""
         round_index = reshare.round_index
-        state = self.rounds[round_index]
-        state.published = published
-        state.m = len(state.participants)
-        state.shares = {}
-        for r in [r for r in self.rounds if r < round_index]:
+        m = len(self.rounds[round_index].participants)
+        for r in [r for r in self.rounds if r <= round_index]:
             del self.rounds[r]
         self.finalized_round = round_index
-
-    def _publication(self, round_index: int, kind: MessageKind, pack) -> Message:
-        state = self.rounds.get(round_index)
-        if state is None or state.published is None:
-            raise ProtocolError(f"round {round_index} not finalized at {self._name}")
-        return Message(kind, round_index, self._sender, pack(state.m, state.published))
+        return Message(kind, round_index, self._sender, pack(m, body))
 
 
 class CsState(_Server):
@@ -361,13 +343,15 @@ class CsState(_Server):
         _require_canonical(vec, self.params.r, f"share from user {msg.sender}")
         self._keep_share(msg, vec)
 
-    def finalize_model(self, reshare: Message) -> None:
-        """w''_1 = sum of participant shares + w_t from the VS's RESHARE_MODEL, kept with m."""
+    def finalize_model(self, reshare: Message) -> Message:
+        """PUBLISH_MODEL: w''_1 = sum of participant shares + w_t from the VS's
+        RESHARE_MODEL, with m."""
         p = self.params
         shares = self._participant_shares(reshare, MessageKind.RESHARE_MODEL)
         w_t = field.vec_from_raw(reshare.payload)
         _require_canonical(w_t, p.r, f"round {reshare.round_index}: reshare w_t from the VS")
-        self._finalize(reshare, field.vec_add(field.vec_sum(shares, p.r), w_t, p.r))
+        return self._finalize(reshare, MessageKind.PUBLISH_MODEL, pack_publish_model,
+                              field.vec_add(field.vec_sum(shares, p.r), w_t, p.r))
 
     def tag_aggregate(self, round_index: int) -> Message:
         """RESHARE_TAG to the VS: b_t = sum of regenerated tag shares minus the global mask."""
@@ -376,9 +360,6 @@ class CsState(_Server):
         b_t = (b1 - expand_one(self.k_cg, round_index, r)) % r
         return Message(MessageKind.RESHARE_TAG, round_index, self._sender,
                        tags.tag_to_bytes(b_t))
-
-    def publish_model_message(self, round_index: int) -> Message:
-        return self._publication(round_index, MessageKind.PUBLISH_MODEL, pack_publish_model)
 
 
 class VsState(_Server):
@@ -406,13 +387,12 @@ class VsState(_Server):
         return Message(MessageKind.RESHARE_MODEL, round_index, self._sender,
                        field.vec_to_raw(w_t))
 
-    def finalize_tag(self, reshare: Message) -> None:
-        """b'_2 = sum of participant tag shares + b_t from the CS's RESHARE_TAG, kept with m."""
+    def finalize_tag(self, reshare: Message) -> Message:
+        """PUBLISH_TAG: b'_2 = sum of participant tag shares + b_t from the CS's
+        RESHARE_TAG, with m."""
         b2 = sum(self._participant_shares(reshare, MessageKind.RESHARE_TAG))
-        self._finalize(reshare, (b2 + tags.tag_from_bytes(reshare.payload)) % self.params.r)
-
-    def publish_tag_message(self, round_index: int) -> Message:
-        return self._publication(round_index, MessageKind.PUBLISH_TAG, pack_publish_tag)
+        return self._finalize(reshare, MessageKind.PUBLISH_TAG, pack_publish_tag,
+                              (b2 + tags.tag_from_bytes(reshare.payload)) % self.params.r)
 
 
 def _enroll(cs: CsState, vs: VsState, uid: int, initial: np.ndarray, rng) -> UserState:

@@ -18,6 +18,7 @@ from vsecagg.harness import (AdversarySpec, RunConfig, default_params,
                              run_round, run_simulation, _Network)
 from vsecagg.prf import KeyMaterial, expand
 from vsecagg.roles import ProtocolParams, setup
+from vsecagg.wire import MessageKind, unpack_publish_model
 
 BIG_PRIME = FieldModulus((1 << 60) + 33)  # the smallest prime above 2^60
 DELTA = 1 << 40
@@ -26,6 +27,21 @@ TOL = 0.5 / DELTA
 
 def make_params(dim, n_max):
     return ProtocolParams(dim=dim, codec=CodecParams(delta=DELTA, r_w=BIG_PRIME, n_max=n_max))
+
+
+def delivered_publications(net):
+    """Kind -> the last publication of that kind ``net`` delivered, kept as it goes."""
+    kept = {}
+    transfer = net.transfer
+
+    def keeping(name, msg):
+        delivered = transfer(name, msg)
+        if delivered.kind in (MessageKind.PUBLISH_MODEL, MessageKind.PUBLISH_TAG):
+            kept[delivered.kind] = delivered
+        return delivered
+
+    net.transfer = keeping
+    return kept
 
 
 def test_criterion_1_oracle_equivalence():
@@ -186,12 +202,14 @@ def test_criterion_6_ordering_invariance():
         users, cs, vs = setup(4, params, rng=random.Random(1234))
         all_users = {u.uid: u for u in users}
         net = _Network("memory")
+        published = delivered_publications(net)
         outcome = run_round(users, all_users, cs, vs, net, 1, updates,
                             random.Random(9000 + shuffle_seed))
         net.close()
         assert all(res.verified for res in outcome.results.values())
         models = tuple(outcome.results[uid].model.tobytes() for uid in sorted(outcome.results))
-        transcripts.add((cs.rounds[1].published.tobytes(), vs.rounds[1].published, models))
+        transcripts.add((bytes(published[MessageKind.PUBLISH_MODEL].payload),
+                         bytes(published[MessageKind.PUBLISH_TAG].payload), models))
     assert len(transcripts) == 1, "published aggregates depend on delivery order"
     print("\nACCEPTANCE 6: PASS 10 shuffled deliveries, bit-identical "
           "w''_1, b'_2, and reconstructed models")
@@ -204,6 +222,7 @@ def test_criterion_7_join_and_multi_round():
     users, cs, vs = setup(3, params, rng=random.Random(31))
     all_users = {u.uid: u for u in users}
     net = _Network("memory")
+    published = delivered_publications(net)
     rng = random.Random(32)
     update_rng = np.random.default_rng(32)
     for r in (1, 2, 3):
@@ -225,7 +244,8 @@ def test_criterion_7_join_and_multi_round():
 
     joiner = join_new_user(cs, vs, rng=random.Random(34))
     all_users[joiner.uid] = joiner
-    res3 = joiner.reconstruct_round(cs.publish_model_message(3), vs.publish_tag_message(3), 3)
+    res3 = joiner.reconstruct_round(published[MessageKind.PUBLISH_MODEL],
+                                    published[MessageKind.PUBLISH_TAG], 3)
     assert res3.verified, "joiner failed to verify the published round"
 
     everyone = users + [joiner]
@@ -247,6 +267,7 @@ def test_criterion_8_weighted_aggregation():
     users, cs, vs = setup(2, params, rng=random.Random(41))
     all_users = {u.uid: u for u in users}
     net = _Network("memory")
+    published = delivered_publications(net)
     updates = {0: np.array([0.5, -0.25]), 1: np.array([0.75, 0.125])}
     weights = {0: 1.0, 1: 3.0}
     outcome = run_round(users, all_users, cs, vs, net, 1, updates,
@@ -258,7 +279,8 @@ def test_criterion_8_weighted_aggregation():
         assert np.max(np.abs(res.model - expected)) <= TOL
     # The weight sum is the last coordinate of the unmasked aggregate.
     mask = expand(users[0].k_vg, 1, params.dim, BIG_PRIME)
-    w_prime = field.vec_add(cs.rounds[1].published, mask, BIG_PRIME)
+    _, w1pp = unpack_publish_model(published[MessageKind.PUBLISH_MODEL].payload)
+    w_prime = field.vec_add(w1pp, mask, BIG_PRIME)
     weight_sum = int(field.vec_to_signed(w_prime[-1:], BIG_PRIME)[0]) / DELTA
     assert weight_sum == 4.0
     print(f"\nACCEPTANCE 8: PASS weighted mean within {TOL:.1e}, "

@@ -148,6 +148,7 @@ def test_an_attack_rewrites_only_its_servers_messages_and_leaves_their_state_hon
     def one_round(adversary):
         params = default_params(RunConfig(users=4, dim=5))
         users, cs, vs = setup(4, params, rng=random.Random(7))
+        published = keep_publications(cs, vs)
         net = harness._Network("memory")
         transfer, delivered = net.transfer, []
 
@@ -160,8 +161,8 @@ def test_an_attack_rewrites_only_its_servers_messages_and_leaves_their_state_hon
         harness.run_round(users, {u.uid: u for u in users}, cs, vs, net, 1, updates,
                           random.Random(8), adversary=adversary)
         net.close()
-        state = (cs.rounds[1].published.tobytes(), cs.rounds[1].m, vs.rounds[1].published)
-        return state, delivered
+        assert cs.rounds == vs.rounds == {}
+        return published, delivered
 
     honest_state, honest = one_round(None)
     attacked_state, attacked = one_round(AdversarySpec(target, action, 1, 3))
@@ -174,6 +175,18 @@ def test_an_attack_rewrites_only_its_servers_messages_and_leaves_their_state_hon
                        if k is kind and name.startswith(target + "->")]
     assert len(changed) == 4
     assert len({frame for name, _, frame in attacked if name in changed}) == 1
+
+
+def keep_publications(cs, vs):
+    """The frames of the publications ``cs`` and ``vs`` compute, as they finalize."""
+    published = []
+    for server, name in ((cs, "finalize_model"), (vs, "finalize_tag")):
+        def finalize(reshare, compute=getattr(server, name)):
+            msg = compute(reshare)
+            published.append(bytes(msg.frame))
+            return msg
+        setattr(server, name, finalize)
+    return published
 
 
 def test_exit_not_ok_propagates_from_honest_failure():
@@ -227,13 +240,13 @@ def test_count_mismatches_are_counted_per_participant():
 
 
 def test_length_mismatch_alarm_per_participant(monkeypatch):
-    publish = CsState.publish_model_message
+    finalize = CsState.finalize_model
 
-    def publish_short(cs, round_index):
-        msg = publish(cs, round_index)
+    def publish_short(cs, reshare):
+        msg = finalize(cs, reshare)
         return replace(msg, payload=msg.payload[:-8])
 
-    monkeypatch.setattr(CsState, "publish_model_message", publish_short)
+    monkeypatch.setattr(CsState, "finalize_model", publish_short)
     report = run_simulation(RunConfig(users=3, dim=2, rounds=1, seed=1))
     rec = report.rounds[0]
     assert not rec.verified and not report.exit_ok
@@ -243,16 +256,16 @@ def test_length_mismatch_alarm_per_participant(monkeypatch):
 
 
 @pytest.mark.parametrize("server,publish,kind", [
-    (CsState, "publish_model_message", MessageKind.PUBLISH_MODEL),
-    (VsState, "publish_tag_message", MessageKind.PUBLISH_TAG),
+    (CsState, "finalize_model", MessageKind.PUBLISH_MODEL),
+    (VsState, "finalize_tag", MessageKind.PUBLISH_TAG),
 ])
 def test_malformed_publication_alarm_per_participant(monkeypatch, server, publish, kind):
     original = getattr(server, publish)
     outcomes = []
     run_round = harness.run_round
 
-    def publish_malformed(state, round_index):
-        return replace(original(state, round_index), payload=b"\x00" * 3)
+    def publish_malformed(state, reshare):
+        return replace(original(state, reshare), payload=b"\x00" * 3)
 
     def spy(*args, **kwargs):
         outcomes.append(run_round(*args, **kwargs))
@@ -274,19 +287,26 @@ def test_malformed_publication_alarm_per_participant(monkeypatch, server, publis
 
 def four_user_round(net, vs_skips=()):
     """One round of four users over ``net``; the VS never receives the tag
-    shares of the users in ``vs_skips``."""
+    shares of the users in ``vs_skips``.  Returns the outcome, the servers
+    and the participants each server fixed, by name."""
     params = default_params(RunConfig(users=4, dim=3))
     rng = random.Random(3)
     users, cs, vs = setup(4, params, rng=rng)
     receive = vs.receive_tag_share
     vs.receive_tag_share = lambda msg: None if msg.sender in vs_skips else receive(msg)
+    fixed = {}
+    for name, server in (("cs", cs), ("vs", vs)):
+        def receive_list(msg, name=name, receive_list=server.receive_online_list):
+            fixed[name] = receive_list(msg)
+            return fixed[name]
+        server.receive_online_list = receive_list
     updates = {0: np.zeros(3), 1: np.full(3, 0.25), 2: np.full(3, 0.5), 3: np.full(3, 0.75)}
     try:
         outcome = harness.run_round(users, {u.uid: u for u in users}, cs, vs, net, 1,
                                     updates, rng)
     finally:
         net.close()
-    return outcome, cs, vs
+    return outcome, cs, vs, fixed
 
 
 def test_servers_intersect_the_online_lists_they_received():
@@ -301,8 +321,9 @@ def test_servers_intersect_the_online_lists_they_received():
                 delivered = replace(delivered, payload=pack_online_list(ids))
             return delivered
 
-    outcome, cs, vs = four_user_round(DroppingNetwork("memory"))
-    assert (cs.rounds[1].participants, vs.rounds[1].participants) == ((0, 1, 3), (0, 1, 2, 3))
+    outcome, cs, vs, fixed = four_user_round(DroppingNetwork("memory"))
+    assert (fixed["cs"], fixed["vs"]) == ((0, 1, 3), (0, 1, 2, 3))
+    assert cs.rounds == vs.rounds == {}
     assert list(outcome.results) == [0, 1, 3]
     assert [(a.uid, a.reason, a.first, a.second) for a in outcome.alarms] == [
         (uid, AlarmReason.COUNT_MISMATCH, 3, 4) for uid in (0, 1, 3)]
@@ -310,9 +331,9 @@ def test_servers_intersect_the_online_lists_they_received():
 
 def test_a_share_that_reaches_one_server_leaves_its_user_out_at_both():
     # User 2's tag share never reaches the VS, so neither server counts user 2.
-    outcome, cs, vs = four_user_round(harness._Network("memory"), vs_skips={2})
-    assert cs.rounds[1].participants == vs.rounds[1].participants == (0, 1, 3)
-    assert cs.rounds[1].m == vs.rounds[1].m == 3
+    outcome, cs, vs, fixed = four_user_round(harness._Network("memory"), vs_skips={2})
+    assert fixed["cs"] == fixed["vs"] == (0, 1, 3)
+    assert cs.rounds == vs.rounds == {}
     assert list(outcome.results) == [0, 1, 3]
     for res in outcome.results.values():
         assert res.verified
@@ -382,14 +403,16 @@ def test_socket_round_at_large_dim_is_bit_equal_to_memory_mode(monkeypatch):
         calls = []
 
         def recording(users_online, all_users, cs, vs, *args, **kwargs):
-            calls.append((cs, vs, run_round(users_online, all_users, cs, vs, *args, **kwargs)))
-            return calls[-1][2]
+            published = keep_publications(cs, vs)
+            outcome = run_round(users_online, all_users, cs, vs, *args, **kwargs)
+            calls.append((published, outcome))
+            return outcome
 
         monkeypatch.setattr(harness, "run_round", recording)
         report = run_simulation(RunConfig(users=3, dim=200_000, rounds=1, seed=12, mode=mode))
         assert report.rounds[0].verified
-        ((cs, vs, outcome),) = calls
-        return (cs.rounds[1].published.tobytes(), vs.rounds[1].published, report.ledger.entries,
+        ((published, outcome),) = calls
+        return (published, report.ledger.entries,
                 {uid: res.model.tobytes() for uid, res in outcome.results.items()})
 
     assert transcript("memory") == transcript("socket")

@@ -10,10 +10,8 @@ from vsecagg.codec import CodecParams, decode, encode
 from vsecagg.field import FieldModulus
 from vsecagg.harness import RunConfig, default_params
 from vsecagg.prf import KeyMaterial, concat_keys, expand
-from vsecagg.roles import (CsState, DuplicateIdError, DuplicateShareError,
-                           EmptyIntersectionError, ProtocolError, ProtocolParams,
-                           StaleRoundError, UserState, VsState, init_model_from_seeds,
-                           join_new_user, setup)
+from vsecagg.roles import (CsState, ProtocolError, ProtocolParams, UserState, VsState,
+                           init_model_from_seeds, join_new_user, setup)
 from vsecagg.wire import (AlarmReason, Message, MessageKind, pack_online_list,
                           pack_publish_model, unpack_publish_model, unpack_publish_tag)
 
@@ -44,11 +42,16 @@ def swap_lists(cs, vs, r):
     cs.receive_online_list(vs.online_list(r))
 
 
+def finalize(cs, vs, r):
+    """Both reshares of round r, then both finalizations; returns the publications."""
+    w_t, b_t = vs.model_aggregate(r), cs.tag_aggregate(r)
+    return cs.finalize_model(w_t), vs.finalize_tag(b_t)
+
+
 def aggregate(cs, vs, r):
     """The list exchange, both reshares and both finalizations of round r."""
     swap_lists(cs, vs, r)
-    cs.finalize_model(vs.model_aggregate(r))
-    vs.finalize_tag(cs.tag_aggregate(r))
+    return finalize(cs, vs, r)
 
 
 def run_honest_round(users, cs, vs, updates, r, weights=None):
@@ -57,18 +60,17 @@ def run_honest_round(users, cs, vs, updates, r, weights=None):
     Returns the round's two publications.
     """
     share_all(users, cs, vs, updates, r, weights)
-    aggregate(cs, vs, r)
-    return cs.publish_model_message(r), vs.publish_tag_message(r)
+    return aggregate(cs, vs, r)
 
 
 def list_message(ids, r, sender=1):
     return Message(MessageKind.ONLINE_LIST, r, sender, pack_online_list(ids))
 
 
-def assert_all_verify(users, cs, vs, r, model=None):
+def assert_all_verify(users, publications, r, model=None):
     """Every user verifies round r's publications, and decodes ``model`` if given."""
     for u in users:
-        res = u.reconstruct_round(cs.publish_model_message(r), vs.publish_tag_message(r), r)
+        res = u.reconstruct_round(*publications, r)
         assert res.verified
         if model is not None:
             assert np.array_equal(res.model, model)
@@ -117,9 +119,9 @@ def test_setup_rejects_zero_users():
 def test_duplicate_registration_rejected():
     params = make_params()
     _, cs, vs = setup(2, params, rng=random.Random(2))
-    with pytest.raises(DuplicateIdError):
+    with pytest.raises(ProtocolError, match="user id 0 already registered at CS"):
         cs.register_user(0, KeyMaterial.generate())
-    with pytest.raises(DuplicateIdError):
+    with pytest.raises(ProtocolError, match="user id 1 already registered at VS"):
         vs.register_user(1, KeyMaterial.generate())
 
 
@@ -175,9 +177,9 @@ def test_share_round_rejects_stale_round():
     params = make_params()
     users, _, _ = setup(1, params, rng=random.Random(7))
     users[0].share_round(np.zeros(2), 2)
-    with pytest.raises(StaleRoundError):
+    with pytest.raises(ProtocolError, match="user 0 already shared round 2; got round 2"):
         users[0].share_round(np.zeros(2), 2)
-    with pytest.raises(StaleRoundError):
+    with pytest.raises(ProtocolError, match="user 0 already shared round 2; got round 1"):
         users[0].share_round(np.zeros(2), 1)
 
 
@@ -207,10 +209,10 @@ def test_vs_model_aggregate_order_independent():
         vs_a.receive_tag_share(msg)
     for msg in reversed(to_vs):
         vs_b.receive_tag_share(msg)
-    vs_a.receive_online_list(list_message([0, 1, 2], 1, sender=0))
-    vs_b.receive_online_list(Message(MessageKind.ONLINE_LIST, 1, 0,
-                                     struct.pack("<3I", 2, 0, 1)))
-    assert vs_a.rounds[1].participants == vs_b.rounds[1].participants == (0, 1, 2)
+    fixed_a = vs_a.receive_online_list(list_message([0, 1, 2], 1, sender=0))
+    fixed_b = vs_b.receive_online_list(Message(MessageKind.ONLINE_LIST, 1, 0,
+                                               struct.pack("<3I", 2, 0, 1)))
+    assert fixed_a == fixed_b == vs_a.rounds[1].participants == (0, 1, 2)
     assert bytes(vs_a.model_aggregate(1).payload) == bytes(vs_b.model_aggregate(1).payload)
 
 
@@ -239,12 +241,11 @@ def test_each_server_sends_one_reshare_per_round():
         vs.model_aggregate(1)
     with pytest.raises(ProtocolError, match="already sent its reshare"):
         cs.tag_aggregate(1)
-    cs.finalize_model(w_t)
-    # The CS answers after finalizing its round, and still only once.
-    with pytest.raises(ProtocolError, match="already sent its reshare"):
+    model_msg = cs.finalize_model(w_t)
+    # The CS's round is gone once finalized, so it answers no request for it.
+    with pytest.raises(ProtocolError, match="CS has fixed no participants"):
         cs.tag_aggregate(1)
-    vs.finalize_tag(b_t)
-    assert_all_verify(users, cs, vs, 1, np.full(3, 0.5))
+    assert_all_verify(users, (model_msg, vs.finalize_tag(b_t)), 1, np.full(3, 0.5))
 
 
 def test_servers_reshare_only_for_fixed_participants():
@@ -258,15 +259,14 @@ def test_servers_reshare_only_for_fixed_participants():
     for request in (vs.model_aggregate, cs.tag_aggregate):
         with pytest.raises(ProtocolError, match="fixed no participants"):
             request(1)
-    aggregate(cs, vs, 1)
-    assert_all_verify(users, cs, vs, 1, np.zeros(2))
+    assert_all_verify(users, aggregate(cs, vs, 1), 1, np.zeros(2))
 
 
 def test_servers_fix_participants_once():
     params = make_params()
     users, cs, vs = setup(3, params, rng=random.Random(38))
     share_all(users, cs, vs, {u.uid: np.full(2, 0.25 * u.uid) for u in users}, 1)
-    vs.receive_online_list(cs.online_list(1))
+    assert vs.receive_online_list(cs.online_list(1)) == (0, 1, 2)
     bad = [(vs, cs.online_list(1)),  # a second list
            (vs, list_message([2], 1, sender=0)),  # a second list naming one user
            (cs, Message(MessageKind.RESHARE_MODEL, 1, 1, pack_online_list([0, 1, 2]))),
@@ -275,33 +275,87 @@ def test_servers_fix_participants_once():
         with pytest.raises(ProtocolError):
             server.receive_online_list(msg)
     assert vs.rounds[1].participants == (0, 1, 2) and cs.rounds[1].participants is None
-    cs.receive_online_list(vs.online_list(1))
+    assert cs.receive_online_list(vs.online_list(1)) == (0, 1, 2)
     with pytest.raises(ProtocolError):
         cs.receive_online_list(list_message([0], 1))
     assert cs.rounds[1].participants == (0, 1, 2)
-    cs.finalize_model(vs.model_aggregate(1))
-    vs.finalize_tag(cs.tag_aggregate(1))
+    model_msg, tag_msg = finalize(cs, vs, 1)
     # A list for a finalized round.
     for server, sender in ((cs, 1), (vs, 0)):
-        with pytest.raises(StaleRoundError):
+        with pytest.raises(ProtocolError, match="already finalized round 1; got round 1"):
             server.receive_online_list(list_message([0, 1, 2], 1, sender))
-    assert cs.rounds[1].m == vs.rounds[1].m == 3
-    assert_all_verify(users, cs, vs, 1, np.full(2, 0.25))
+    assert unpack_publish_model(model_msg.payload)[0] == 3
+    assert unpack_publish_tag(tag_msg.payload)[0] == 3
+    assert_all_verify(users, (model_msg, tag_msg), 1, np.full(2, 0.25))
 
 
 def test_empty_intersection_fixes_no_participants():
     params = make_params()
     users, cs, vs = setup(2, params, rng=random.Random(39))
-    with pytest.raises(EmptyIntersectionError):
+    with pytest.raises(ProtocolError, match="round 1: no user reached both servers"):
         cs.receive_online_list(list_message([0, 1], 1))  # the CS holds no share yet
     assert 1 not in cs.rounds
     share_all(users, cs, vs, {u.uid: np.zeros(2) for u in users}, 1)
     for ids in ([], [5]):
-        with pytest.raises(EmptyIntersectionError):
+        with pytest.raises(ProtocolError, match="round 1: no user reached both servers"):
             cs.receive_online_list(list_message(ids, 1))
     assert cs.rounds[1].participants is None
-    aggregate(cs, vs, 1)
-    assert_all_verify(users, cs, vs, 1, np.zeros(2))
+    assert_all_verify(users, aggregate(cs, vs, 1), 1, np.zeros(2))
+
+
+def test_a_round_abandoned_at_its_list_exchange_leaves_when_a_later_round_finalizes():
+    params = make_params()
+    users, cs, vs = setup(2, params, rng=random.Random(43))
+    share_all(users, cs, vs, {u.uid: np.zeros(2) for u in users}, 1)
+    vs.receive_online_list(cs.online_list(1))
+    with pytest.raises(ProtocolError, match="round 1: no user reached both servers"):
+        cs.receive_online_list(list_message([5], 1))
+    # Round 1 is abandoned: it stays open at both servers until round 2 finalizes.
+    publications = run_honest_round(users, cs, vs, {u.uid: np.full(2, 0.5) for u in users}, 2)
+    assert cs.rounds == vs.rounds == {}
+    assert cs.finalized_round == vs.finalized_round == 2
+    assert_all_verify(users, publications, 2, np.full(2, 0.5))
+
+
+@pytest.mark.parametrize("server", ["cs", "vs"])
+def test_a_server_finalizes_only_after_sending_its_own_reshare(server):
+    # Finalizing drops the round, so a server that finalized before it
+    # answered would leave its peer's round unable to finish.
+    params = make_params()
+    users, cs, vs = setup(2, params, rng=random.Random(44))
+    share_all(users, cs, vs, {u.uid: np.full(2, 0.25) for u in users}, 1)
+    swap_lists(cs, vs, 1)
+    if server == "cs":
+        w_t = vs.model_aggregate(1)
+        with pytest.raises(ProtocolError, match="round 1: CS has not sent its reshare"):
+            cs.finalize_model(w_t)
+        b_t = cs.tag_aggregate(1)
+    else:
+        b_t = cs.tag_aggregate(1)
+        with pytest.raises(ProtocolError, match="round 1: VS has not sent its reshare"):
+            vs.finalize_tag(b_t)
+        w_t = vs.model_aggregate(1)
+    assert list(cs.rounds) == list(vs.rounds) == [1]
+    publications = cs.finalize_model(w_t), vs.finalize_tag(b_t)
+    assert cs.rounds == vs.rounds == {}
+    assert_all_verify(users, publications, 1, np.full(2, 0.25))
+
+
+def test_a_finalized_round_takes_no_second_finalize_or_reshare_request():
+    params = make_params()
+    users, cs, vs = setup(2, params, rng=random.Random(45))
+    share_all(users, cs, vs, {u.uid: np.zeros(2) for u in users}, 1)
+    swap_lists(cs, vs, 1)
+    w_t, b_t = vs.model_aggregate(1), cs.tag_aggregate(1)
+    publications = cs.finalize_model(w_t), vs.finalize_tag(b_t)
+    for finalize_again, reshare in ((cs.finalize_model, w_t), (vs.finalize_tag, b_t)):
+        with pytest.raises(ProtocolError, match="already finalized round 1; got round 1"):
+            finalize_again(reshare)
+    for request in (vs.model_aggregate, cs.tag_aggregate):
+        with pytest.raises(ProtocolError, match="round 1: [CV]S has fixed no participants"):
+            request(1)
+    assert cs.rounds == vs.rounds == {}
+    assert_all_verify(users, publications, 1, np.zeros(2))
 
 
 @pytest.mark.parametrize("server", ["cs", "vs"])
@@ -317,30 +371,7 @@ def test_server_rejects_a_share_after_fixing_participants(server):
         receive(late)
     assert list(target.rounds[1].shares) == [0, 1]
     assert target.rounds[1].participants == (0, 1)
-    cs.finalize_model(vs.model_aggregate(1))
-    vs.finalize_tag(cs.tag_aggregate(1))
-    assert_all_verify(users[:2], cs, vs, 1, np.full(2, 0.5))
-
-
-def test_publication_of_a_round_not_finalized_raises():
-    params = make_params()
-    users, cs, vs = setup(2, params, rng=random.Random(42))
-    rng = np.random.default_rng(13)
-
-    def rejected(r):
-        for publish in (cs.publish_model_message, vs.publish_tag_message):
-            with pytest.raises(ProtocolError, match=f"round {r} not finalized"):
-                publish(r)
-
-    rejected(0)
-    rejected(5)  # unknown at fresh servers
-    for r in (1, 2):
-        run_honest_round(users, cs, vs, {u.uid: rng.uniform(-1, 1, 2) for u in users}, r)
-    rejected(1)  # dropped when round 2 finalized
-    share_all(users, cs, vs, {u.uid: np.zeros(2) for u in users}, 3)
-    swap_lists(cs, vs, 3)
-    rejected(3)  # open
-    assert_all_verify(users, cs, vs, 2)
+    assert_all_verify(users[:2], finalize(cs, vs, 1), 1, np.full(2, 0.5))
 
 
 def test_cs_rejects_duplicate_share():
@@ -348,7 +379,7 @@ def test_cs_rejects_duplicate_share():
     users, cs, _ = setup(2, params, rng=random.Random(12))
     to_cs, _ = users[0].share_round(np.zeros(2), 1)
     cs.receive_share(to_cs)
-    with pytest.raises(DuplicateShareError):
+    with pytest.raises(ProtocolError, match="round 1: duplicate share from user 0"):
         cs.receive_share(to_cs)
     assert list(cs.rounds[1].shares) == [0]
 
@@ -366,7 +397,7 @@ def test_finalize_model_reconstructs_encoded_sum():
                              params.r)
     unmasked = field.vec_add(w1pp, expand(vs.k_vg, 1, 2, params.r), params.r)
     assert np.array_equal(unmasked, expected)
-    assert np.array_equal(cs.rounds[1].published, w1pp)
+    assert cs.rounds == vs.rounds == {}
 
 
 def test_tag_shares_reconstruct_tag_sum():
@@ -500,7 +531,7 @@ def test_join_new_user_keys_and_participation():
 def test_join_rejects_duplicate_id():
     params = make_params()
     _, cs, vs = setup(1, params, rng=random.Random(22))
-    with pytest.raises(DuplicateIdError):
+    with pytest.raises(ProtocolError, match="user id 0 already registered at CS"):
         cs.register_user(0, KeyMaterial.generate())
 
 
@@ -511,12 +542,34 @@ def test_weighted_round_matches_weighted_oracle():
     weights = {0: 1.0, 1: 3.0}
     updates = {0: np.array([0.5, -0.5]), 1: np.array([0.25, 0.75])}
     model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 1, weights=weights)
-    res = users[0].reconstruct_round(model_msg, tag_msg, 1, weighted=True)
+    res = users[0].reconstruct_round(model_msg, tag_msg, 1)
     assert res.verified
     expected = (updates[0] * 1.0 + updates[1] * 3.0) / 4.0
     assert np.max(np.abs(res.model - expected)) <= 0.5 / params.codec.delta
     # Integral weights recover exactly.
-    assert weight_sum(users[0], cs.rounds[1].published, 1) == 4.0
+    assert weight_sum(users[0], unpack_publish_model(model_msg.payload)[1], 1) == 4.0
+
+
+def test_a_user_decodes_a_round_as_it_shared_its_update():
+    # The weight rides as the last coordinate, so a user that shared a
+    # weighted update decodes the weighted mean of the d - 1 others, and one
+    # that shared an unweighted update all d coordinates, with no flag.
+    params = make_params(dim=3)
+    users, cs, vs = setup(2, params, rng=random.Random(46))
+    weights = {0: 1.0, 1: 3.0}
+    updates = {0: np.array([0.5, 1.0]), 1: np.array([0.25, 0.5])}
+    model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 1, weights=weights)
+    for u in users:
+        res = u.reconstruct_round(model_msg, tag_msg, 1)
+        assert res.verified
+        assert res.model.shape == (2,)
+        assert np.array_equal(res.model, [0.3125, 0.625])
+    plain = {0: np.array([0.5, 1.0, 1.0]), 1: np.array([0.25, 0.5, 3.0])}
+    model_msg, tag_msg = run_honest_round(users, cs, vs, plain, 2)
+    for u in users:
+        res = u.reconstruct_round(model_msg, tag_msg, 2)
+        assert res.verified
+        assert np.array_equal(res.model, [0.375, 0.75, 2.0])
 
 
 def test_weighted_unit_weights_match_unweighted():
@@ -528,7 +581,7 @@ def test_weighted_unit_weights_match_unweighted():
     updates = {0: np.array([0.5, -0.25]), 1: np.array([0.125, 0.875])}
     weights = {0: 1.0, 1: 1.0}
     model_w, tag_w = run_honest_round(users_w, cs_w, vs_w, updates, 1, weights=weights)
-    res_w = users_w[0].reconstruct_round(model_w, tag_w, 1, weighted=True)
+    res_w = users_w[0].reconstruct_round(model_w, tag_w, 1)
     padded = {uid: np.append(v, 1.0) for uid, v in updates.items()}
     model_p, tag_p = run_honest_round(users_p, cs_p, vs_p, padded, 1)
     res_p = users_p[0].reconstruct_round(model_p, tag_p, 1)
@@ -543,11 +596,10 @@ def test_server_state_stays_within_one_round_over_many_rounds():
     for r in range(1, 61):
         updates = {u.uid: rng.uniform(-1, 1, 8) for u in users}
         model_msg, tag_msg = run_honest_round(users, cs, vs, updates, r)
-        # Only the finalized round is kept, with its publication but no shares.
-        assert list(cs.rounds) == [r] and list(vs.rounds) == [r]
-        assert not cs.rounds[r].shares and not vs.rounds[r].shares
-        assert cs.rounds[r].published.size == params.dim
-        assert users[0].reconstruct_round(model_msg, tag_msg, r).verified
+        # A finalized round leaves the book: both servers hold no round.
+        assert cs.rounds == vs.rounds == {}
+        for u in users:
+            assert u.reconstruct_round(model_msg, tag_msg, r).verified
     assert cs.finalized_round == vs.finalized_round == 60
 
 
@@ -566,13 +618,14 @@ def test_servers_reject_shares_for_finalized_rounds():
     w_t, b_t = vs.model_aggregate(1), cs.tag_aggregate(1)
     cs.finalize_model(w_t)
     vs.finalize_tag(b_t)
-    with pytest.raises(StaleRoundError):
+    stale = "already finalized round 1; got round 1"
+    with pytest.raises(ProtocolError, match=f"CS {stale}"):
         cs.receive_share(late["cs"])
-    with pytest.raises(StaleRoundError):
+    with pytest.raises(ProtocolError, match=f"VS {stale}"):
         vs.receive_tag_share(late["vs"])
-    with pytest.raises(StaleRoundError):
+    with pytest.raises(ProtocolError, match=f"CS {stale}"):
         cs.finalize_model(w_t)
-    with pytest.raises(StaleRoundError):
+    with pytest.raises(ProtocolError, match=f"VS {stale}"):
         vs.finalize_tag(b_t)
     # The next round is open.
     to_cs, to_vs = users[2].share_round(np.zeros(2), 2)
@@ -631,8 +684,7 @@ def test_rejected_shares_open_no_round():
     to_cs, to_vs = users[1].share_round(np.zeros(2), 2)
     cs.receive_share(to_cs)
     vs.receive_tag_share(to_vs)
-    aggregate(cs, vs, 2)
-    assert_all_verify(users, cs, vs, 2, np.zeros(2))
+    assert_all_verify(users, aggregate(cs, vs, 2), 2, np.zeros(2))
 
 
 @pytest.mark.parametrize("r", [BIG_PRIME, MERSENNE_61])
@@ -678,14 +730,18 @@ def test_cs_rejects_non_canonical_reshare():
         vs.receive_tag_share(to_vs)
     swap_lists(cs, vs, 1)
     w_t = vs.model_aggregate(1)
+    cs.tag_aggregate(1)  # the CS finalizes only once its own reshare is sent
     one_high = field.vec_from_raw(w_t.payload).copy()
     one_high[1] = np.uint64(MERSENNE_61)
     for bad in (one_high, np.full(3, HIGH_WORD, dtype=np.uint64)):
         with pytest.raises(ProtocolError, match="non-canonical"):
             cs.finalize_model(reshare_model(bad, 1))
     assert cs.finalized_round == 0
-    assert cs.finalize_model(w_t) is None
-    assert cs.rounds[1].m == 2 and int(cs.rounds[1].published.max()) < MERSENNE_61
+    model_msg = cs.finalize_model(w_t)
+    m, w1pp = unpack_publish_model(model_msg.payload)
+    assert (model_msg.kind, model_msg.round_index, model_msg.sender) == (
+        MessageKind.PUBLISH_MODEL, 1, 0)
+    assert m == 2 and int(w1pp.max()) < MERSENNE_61 and cs.rounds == {}
 
 
 def test_user_derives_tag_key_once_per_round(monkeypatch):
@@ -748,10 +804,9 @@ def test_finalize_rejects_a_reshare_of_the_wrong_kind_or_round():
             vs.finalize_tag(bad)
     assert cs.finalized_round == vs.finalized_round == 0
     assert list(cs.rounds) == list(vs.rounds) == [2]
-    cs.finalize_model(w_t)
-    vs.finalize_tag(b_t)
+    publications = cs.finalize_model(w_t), vs.finalize_tag(b_t)
     assert cs.finalized_round == vs.finalized_round == 2
-    assert_all_verify(users, cs, vs, 2, np.zeros(2))
+    assert_all_verify(users, publications, 2, np.zeros(2))
 
 
 def test_user_rejects_a_publication_of_another_round():
