@@ -38,18 +38,16 @@ for u in users:
     cs.receive_share(to_cs)
     vs.receive_tag_share(to_vs)
 
-# --- Aggregate stage: the servers swap online lists, and each fixes its
-# participants as the peer's list intersected with the users it holds a
-# share from.  Then each sums its own shares; VS regenerates the second
-# model shares from user keys.
-vs.receive_online_list(cs.online_list(1))
-participants = cs.receive_online_list(vs.online_list(1))
+# --- Aggregate stage: each server answers the peer's online list with its
+# reshare.  It fixes its participants as the peer's list intersected with
+# the users it holds a share from, then sums over them; VS regenerates the
+# second model shares from user keys.
+_, w_t = vs.model_aggregate(cs.online_list(1))  # RESHARE_MODEL: VS partial, global mask removed
+participants, b_t = cs.tag_aggregate(vs.online_list(1))  # RESHARE_TAG: CS tag partial
 print(f"participant intersection: {participants} (m = {len(participants)})")
 
-w_t = vs.model_aggregate(1)        # RESHARE_MODEL: VS partial, global mask removed
-b_t = cs.tag_aggregate(1)          # RESHARE_TAG: CS tag partial
-# Each server sends its reshare before it finalizes: finalizing returns the
-# round's publication and drops the round from the server's state.
+# Finalizing returns the round's publication and drops the round from the
+# server's state.
 model_msg = cs.finalize_model(w_t)  # PUBLISH_MODEL: masked aggregate w''_1 and m
 tag_msg = vs.finalize_tag(b_t)      # PUBLISH_TAG: tag aggregate b'_2 and m
 m, w1pp = unpack_publish_model(model_msg.payload)

@@ -360,8 +360,9 @@ def run_round(users_online: List[UserState], all_users: Dict[int, UserState],
     """Drive one full Share/Aggregate/Reconstruct round over the network.
 
     The outcome's spans time each role call by stage: ``share`` (each
-    user's share_round), ``vs_aggregate`` (the VS's mask regeneration),
-    ``eval`` (the CS's tag-share evaluation), ``cs_aggregate`` (the CS's
+    user's share_round), ``vs_aggregate`` and ``eval`` (the VS's and the
+    CS's answer to the peer's online list: fixing participants, then mask
+    regeneration or tag-share evaluation), ``cs_aggregate`` (the CS's
     share sum) and ``verify`` (each participant's reconstruct_round).
     """
     adv = adversary if adversary and adversary.round_index == round_index else None
@@ -405,14 +406,11 @@ def run_round(users_online: List[UserState], all_users: Dict[int, UserState],
     for msg in vs_inbox:
         vs.receive_tag_share(msg)
 
-    vs_ids = vs.receive_online_list(send("cs->vs", cs.online_list(round_index)))
-    cs_ids = cs.receive_online_list(send("vs->cs", vs.online_list(round_index)))
-    # Both reshares go out before either server finalizes: a server that
-    # finalized first would have dropped the round its reshare comes from.
-    w_t = send("vs->cs", timed("vs_aggregate", vs.model_aggregate, round_index))
-    b_t = send("cs->vs", timed("eval", cs.tag_aggregate, round_index))
-    model_msg = timed("cs_aggregate", cs.finalize_model, w_t)
-    tag_msg = vs.finalize_tag(b_t)
+    vs_ids, w_t = timed("vs_aggregate", vs.model_aggregate,
+                        send("cs->vs", cs.online_list(round_index)))
+    cs_ids, b_t = timed("eval", cs.tag_aggregate, send("vs->cs", vs.online_list(round_index)))
+    model_msg = timed("cs_aggregate", cs.finalize_model, send("vs->cs", w_t))
+    tag_msg = vs.finalize_tag(send("cs->vs", b_t))
 
     # The CS sends the model publication, so its participants receive it.
     results = {uid: timed("verify", all_users[uid].reconstruct_round,

@@ -5,8 +5,9 @@ for one prime R, the codec's modulus:
 
   Share        user i sends  w_i1 = enc(w_i) - F_{Kvi}(r)  to CS and
                b_i2 = tag(enc(w_i)) - F_{Kci}(r, 1)        to VS.
-  Aggregate    servers swap online lists, and each intersects the peer's
-               list with its own senders, once per round; VS sends
+  Aggregate    each server answers the peer's online list with its one
+               reshare: it intersects that list with its own senders,
+               which fixes the round's participants, and VS sends
                w_t = sum_i F_{Kvi}(r) - F_{Kvg}(r) to CS, which publishes
                w''_1 = sum_i w_i1 + w_t together with m; CS sends
                b_t = sum_i F_{Kci}(r,1) - F_{Kcg}(r,1) to VS, which
@@ -15,12 +16,14 @@ for one prime R, the codec's modulus:
                tag, and on success decodes the mean.
 
 Each role builds the messages it sends and reads the messages it
-receives.  The CS and VS share one round book, which answers one reshare
-per round: two, for different participant sets, would differ by one
-user's mask and so reveal that user's update to the peer.  The book
-holds open rounds only.  A server finalizes a round once its own reshare
-is sent, and finalizing returns the round's publication and drops that
-round and every earlier one, so a finished round leaves no state.
+receives.  The CS and VS share one round book, which fixes a round's
+participants once, so a server sends one reshare per round: two, for
+different participant sets, would differ by one user's mask and so
+reveal that user's update to the peer.  The book holds open rounds only.
+A server finalizes a round once it has fixed its participants, and so
+sent its own reshare; finalizing returns the round's publication and
+drops that round and every earlier one, so a finished round leaves no
+state.
 
 Users require the participant counts published by the two servers to
 agree before decoding: the tag covers the sum but not the divisor, so a
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -211,7 +214,6 @@ class _ServerRound:
     # Each user's share of the round: a model share at the CS, a tag share at the VS.
     shares: Dict[int, object] = dc_field(default_factory=dict)
     participants: Optional[Tuple[int, ...]] = None  # fixed once; no share is taken after
-    reshared: bool = False  # the server's one reshare of the round is sent
 
 
 class _Server:
@@ -242,22 +244,6 @@ class _Server:
         state = self.rounds.get(round_index)
         return Message(MessageKind.ONLINE_LIST, round_index, self._sender,
                        pack_online_list(state.shares if state else ()))
-
-    def receive_online_list(self, msg: Message) -> Tuple[int, ...]:
-        """Fix and return the round's participants: the peer's list intersected
-        with this server's own received-from set."""
-        state = self._open_round(msg, MessageKind.ONLINE_LIST)
-        try:
-            peer_ids = unpack_online_list(msg.payload)
-        except WireError as exc:
-            raise ProtocolError(f"{self._name} got a malformed online list: {exc}") from None
-        if state is not None and state.participants is not None:
-            raise ProtocolError(f"round {msg.round_index}: {self._name} already fixed them")
-        common = tuple(sorted(set(peer_ids) & set(state.shares))) if state else ()
-        if not common:
-            raise ProtocolError(f"round {msg.round_index}: no user reached both servers")
-        state.participants = common
-        return common
 
     def _open_round(self, msg: Message, kind: MessageKind) -> Optional[_ServerRound]:
         """State of the open round ``msg`` belongs to, once its kind and round
@@ -292,28 +278,29 @@ class _Server:
         """Keep a share that passed every check; the first one opens its round."""
         self.rounds.setdefault(msg.round_index, _ServerRound()).shares[msg.sender] = share
 
-    def _fixed(self, round_index: int) -> _ServerRound:
-        state = self.rounds.get(round_index)
-        if state is None or state.participants is None:
-            raise ProtocolError(f"round {round_index}: {self._name} has fixed no participants")
-        return state
-
-    def _reshare_keys(self, round_index: int) -> List[KeyMaterial]:
-        """The participants' keys, for the server's one reshare of the round."""
-        state = self._fixed(round_index)
-        if state.reshared:
-            raise ProtocolError(f"round {round_index}: {self._name} already sent its reshare")
-        state.reshared = True
-        return [self.user_keys[uid] for uid in state.participants]
+    def _fix_participants(self, peer_list: Message) -> Tuple[int, ...]:
+        """Fix and return the round's participants: the peer's ONLINE_LIST
+        intersected with this server's own received-from set."""
+        state = self._open_round(peer_list, MessageKind.ONLINE_LIST)
+        try:
+            peer_ids = unpack_online_list(peer_list.payload)
+        except WireError as exc:
+            raise ProtocolError(f"{self._name} got a malformed online list: {exc}") from None
+        if state is not None and state.participants is not None:
+            raise ProtocolError(f"round {peer_list.round_index}: {self._name} already fixed them")
+        common = tuple(sorted(set(peer_ids) & set(state.shares))) if state else ()
+        if not common:
+            raise ProtocolError(f"round {peer_list.round_index}: no user reached both servers")
+        state.participants = common
+        return common
 
     def _participant_shares(self, reshare: Message, kind: MessageKind) -> list:
         """Every participant's share, once ``reshare`` passed the checks of a share
-        and this server sent its own reshare, which the peer needs to finalize."""
-        self._round_of(reshare, kind)
-        state = self._fixed(reshare.round_index)
-        if not state.reshared:
-            raise ProtocolError(f"round {reshare.round_index}: {self._name} has not "
-                                "sent its reshare")
+        and this server fixed the participants, and so sent its own reshare."""
+        state = self._round_of(reshare, kind)
+        if state is None or state.participants is None:
+            raise ProtocolError(f"round {reshare.round_index}: {self._name} has fixed "
+                                "no participants")
         return [state.shares[uid] for uid in state.participants]
 
     def _finalize(self, reshare: Message, kind: MessageKind, pack, body) -> Message:
@@ -353,13 +340,16 @@ class CsState(_Server):
         return self._finalize(reshare, MessageKind.PUBLISH_MODEL, pack_publish_model,
                               field.vec_add(field.vec_sum(shares, p.r), w_t, p.r))
 
-    def tag_aggregate(self, round_index: int) -> Message:
-        """RESHARE_TAG to the VS: b_t = sum of regenerated tag shares minus the global mask."""
-        r = self.params.r
-        b1 = sum(expand_one(key, round_index, r) for key in self._reshare_keys(round_index))
+    def tag_aggregate(self, vs_list: Message) -> Tuple[Tuple[int, ...], Message]:
+        """The participants fixed from the VS's ONLINE_LIST, and the answer
+        RESHARE_TAG to the VS: b_t = sum of regenerated tag shares minus the
+        global mask."""
+        r, round_index = self.params.r, vs_list.round_index
+        ids = self._fix_participants(vs_list)
+        b1 = sum(expand_one(self.user_keys[uid], round_index, r) for uid in ids)
         b_t = (b1 - expand_one(self.k_cg, round_index, r)) % r
-        return Message(MessageKind.RESHARE_TAG, round_index, self._sender,
-                       tags.tag_to_bytes(b_t))
+        return ids, Message(MessageKind.RESHARE_TAG, round_index, self._sender,
+                            tags.tag_to_bytes(b_t))
 
 
 class VsState(_Server):
@@ -377,15 +367,18 @@ class VsState(_Server):
         self._check_share(msg, MessageKind.TAG_SHARE)
         self._keep_share(msg, tags.tag_from_bytes(msg.payload))
 
-    def model_aggregate(self, round_index: int) -> Message:
-        """RESHARE_MODEL to the CS: w_t = sum of regenerated user masks minus the global mask."""
-        p = self.params
+    def model_aggregate(self, cs_list: Message) -> Tuple[Tuple[int, ...], Message]:
+        """The participants fixed from the CS's ONLINE_LIST, and the answer
+        RESHARE_MODEL to the CS: w_t = sum of regenerated user masks minus the
+        global mask."""
+        p, round_index = self.params, cs_list.round_index
+        ids = self._fix_participants(cs_list)
         # A generator: each mask is added and dropped before the next is made.
-        total = field.vec_sum((expand(key, round_index, p.dim, p.r)
-                               for key in self._reshare_keys(round_index)), p.r)
+        total = field.vec_sum((expand(self.user_keys[uid], round_index, p.dim, p.r)
+                               for uid in ids), p.r)
         w_t = field.vec_sub(total, expand(self.k_vg, round_index, p.dim, p.r), p.r)
-        return Message(MessageKind.RESHARE_MODEL, round_index, self._sender,
-                       field.vec_to_raw(w_t))
+        return ids, Message(MessageKind.RESHARE_MODEL, round_index, self._sender,
+                            field.vec_to_raw(w_t))
 
     def finalize_tag(self, reshare: Message) -> Message:
         """PUBLISH_TAG: b'_2 = sum of participant tag shares + b_t from the CS's

@@ -98,22 +98,6 @@ class WireError(ValueError):
         self.offset = offset
 
 
-class BadMagicError(WireError):
-    pass
-
-
-class TruncatedFrameError(WireError):
-    pass
-
-
-class UnknownKindError(WireError):
-    pass
-
-
-class LengthMismatchError(WireError):
-    pass
-
-
 class LinkClosedError(RuntimeError):
     pass
 
@@ -125,26 +109,32 @@ def serialize(msg: Message) -> bytes:
                        len(msg.payload)) + msg.payload
 
 
+def _read_header(header) -> Tuple[MessageKind, int, int, int]:
+    """The kind, round, sender and payload length a frame's header names,
+    once its magic and kind pass."""
+    magic, kind, round_index, sender, length = HEADER.unpack_from(header)
+    if magic != MAGIC:
+        raise WireError(f"bad magic {magic!r}", 0)
+    known = _KINDS.get(kind)
+    if known is None:
+        raise WireError(f"unknown message kind {kind}", 4)
+    return known, round_index, sender, length
+
+
 def deserialize(data: bytes) -> Message:
     """Exact inverse of :func:`serialize` on a single well-formed frame.
 
     The payload is a memoryview into ``data``, not a copy.
     """
     if len(data) < HEADER.size:
-        raise TruncatedFrameError("frame shorter than its header", len(data))
-    magic, kind, round_index, sender, length = HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}", 0)
-    known = _KINDS.get(kind)
-    if known is None:
-        raise UnknownKindError(f"unknown message kind {kind}", 4)
+        raise WireError("frame shorter than its header", len(data))
+    kind, round_index, sender, length = _read_header(data)
     end = HEADER.size + length
     if len(data) < end:
-        raise TruncatedFrameError("frame truncated mid-payload", len(data))
+        raise WireError("frame truncated mid-payload", len(data))
     if end != len(data):
-        raise LengthMismatchError(
-            f"{len(data) - end} trailing bytes after frame", end)
-    return Message(known, round_index, sender, memoryview(data)[HEADER.size:end])
+        raise WireError(f"{len(data) - end} trailing bytes after frame", end)
+    return Message(kind, round_index, sender, memoryview(data)[HEADER.size:end])
 
 
 # -- payload layouts ---------------------------------------------------------
@@ -167,7 +157,7 @@ def pack_publish_model(m: int, vec: np.ndarray) -> bytes:
 def _unpack_publish_count(payload: bytes) -> Tuple[int, memoryview]:
     """Split a publication into its participant count and the published body."""
     if len(payload) < 8:
-        raise TruncatedFrameError(
+        raise WireError(
             f"publication payload of {len(payload)} bytes has no 8-byte count", len(payload))
     (m,) = struct.unpack_from("<Q", payload)
     return m, memoryview(payload)[8:]
@@ -176,8 +166,7 @@ def _unpack_publish_count(payload: bytes) -> Tuple[int, memoryview]:
 def unpack_publish_model(payload: bytes) -> Tuple[int, np.ndarray]:
     m, body = _unpack_publish_count(payload)
     if len(body) % 8 != 0:
-        raise LengthMismatchError(
-            f"published model of {len(body)} bytes is not a whole number of words", 8)
+        raise WireError(f"published model of {len(body)} bytes is not a whole number of words", 8)
     return m, field.vec_from_raw(body)
 
 
@@ -188,8 +177,7 @@ def pack_publish_tag(m: int, tag: int) -> bytes:
 def unpack_publish_tag(payload: bytes) -> Tuple[int, int]:
     m, body = _unpack_publish_count(payload)
     if len(body) != TAG_BYTES:
-        raise LengthMismatchError(
-            f"published tag must be {TAG_BYTES} bytes, got {len(body)}", 8)
+        raise WireError(f"published tag must be {TAG_BYTES} bytes, got {len(body)}", 8)
     return m, tag_from_bytes(body)
 
 
@@ -234,10 +222,6 @@ class TrafficLedger:
     def payload_bytes(self, link: str, round_index: int) -> int:
         entry = self.entries.get((link, round_index))
         return entry.payload_bytes if entry else 0
-
-    def total_bytes(self, link: str, round_index: int) -> int:
-        entry = self.entries.get((link, round_index))
-        return entry.total_bytes if entry else 0
 
 
 # -- channels ----------------------------------------------------------------
@@ -286,12 +270,8 @@ class SocketLink:
     def recv(self) -> Message:
         header = bytearray(HEADER.size)
         self._read_into(memoryview(header))
-        magic, kind, round_index, sender, length = HEADER.unpack(header)
-        if magic != MAGIC:
-            raise BadMagicError(f"bad magic {magic!r}")
         # Refused before a byte is allocated for, or read of, the payload.
-        if kind not in _KINDS:
-            raise UnknownKindError(f"unknown message kind {kind}", 4)
+        length = _read_header(header)[3]
         if length > MAX_PAYLOAD:
             raise WireError(f"header announces {length} payload bytes, over the "
                             f"{MAX_PAYLOAD}-byte limit", HEADER.size - 4)

@@ -33,6 +33,8 @@ def test_traced_crowd_run_is_correct_and_reports_spans():
     metrics = {name: m["value"] for name, m in run_crowd(trace=1)["metrics"].items()}
     assert metrics["sharing.share_with_prf.ms"] > 0
     assert metrics["tags.gen_tag.calls"] > 0
+    # The VS's answer to the CS's online list is traced as its own span.
+    assert metrics["roles.vs.model_aggregate.ms"] > 0
     # Servers hold no round once it is published: the state left after
     # each simulation, read through perfbench's held_bytes, is empty.
     assert metrics["roles.state_mb"] == 0

@@ -295,11 +295,11 @@ def four_user_round(net, vs_skips=()):
     receive = vs.receive_tag_share
     vs.receive_tag_share = lambda msg: None if msg.sender in vs_skips else receive(msg)
     fixed = {}
-    for name, server in (("cs", cs), ("vs", vs)):
-        def receive_list(msg, name=name, receive_list=server.receive_online_list):
-            fixed[name] = receive_list(msg)
-            return fixed[name]
-        server.receive_online_list = receive_list
+    for name, server, method in (("cs", cs, "tag_aggregate"), ("vs", vs, "model_aggregate")):
+        def answer(msg, name=name, answer=getattr(server, method)):
+            fixed[name], reshare = answer(msg)
+            return fixed[name], reshare
+        setattr(server, method, answer)
     updates = {0: np.zeros(3), 1: np.full(3, 0.25), 2: np.full(3, 0.5), 3: np.full(3, 0.75)}
     try:
         outcome = harness.run_round(users, {u.uid: u for u in users}, cs, vs, net, 1,

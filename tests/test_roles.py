@@ -36,22 +36,18 @@ def share_all(users, cs, vs, updates, r, weights=None):
         vs.receive_tag_share(to_vs)
 
 
-def swap_lists(cs, vs, r):
-    """The servers' ONLINE_LIST exchange of round r, as run_round routes it."""
-    vs.receive_online_list(cs.online_list(r))
-    cs.receive_online_list(vs.online_list(r))
-
-
-def finalize(cs, vs, r):
-    """Both reshares of round r, then both finalizations; returns the publications."""
-    w_t, b_t = vs.model_aggregate(r), cs.tag_aggregate(r)
-    return cs.finalize_model(w_t), vs.finalize_tag(b_t)
+def reshares(cs, vs, r):
+    """Each server's answer to the peer's ONLINE_LIST of round r, as run_round
+    routes them: the VS's RESHARE_MODEL, then the CS's RESHARE_TAG."""
+    _, w_t = vs.model_aggregate(cs.online_list(r))
+    _, b_t = cs.tag_aggregate(vs.online_list(r))
+    return w_t, b_t
 
 
 def aggregate(cs, vs, r):
-    """The list exchange, both reshares and both finalizations of round r."""
-    swap_lists(cs, vs, r)
-    return finalize(cs, vs, r)
+    """Both reshares of round r, then both finalizations; returns the publications."""
+    w_t, b_t = reshares(cs, vs, r)
+    return cs.finalize_model(w_t), vs.finalize_tag(b_t)
 
 
 def run_honest_round(users, cs, vs, updates, r, weights=None):
@@ -188,8 +184,8 @@ def test_vs_model_aggregate_hand_summed():
     params = make_params(dim=1, r=r, n_max=2, delta=1, bound=3.0)
     users, cs, vs = setup(2, params, rng=random.Random(8))
     share_all(users, cs, vs, {0: np.zeros(1), 1: np.ones(1)}, 1)
-    swap_lists(cs, vs, 1)
-    msg = vs.model_aggregate(1)
+    ids, msg = vs.model_aggregate(cs.online_list(1))
+    assert ids == (0, 1)
     assert (msg.kind, msg.round_index, msg.sender) == (MessageKind.RESHARE_MODEL, 1, 1)
     w_t = field.vec_from_raw(msg.payload)
     expected = (int(expand(vs.user_keys[0], 1, 1, r)[0])
@@ -209,19 +205,19 @@ def test_vs_model_aggregate_order_independent():
         vs_a.receive_tag_share(msg)
     for msg in reversed(to_vs):
         vs_b.receive_tag_share(msg)
-    fixed_a = vs_a.receive_online_list(list_message([0, 1, 2], 1, sender=0))
-    fixed_b = vs_b.receive_online_list(Message(MessageKind.ONLINE_LIST, 1, 0,
-                                               struct.pack("<3I", 2, 0, 1)))
+    fixed_a, w_a = vs_a.model_aggregate(list_message([0, 1, 2], 1, sender=0))
+    fixed_b, w_b = vs_b.model_aggregate(Message(MessageKind.ONLINE_LIST, 1, 0,
+                                                struct.pack("<3I", 2, 0, 1)))
     assert fixed_a == fixed_b == vs_a.rounds[1].participants == (0, 1, 2)
-    assert bytes(vs_a.model_aggregate(1).payload) == bytes(vs_b.model_aggregate(1).payload)
+    assert bytes(w_a.payload) == bytes(w_b.payload)
 
 
 def test_cs_tag_aggregate_single_term():
     params = make_params()
     users, cs, vs = setup(1, params, rng=random.Random(11))
     share_all(users, cs, vs, {0: np.zeros(2)}, 1)
-    swap_lists(cs, vs, 1)
-    msg = cs.tag_aggregate(1)
+    ids, msg = cs.tag_aggregate(vs.online_list(1))
+    assert ids == (0,)
     assert (msg.kind, msg.round_index, msg.sender) == (MessageKind.RESHARE_TAG, 1, 0)
     expected = (int(expand(cs.user_keys[0], 1, 1, params.r)[0])
                 - int(expand(cs.k_cg, 1, 1, params.r)[0])) % params.r
@@ -231,59 +227,61 @@ def test_cs_tag_aggregate_single_term():
 def test_each_server_sends_one_reshare_per_round():
     # A second answer for another participant set would differ from the
     # first by one user's mask, which the peer server could strip from that
-    # user's share.
+    # user's share.  A server answers only the first list of a round.
     params = make_params(dim=3)
     users, cs, vs = setup(3, params, rng=random.Random(36))
     share_all(users, cs, vs, {u.uid: np.full(3, 0.5) for u in users}, 1)
-    swap_lists(cs, vs, 1)
-    w_t, b_t = vs.model_aggregate(1), cs.tag_aggregate(1)
-    with pytest.raises(ProtocolError, match="already sent its reshare"):
-        vs.model_aggregate(1)
-    with pytest.raises(ProtocolError, match="already sent its reshare"):
-        cs.tag_aggregate(1)
-    model_msg = cs.finalize_model(w_t)
-    # The CS's round is gone once finalized, so it answers no request for it.
-    with pytest.raises(ProtocolError, match="CS has fixed no participants"):
-        cs.tag_aggregate(1)
-    assert_all_verify(users, (model_msg, vs.finalize_tag(b_t)), 1, np.full(3, 0.5))
+    w_t, b_t = reshares(cs, vs, 1)
+    for answer, sender in ((vs.model_aggregate, 0), (cs.tag_aggregate, 1)):
+        for ids in ([0, 1, 2], [0, 1]):
+            with pytest.raises(ProtocolError, match="round 1: [CV]S already fixed them"):
+                answer(list_message(ids, 1, sender))
+    assert cs.rounds[1].participants == vs.rounds[1].participants == (0, 1, 2)
+    assert_all_verify(users, (cs.finalize_model(w_t), vs.finalize_tag(b_t)), 1,
+                      np.full(3, 0.5))
 
 
 def test_servers_reshare_only_for_fixed_participants():
+    # Both servers hold all three users' shares, but the lists leave user 1
+    # out, so each reshare regenerates the masks of users 0 and 2 only.
     params = make_params()
-    users, cs, vs = setup(2, params, rng=random.Random(37))
-    # Nothing fixed: no round, or a round whose lists were not exchanged.
-    for request in (vs.model_aggregate, cs.tag_aggregate):
-        with pytest.raises(ProtocolError, match="fixed no participants"):
-            request(1)
-    share_all(users, cs, vs, {u.uid: np.zeros(2) for u in users}, 1)
-    for request in (vs.model_aggregate, cs.tag_aggregate):
-        with pytest.raises(ProtocolError, match="fixed no participants"):
-            request(1)
-    assert_all_verify(users, aggregate(cs, vs, 1), 1, np.zeros(2))
+    users, cs, vs = setup(3, params, rng=random.Random(37))
+    share_all(users, cs, vs, {u.uid: np.full(2, 0.25 * u.uid) for u in users}, 1)
+    vs_ids, w_t = vs.model_aggregate(list_message([0, 2], 1, sender=0))
+    cs_ids, b_t = cs.tag_aggregate(list_message([0, 2], 1))
+    assert vs_ids == cs_ids == (0, 2)
+    masks = [expand(vs.user_keys[uid], 1, 2, params.r) for uid in (0, 2)]
+    assert np.array_equal(field.vec_from_raw(w_t.payload), field.vec_sub(
+        field.vec_sum(masks, params.r), expand(vs.k_vg, 1, 2, params.r), params.r))
+    assert tags.tag_from_bytes(b_t.payload) == (
+        sum(int(expand(cs.user_keys[uid], 1, 1, params.r)[0]) for uid in (0, 2))
+        - int(expand(cs.k_cg, 1, 1, params.r)[0])) % params.r
+    publications = cs.finalize_model(w_t), vs.finalize_tag(b_t)
+    assert unpack_publish_model(publications[0].payload)[0] == 2
+    assert_all_verify([users[0], users[2]], publications, 1, np.full(2, 0.25))
 
 
 def test_servers_fix_participants_once():
     params = make_params()
     users, cs, vs = setup(3, params, rng=random.Random(38))
     share_all(users, cs, vs, {u.uid: np.full(2, 0.25 * u.uid) for u in users}, 1)
-    assert vs.receive_online_list(cs.online_list(1)) == (0, 1, 2)
-    bad = [(vs, cs.online_list(1)),  # a second list
-           (vs, list_message([2], 1, sender=0)),  # a second list naming one user
-           (cs, Message(MessageKind.RESHARE_MODEL, 1, 1, pack_online_list([0, 1, 2]))),
-           (cs, Message(MessageKind.ONLINE_LIST, 1, 1, b"abc"))]
-    for server, msg in bad:
+    vs_ids, w_t = vs.model_aggregate(cs.online_list(1))
+    assert vs_ids == (0, 1, 2)
+    bad = [(vs.model_aggregate, cs.online_list(1)),  # a second list
+           (vs.model_aggregate, list_message([2], 1, sender=0)),  # a second list naming one user
+           (cs.tag_aggregate, Message(MessageKind.RESHARE_MODEL, 1, 1,
+                                      pack_online_list([0, 1, 2]))),
+           (cs.tag_aggregate, Message(MessageKind.ONLINE_LIST, 1, 1, b"abc"))]
+    for answer, msg in bad:
         with pytest.raises(ProtocolError):
-            server.receive_online_list(msg)
+            answer(msg)
     assert vs.rounds[1].participants == (0, 1, 2) and cs.rounds[1].participants is None
-    assert cs.receive_online_list(vs.online_list(1)) == (0, 1, 2)
+    cs_ids, b_t = cs.tag_aggregate(vs.online_list(1))
+    assert cs_ids == (0, 1, 2)
     with pytest.raises(ProtocolError):
-        cs.receive_online_list(list_message([0], 1))
+        cs.tag_aggregate(list_message([0], 1))
     assert cs.rounds[1].participants == (0, 1, 2)
-    model_msg, tag_msg = finalize(cs, vs, 1)
-    # A list for a finalized round.
-    for server, sender in ((cs, 1), (vs, 0)):
-        with pytest.raises(ProtocolError, match="already finalized round 1; got round 1"):
-            server.receive_online_list(list_message([0, 1, 2], 1, sender))
+    model_msg, tag_msg = cs.finalize_model(w_t), vs.finalize_tag(b_t)
     assert unpack_publish_model(model_msg.payload)[0] == 3
     assert unpack_publish_tag(tag_msg.payload)[0] == 3
     assert_all_verify(users, (model_msg, tag_msg), 1, np.full(2, 0.25))
@@ -293,12 +291,12 @@ def test_empty_intersection_fixes_no_participants():
     params = make_params()
     users, cs, vs = setup(2, params, rng=random.Random(39))
     with pytest.raises(ProtocolError, match="round 1: no user reached both servers"):
-        cs.receive_online_list(list_message([0, 1], 1))  # the CS holds no share yet
+        cs.tag_aggregate(list_message([0, 1], 1))  # the CS holds no share yet
     assert 1 not in cs.rounds
     share_all(users, cs, vs, {u.uid: np.zeros(2) for u in users}, 1)
     for ids in ([], [5]):
         with pytest.raises(ProtocolError, match="round 1: no user reached both servers"):
-            cs.receive_online_list(list_message(ids, 1))
+            cs.tag_aggregate(list_message(ids, 1))
     assert cs.rounds[1].participants is None
     assert_all_verify(users, aggregate(cs, vs, 1), 1, np.zeros(2))
 
@@ -307,9 +305,9 @@ def test_a_round_abandoned_at_its_list_exchange_leaves_when_a_later_round_finali
     params = make_params()
     users, cs, vs = setup(2, params, rng=random.Random(43))
     share_all(users, cs, vs, {u.uid: np.zeros(2) for u in users}, 1)
-    vs.receive_online_list(cs.online_list(1))
+    vs.model_aggregate(cs.online_list(1))
     with pytest.raises(ProtocolError, match="round 1: no user reached both servers"):
-        cs.receive_online_list(list_message([5], 1))
+        cs.tag_aggregate(list_message([5], 1))
     # Round 1 is abandoned: it stays open at both servers until round 2 finalizes.
     publications = run_honest_round(users, cs, vs, {u.uid: np.full(2, 0.5) for u in users}, 2)
     assert cs.rounds == vs.rounds == {}
@@ -320,21 +318,22 @@ def test_a_round_abandoned_at_its_list_exchange_leaves_when_a_later_round_finali
 @pytest.mark.parametrize("server", ["cs", "vs"])
 def test_a_server_finalizes_only_after_sending_its_own_reshare(server):
     # Finalizing drops the round, so a server that finalized before it
-    # answered would leave its peer's round unable to finish.
+    # answered would leave its peer's round unable to finish.  A server that
+    # has not answered the peer's list has fixed no participants, and so
+    # refuses to finalize.
     params = make_params()
     users, cs, vs = setup(2, params, rng=random.Random(44))
     share_all(users, cs, vs, {u.uid: np.full(2, 0.25) for u in users}, 1)
-    swap_lists(cs, vs, 1)
     if server == "cs":
-        w_t = vs.model_aggregate(1)
-        with pytest.raises(ProtocolError, match="round 1: CS has not sent its reshare"):
+        _, w_t = vs.model_aggregate(cs.online_list(1))
+        with pytest.raises(ProtocolError, match="round 1: CS has fixed no participants"):
             cs.finalize_model(w_t)
-        b_t = cs.tag_aggregate(1)
+        _, b_t = cs.tag_aggregate(vs.online_list(1))
     else:
-        b_t = cs.tag_aggregate(1)
-        with pytest.raises(ProtocolError, match="round 1: VS has not sent its reshare"):
+        _, b_t = cs.tag_aggregate(vs.online_list(1))
+        with pytest.raises(ProtocolError, match="round 1: VS has fixed no participants"):
             vs.finalize_tag(b_t)
-        w_t = vs.model_aggregate(1)
+        _, w_t = vs.model_aggregate(cs.online_list(1))
     assert list(cs.rounds) == list(vs.rounds) == [1]
     publications = cs.finalize_model(w_t), vs.finalize_tag(b_t)
     assert cs.rounds == vs.rounds == {}
@@ -345,15 +344,15 @@ def test_a_finalized_round_takes_no_second_finalize_or_reshare_request():
     params = make_params()
     users, cs, vs = setup(2, params, rng=random.Random(45))
     share_all(users, cs, vs, {u.uid: np.zeros(2) for u in users}, 1)
-    swap_lists(cs, vs, 1)
-    w_t, b_t = vs.model_aggregate(1), cs.tag_aggregate(1)
+    w_t, b_t = reshares(cs, vs, 1)
     publications = cs.finalize_model(w_t), vs.finalize_tag(b_t)
     for finalize_again, reshare in ((cs.finalize_model, w_t), (vs.finalize_tag, b_t)):
         with pytest.raises(ProtocolError, match="already finalized round 1; got round 1"):
             finalize_again(reshare)
-    for request in (vs.model_aggregate, cs.tag_aggregate):
-        with pytest.raises(ProtocolError, match="round 1: [CV]S has fixed no participants"):
-            request(1)
+    # A server reshares only in answer to a list, and takes none for the round.
+    for answer, sender in ((vs.model_aggregate, 0), (cs.tag_aggregate, 1)):
+        with pytest.raises(ProtocolError, match="already finalized round 1; got round 1"):
+            answer(list_message([0, 1], 1, sender))
     assert cs.rounds == vs.rounds == {}
     assert_all_verify(users, publications, 1, np.zeros(2))
 
@@ -363,7 +362,7 @@ def test_server_rejects_a_share_after_fixing_participants(server):
     params = make_params()
     users, cs, vs = setup(3, params, rng=random.Random(40))
     share_all(users[:2], cs, vs, {0: np.zeros(2), 1: np.ones(2)}, 1)
-    swap_lists(cs, vs, 1)
+    w_t, b_t = reshares(cs, vs, 1)
     to_cs, to_vs = users[2].share_round(np.full(2, 0.5), 1)
     target, receive, late = ((cs, cs.receive_share, to_cs) if server == "cs"
                              else (vs, vs.receive_tag_share, to_vs))
@@ -371,7 +370,8 @@ def test_server_rejects_a_share_after_fixing_participants(server):
         receive(late)
     assert list(target.rounds[1].shares) == [0, 1]
     assert target.rounds[1].participants == (0, 1)
-    assert_all_verify(users[:2], finalize(cs, vs, 1), 1, np.full(2, 0.5))
+    assert_all_verify(users[:2], (cs.finalize_model(w_t), vs.finalize_tag(b_t)), 1,
+                      np.full(2, 0.5))
 
 
 def test_cs_rejects_duplicate_share():
@@ -614,8 +614,7 @@ def test_servers_reject_shares_for_finalized_rounds():
             continue
         cs.receive_share(to_cs)
         vs.receive_tag_share(to_vs)
-    swap_lists(cs, vs, 1)
-    w_t, b_t = vs.model_aggregate(1), cs.tag_aggregate(1)
+    w_t, b_t = reshares(cs, vs, 1)
     cs.finalize_model(w_t)
     vs.finalize_tag(b_t)
     stale = "already finalized round 1; got round 1"
@@ -728,9 +727,7 @@ def test_cs_rejects_non_canonical_reshare():
         to_cs, to_vs = u.share_round(np.zeros(3), 1)
         cs.receive_share(to_cs)
         vs.receive_tag_share(to_vs)
-    swap_lists(cs, vs, 1)
-    w_t = vs.model_aggregate(1)
-    cs.tag_aggregate(1)  # the CS finalizes only once its own reshare is sent
+    w_t, _ = reshares(cs, vs, 1)  # the CS finalizes only once its own reshare is sent
     one_high = field.vec_from_raw(w_t.payload).copy()
     one_high[1] = np.uint64(MERSENNE_61)
     for bad in (one_high, np.full(3, HIGH_WORD, dtype=np.uint64)):
@@ -792,8 +789,7 @@ def test_finalize_rejects_a_reshare_of_the_wrong_kind_or_round():
         to_cs, to_vs = u.share_round(np.zeros(2), 2)
         cs.receive_share(to_cs)
         vs.receive_tag_share(to_vs)
-    swap_lists(cs, vs, 2)
-    w_t, b_t = vs.model_aggregate(2), cs.tag_aggregate(2)
+    w_t, b_t = reshares(cs, vs, 2)
     for bad in (b_t, replace(w_t, round_index=1), replace(w_t, round_index=3),
                 replace(w_t, payload=b"abc"), replace(w_t, payload=w_t.payload[:-8])):
         with pytest.raises(ProtocolError):
