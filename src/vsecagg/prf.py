@@ -19,12 +19,11 @@ keystream: expanding to a longer length never changes earlier elements.
 Which OpenSSL call draws which blocks.  Below 2^32 blocks, block ``j`` is
 also ``N ‖ BE32(j)`` with the 12-byte nonce ``N = v0_LE ‖ 0^4``, which
 is the counter block AES-GCM encrypts under nonce ``N``.  GCM keeps block
-1 to mask its tag and starts its keystream at block 2, so the first draw
-of an output of ``_GCM_MIN_WORDS`` (2^11) or more words takes two calls:
+1 to mask its tag and starts its keystream at block 2, so the key's two
+cipher objects split an output of ``_GCM_MIN_WORDS`` (2^11) or more words:
 
-* blocks 0 and 1 (words 0-3), by one AES-ECB call on those two explicit
-  counter blocks;
-* blocks 2 onward (words 4 to ``length - 1``), by one
+* CTR: blocks 0 and 1 (words 0-3), and every rejection refill;
+* GCM: blocks 2 on (words 4 to ``length - 1``), by one
   ``AESGCM.encrypt_into`` over zeros, straight into the output.  The
   16-byte GCM tag lands in the two spare words past ``length`` and is
   never returned.
@@ -38,30 +37,28 @@ keystream this PRF already defines, so the usual warning against
 reusing a GCM nonce does not apply: encrypting zeros twice under one
 (key, nonce) pair yields the same keystream, which is the PRF's
 determinism, and no message is ever encrypted or authenticated with it.
-``cryptography`` takes at most 2^31 - 1 bytes per GCM call, so the first
-draw stops at ``_BULK_WORDS`` words past the head.  The zeros GCM
-encrypts come from one module-level buffer that grows to the longest
-draw; its pages are never written, so they cost address space, not
-memory.
+``cryptography`` takes at most 2^31 - 1 bytes per GCM call, which bounds
+``MAX_EXPAND_LEN``; every length a frame can carry fits under it.  The
+zeros each draw encrypts come from one module-level buffer that grows to
+the longest draw; its pages are never written, so they cost address
+space, not memory.
 
-Shorter outputs skip that path.  It builds two more cipher contexts per
-key, and each GCM call copies its context; inside a round with many
+Shorter outputs come from CTR alone.  GCM builds one more cipher context
+per key, and each GCM call copies its context; inside a round with many
 keys, whose contexts have left the cache, that cost more per call than
 the faster bulk saved below about 2000 words (see ``_GCM_MIN_WORDS``).
 
-One mask-and-max pass then covers the whole first draw; only if it holds
-a rejected word is it compacted.  The shortfall, and every word of a
-shorter output, comes from the key's AES-CTR context (``_keystream``),
-re-pointed at the first block the first draw did not reach; after an
-odd number of words it skips the half-block already used.  It draws
-chunks of at most 2^15 words (256 KiB) and compacts each chunk that
-holds a rejected word, so no keystream word is drawn twice.  Under a
-modulus just below a power of two, such as the default 2^61 - 1, almost
-no word is rejected, and an expansion takes exactly ``length`` words of
-keystream.
+One mask-and-max pass then covers the whole output; only if it holds a
+rejected word is it compacted.  The shortfall is drawn from the CTR
+context, re-pointed after a GCM call at the first block that call did
+not reach (after an odd number of words it skips the half-block already
+used), and compacted in turn, so no keystream word is drawn twice.
+Under a modulus just below a power of two, such as the default 2^61 - 1,
+almost no word is rejected, and an expansion takes exactly ``length``
+words of keystream.
 
-Each key derives its digest once and builds its AES-CTR context, AES-ECB
-context and AES-GCM object from it once each, on first use.  Every expansion
+Each key derives its digest once and builds its AES-CTR context and
+AES-GCM object from it once each, on first use.  Every expansion
 re-points the CTR context with ``reset_nonce`` instead of setting up a
 new cipher, so a key's context serves one expansion at a time: an
 expansion must finish before the next one on the same key starts.  Party
@@ -82,31 +79,23 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 KEY_BYTES = 16  # per-entity secret keys are 128 bits
-MAX_EXPAND_LEN = 1 << 32
-# Keystream words per CTR draw.  Each draw is one encrypt, mask and check
-# pass over 256 KiB, which stays in L2 cache; fewer, larger draws pay
-# the per-call cost fewer times.  On a 2-core Xeon host (best of 15),
-# one expansion at d = 100000 took 0.38 ms with 2^13 words and 0.27 to
-# 0.29 ms with 2^15; 2^16 and 2^17 were no faster.
-_DRAW_WORDS = 1 << 15
 # Words 0-3: counter blocks 0 and 1, which GCM does not reach.
 _HEAD_WORDS = 4
-# Shortest output whose first draw goes through ECB and GCM.  That path
-# builds two more cipher contexts per key and pays GCM's per-call context
-# copy; in a round at n = 100 the two cost about 2 µs more per expansion
-# than one CTR draw, and GCM's faster bulk saves about 0.7 µs per 1000
-# words.  Measured per call inside such rounds on a 2-core Xeon host with
-# VAES, CTR alone -> ECB and GCM: 13.1 -> 15.0 µs at d = 1000,
-# 18.2 -> 16.0 at d = 2000 and 33.2 -> 26.9 at d = 8000.
+# The head and all that one GCM call reaches: ``cryptography`` takes
+# 2^31 - 1 bytes a call.  Every length a frame can carry is shorter.
+MAX_EXPAND_LEN = _HEAD_WORDS + ((1 << 31) - 1) // 8
+# Shortest output whose words 4 on go through GCM.  That path builds
+# one more cipher context per key and pays GCM's per-call context copy;
+# in a round at n = 100 that costs about 2 µs more per expansion than
+# one CTR draw, and GCM's faster bulk saves about 0.7 µs per 1000 words.
+# Measured per call inside such rounds on a 2-core Xeon host with VAES,
+# CTR alone -> GCM path (its head then drawn by a third, ECB context):
+# 13.1 -> 15.0 µs at d = 1000, 18.2 -> 16.0 at d = 2000 and
+# 33.2 -> 26.9 at d = 8000.
 _GCM_MIN_WORDS = 1 << 11
-# Most words one GCM call draws: ``cryptography`` takes 2^31 - 1 bytes a call.
-_BULK_WORDS = ((1 << 31) - 1) // 8
-# The low 4 bytes of counter blocks 0 and 1 under a 12-byte nonce.
-_BLOCK_0 = bytes(4)
-_BLOCK_1 = (1).to_bytes(4, "big")
 # The plaintext of every draw: keystream is the encryption of zeros.
-# Grown by ``_grow_zeros`` to the longest draw made so far.
-_zeros = memoryview(bytes(8 * _DRAW_WORDS))
+# Grown by ``_zero_bytes`` to the longest draw made so far.
+_zeros = memoryview(bytes(8 * _GCM_MIN_WORDS))
 # The dtype of a keystream word.
 _WORD = np.dtype("<u8")
 # The plaintext of each one-word draw in ``expand_one``.
@@ -158,11 +147,6 @@ class KeyMaterial:
         return Cipher(self.cipher, modes.CTR(bytes(16))).encryptor()
 
     @functools.cached_property
-    def ecb(self):
-        """The AES-256-ECB context of this secret, which encrypts each head's counter blocks."""
-        return Cipher(self.cipher, modes.ECB()).encryptor()
-
-    @functools.cached_property
     def aead(self) -> AESGCM:
         """The AES-256-GCM object of this secret, which draws each expansion's bulk."""
         return AESGCM(self.cipher.key)
@@ -190,11 +174,12 @@ def _keystream(key: KeyMaterial, v0: int, block: int = 0):
     return enc
 
 
-def _grow_zeros(nbytes: int) -> memoryview:
-    """The shared zero buffer, replaced by one of ``nbytes`` bytes."""
+def _zero_bytes(nbytes: int) -> memoryview:
+    """``nbytes`` zero bytes from the shared buffer, grown first if it is shorter."""
     global _zeros
-    _zeros = memoryview(bytes(nbytes))
-    return _zeros
+    if nbytes > len(_zeros):
+        _zeros = memoryview(bytes(nbytes))
+    return _zeros[:nbytes]
 
 
 @functools.lru_cache(maxsize=8)
@@ -233,34 +218,28 @@ def expand(key: KeyMaterial, v0: int, length: int, modulus: int) -> np.ndarray:
     if length < 1:
         raise PrfError("expansion length must be at least 1")
     if length >= MAX_EXPAND_LEN:
-        raise PrfError(f"expansion length {length} exceeds the 2^32 keystream budget")
+        raise PrfError(f"expansion length {length} exceeds the {MAX_EXPAND_LEN - 1}-word limit")
     _, mask, bound = _limits(modulus)
+    enc = _keystream(key, v0)
     # Two spare words past length: room for the GCM tag, and the
     # len(data) + 15 bytes that ``update_into`` asks of its buffer.
     out = np.empty(length + 2, _WORD)
     out_bytes = memoryview(out).cast("B")
-    drawn = filled = 0
-    if length >= _GCM_MIN_WORDS:
-        drawn = min(length, _HEAD_WORDS + _BULK_WORDS)
-        if not 0 <= v0 < 1 << 64:
-            raise PrfError(f"round index {v0} outside 64-bit range")
-        nonce = v0.to_bytes(12, "little")
-        # Words 0-3: counter blocks 0 and 1, encrypted as given.
-        key.ecb.update_into(b"".join((nonce, _BLOCK_0, nonce, _BLOCK_1)), out_bytes[:48])
+    # Words 0-3 of a long output, or all of a short one.
+    head = _HEAD_WORDS if length >= _GCM_MIN_WORDS else length
+    enc.update_into(_zero_bytes(8 * head), out_bytes)
+    if head < length:
         # Words 4 on: GCM's keystream from block 2, then its tag in the spare words.
-        nbytes = 8 * (drawn - _HEAD_WORDS)
-        zeros = _zeros if nbytes <= len(_zeros) else _grow_zeros(nbytes)
-        key.aead.encrypt_into(nonce, zeros[:nbytes], None, out_bytes[32:nbytes + 48])
-        filled = _accept(out[:drawn], mask, bound)
-    if filled < length:
-        enc = _keystream(key, v0, drawn >> 1)
-        if drawn & 1:
-            enc.update(_ZERO_WORD)  # the half-block the first draw used
-        while filled < length:
-            nwords = min(_DRAW_WORDS, length - filled)
-            enc.update_into(_zeros[:8 * nwords],
-                            out_bytes[8 * filled:8 * (filled + nwords + 2)])
-            filled += _accept(out[filled:filled + nwords], mask, bound)
+        key.aead.encrypt_into(v0.to_bytes(12, "little"), _zero_bytes(8 * (length - head)),
+                              None, out_bytes[8 * head:])
+    filled = _accept(out[:length], mask, bound)
+    if filled < length and head < length:
+        enc = _keystream(key, v0, length >> 1)
+        if length & 1:
+            enc.update(_ZERO_WORD)  # the half-block GCM drew
+    while filled < length:
+        enc.update_into(_zero_bytes(8 * (length - filled)), out_bytes[8 * filled:])
+        filled += _accept(out[filled:length], mask, bound)
     return out[:length]
 
 

@@ -245,27 +245,23 @@ class _Server:
         return Message(MessageKind.ONLINE_LIST, round_index, self._sender,
                        pack_online_list(state.shares if state else ()))
 
-    def _open_round(self, msg: Message, kind: MessageKind) -> Optional[_ServerRound]:
-        """State of the open round ``msg`` belongs to, once its kind and round
-        pass; None while that round holds no share."""
+    def _open_round(self, msg: Message, kind: MessageKind,
+                    size: Optional[int] = None) -> Optional[_ServerRound]:
+        """State of the open round ``msg`` belongs to, once its kind, round and,
+        if ``size`` is given, payload size pass; None while that round holds no share."""
         if msg.kind is not kind:
             raise ProtocolError(f"{self._name} cannot accept {msg.kind.name}")
         if msg.round_index <= self.finalized_round:
             raise ProtocolError(f"{self._name} already finalized round "
                                 f"{self.finalized_round}; got round {msg.round_index}")
-        return self.rounds.get(msg.round_index)
-
-    def _round_of(self, msg: Message, kind: MessageKind) -> Optional[_ServerRound]:
-        """As ``_open_round``, once the payload size passes too."""
-        state = self._open_round(msg, kind)
-        if len(msg.payload) != self.payload_bytes:
+        if size is not None and len(msg.payload) != size:
             raise ProtocolError(f"{kind.name} from sender {msg.sender} has "
-                                f"{len(msg.payload)} bytes, expected {self.payload_bytes}")
-        return state
+                                f"{len(msg.payload)} bytes, expected {size}")
+        return self.rounds.get(msg.round_index)
 
     def _check_share(self, msg: Message, kind: MessageKind) -> None:
         """Raise unless ``msg`` is a new share from a registered user, in time."""
-        state = self._round_of(msg, kind)
+        state = self._open_round(msg, kind, self.payload_bytes)
         if msg.sender not in self.user_keys:
             raise ProtocolError(f"{self._name} has no key for user {msg.sender}")
         if state is not None and state.participants is not None:
@@ -297,7 +293,7 @@ class _Server:
     def _participant_shares(self, reshare: Message, kind: MessageKind) -> list:
         """Every participant's share, once ``reshare`` passed the checks of a share
         and this server fixed the participants, and so sent its own reshare."""
-        state = self._round_of(reshare, kind)
+        state = self._open_round(reshare, kind, self.payload_bytes)
         if state is None or state.participants is None:
             raise ProtocolError(f"round {reshare.round_index}: {self._name} has fixed "
                                 "no participants")

@@ -285,10 +285,10 @@ class SocketLink:
         self._sock.close()
 
 
-def socket_link_pair(host: str = "127.0.0.1") -> Tuple[SocketLink, SocketLink]:
+def socket_link_pair() -> Tuple[SocketLink, SocketLink]:
     """Connected (sender, receiver) TCP pair on the loopback interface."""
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.bind((host, 0))
+    listener.bind(("127.0.0.1", 0))
     listener.listen(1)
     client = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     client.connect(listener.getsockname())

@@ -298,8 +298,8 @@ EXPAND_MODULI = [R97, 127, BIG_PRIME, BIG_PRIME - 1, 1 << 61, MERSENNE_61, MERSE
 @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 6, 63, 64, 65, 1000,
                                     prf._GCM_MIN_WORDS - 1, prf._GCM_MIN_WORDS,
                                     prf._GCM_MIN_WORDS + 1, 8191, 8193,
-                                    prf._DRAW_WORDS - 1, prf._DRAW_WORDS + 1,
-                                    2 * prf._DRAW_WORDS + 1, 100_000])
+                                    (1 << 15) - 1, (1 << 15) + 1,
+                                    (1 << 16) + 1, 100_000])
 def test_expand_bit_identical_to_reference(modulus, length):
     assert_expansions_match_reference(modulus, length)
 
@@ -307,9 +307,9 @@ def test_expand_bit_identical_to_reference(modulus, length):
 @pytest.mark.parametrize("modulus", EXPAND_MODULI)
 @pytest.mark.parametrize("length", [4, 5, 6, 7, 63, 64, 65, 1000])
 def test_short_first_draw_bit_identical_to_reference(monkeypatch, modulus, length):
-    # With the ECB/GCM path opened to every output that holds the 4-word
-    # head, these lengths cross the head/bulk boundary; 4 makes a GCM
-    # call with no data, whose tag alone fills the spare words.
+    # With the GCM path opened to every output that holds the 4-word
+    # head, these lengths cross the head/bulk boundary; at 4 the CTR head
+    # is the whole output and no GCM call is made.
     monkeypatch.setattr(prf, "_GCM_MIN_WORDS", prf._HEAD_WORDS)
     assert_expansions_match_reference(modulus, length)
 
@@ -334,31 +334,18 @@ def test_interleaved_expansions_match_reference(modulus):
 
 
 def test_zero_buffer_grows_for_a_longer_draw(monkeypatch):
-    # Start from the import-time buffer, which holds one CTR draw.
-    monkeypatch.setattr(prf, "_zeros", memoryview(bytes(8 * prf._DRAW_WORDS)))
+    # Start from the import-time buffer, which holds one short output.
+    monkeypatch.setattr(prf, "_zeros", memoryview(bytes(8 * prf._GCM_MIN_WORDS)))
     key = KeyMaterial(b"\x11" * 16)
-    long = 3 * prf._DRAW_WORDS + 5
+    long = 3 * (1 << 15) + 5
     for modulus in (MERSENNE_61, BIG_PRIME):
         assert np.array_equal(prf.expand(key, 5, long, modulus),
                               reference_expand(key, 5, long, modulus))
         assert len(prf._zeros) >= 8 * (long - 4)
-        for length in (prf._DRAW_WORDS + 3, 1000, 5):
+        for length in ((1 << 15) + 3, 1000, 5):
             assert np.array_equal(prf.expand(key, 6, length, modulus),
                                   reference_expand(key, 6, length, modulus))
         assert len(prf._zeros) >= 8 * (long - 4)
-
-
-@pytest.mark.parametrize("bulk_words", [1, 5, 6])
-@pytest.mark.parametrize("modulus", [MERSENNE_61, R97])
-def test_draw_past_the_gcm_call_limit_continues_in_ctr(monkeypatch, bulk_words, modulus):
-    # One GCM call draws at most ``_BULK_WORDS`` words (2^28 - 1 in
-    # full); CTR draws the rest, after an odd or an even first draw.
-    monkeypatch.setattr(prf, "_BULK_WORDS", bulk_words)
-    monkeypatch.setattr(prf, "_GCM_MIN_WORDS", prf._HEAD_WORDS)
-    key = KeyMaterial(b"\x12" * 16)
-    for length in (4, 5, 6, 11, 1000):
-        assert np.array_equal(prf.expand(key, 8, length, modulus),
-                              reference_expand(key, 8, length, modulus))
 
 
 def test_cipher_context_made_once_per_key(monkeypatch):
@@ -382,15 +369,15 @@ def test_cipher_context_made_once_per_key(monkeypatch):
     monkeypatch.setattr(prf, "derive_cipher_key", counting_derive)
     k = KeyMaterial(b"\x05" * 16)
     assert k.cipher is k.cipher and k.cipher.key == hashlib.sha256(k.data).digest()
-    # Lengths 1 and 100 take CTR alone; 9000 takes the ECB head and the
+    # Lengths 1 and 100 take CTR alone; 9000 takes the CTR head and the
     # GCM bulk, then CTR for the words the 2^60 prime rejects.
     for v0, length in ((4, 1), (4, 9000), (2, 100), (4, 1)):
         assert np.array_equal(prf.expand(k, v0, length, BIG_PRIME),
                               reference_expand(k, v0, length, BIG_PRIME))
-    assert sorted(made) == ["AESGCM", "CTR", "ECB"]
+    assert sorted(made) == ["AESGCM", "CTR"]
     assert len(derived) == 1
     assert prf._keystream(k, 9) is k.encryptor
-    assert k.ecb is k.ecb and k.aead is k.aead
+    assert k.aead is k.aead
     # The cached cipher objects take no part in key equality.
     assert k == KeyMaterial(k.data)
 

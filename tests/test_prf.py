@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from vsecagg import prf
+from vsecagg import prf, wire
 from vsecagg.field import FieldModulus
 from vsecagg.prf import KeyMaterial, PrfError, concat_keys, derive_cipher_key, expand
 from vsecagg.tags import derive_tag_key
@@ -90,6 +90,18 @@ def test_expand_length_validation():
         expand(key(1), 0, 1, 1)
 
 
+def test_expand_covers_every_frameable_length_and_refuses_longer_before_allocating(monkeypatch):
+    # The longest vector a frame carries is MAX_PAYLOAD // 8 words.
+    assert prf.MAX_EXPAND_LEN - 1 >= wire.MAX_PAYLOAD // 8
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("expand allocated its output")
+
+    monkeypatch.setattr(prf.np, "empty", no_allocation)
+    with pytest.raises(PrfError, match="word limit"):
+        expand(key(1), 0, prf.MAX_EXPAND_LEN, BIG_PRIME)
+
+
 def test_expand_uniformity_chi_squared_r17():
     out = expand(key(7), 1, 100_000, 17)
     counts = np.bincount(out.astype(np.int64), minlength=17)
@@ -123,8 +135,8 @@ def test_expand_unit_deterministic():
 def test_expand_draws_exactly_the_words_it_returns(modulus, length):
     # The protocol's prime and its unit-group modulus reject a word with
     # probability at most 2^-60, so no draw here is rejected and none may
-    # overshoot the output.  Every keystream byte is counted: the ECB
-    # head, the GCM bulk and the CTR draws.
+    # overshoot the output.  Every keystream byte is counted: the CTR
+    # draws and the GCM bulk.
     drawn = []
 
     class Counting:
@@ -147,7 +159,7 @@ def test_expand_draws_exactly_the_words_it_returns(modulus, length):
             return getattr(self.inner, name)
 
     k = key(13)
-    for name in ("encryptor", "ecb", "aead"):
+    for name in ("encryptor", "aead"):
         # Replaces the cached cipher object with a counting wrapper.
         vars(k)[name] = Counting(getattr(k, name))
     out = expand(k, 2, length, modulus)
