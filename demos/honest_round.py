@@ -13,9 +13,10 @@ import random
 
 import numpy as np
 
+from vsecagg import field, tags
 from vsecagg.harness import RunConfig, default_params, plaintext_oracle
 from vsecagg.roles import setup
-from vsecagg.wire import unpack_publish_model, unpack_publish_tag
+from vsecagg.wire import unpack_publication
 
 params = default_params(RunConfig(users=3, dim=4))
 r = params.r
@@ -36,7 +37,7 @@ for u in users:
     print(f"user {u.uid}: model share {len(to_cs.payload)} B -> CS, "
           f"tag share {len(to_vs.payload)} B -> VS")
     cs.receive_share(to_cs)
-    vs.receive_tag_share(to_vs)
+    vs.receive_share(to_vs)
 
 # --- Aggregate stage: each server answers the peer's online list with its
 # reshare.  It fixes its participants as the peer's list intersected with
@@ -48,10 +49,11 @@ print(f"participant intersection: {participants} (m = {len(participants)})")
 
 # Finalizing returns the round's publication and drops the round from the
 # server's state.
-model_msg = cs.finalize_model(w_t)  # PUBLISH_MODEL: masked aggregate w''_1 and m
-tag_msg = vs.finalize_tag(b_t)      # PUBLISH_TAG: tag aggregate b'_2 and m
-m, w1pp = unpack_publish_model(model_msg.payload)
-_, b2p = unpack_publish_tag(tag_msg.payload)
+model_msg = cs.finalize(w_t)  # PUBLISH_MODEL: masked aggregate w''_1 and m
+tag_msg = vs.finalize(b_t)    # PUBLISH_TAG: tag aggregate b'_2 and m
+m, body = unpack_publication(model_msg.payload)  # both: the count m, then the words
+w1pp = field.vec_from_raw(body)
+b2p = tags.tag_from_bytes(unpack_publication(tag_msg.payload)[1])
 print(f"CS publishes w''_1 (first coords: {w1pp[:2]}) with m = {m}, "
       f"VS publishes b'_2 = {b2p}")
 print(f"rounds held after publication: CS {cs.rounds}, VS {vs.rounds}")

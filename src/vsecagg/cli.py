@@ -17,15 +17,15 @@ from .roles import setup
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--users", type=int, default=3)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--rounds", type=int, default=1)
-    p.add_argument("--dropout", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--prime-bits", type=int, default=60,
+    p.add_argument("--users", type=int, default=RunConfig.users)
+    p.add_argument("--dim", type=int, default=RunConfig.dim)
+    p.add_argument("--rounds", type=int, default=RunConfig.rounds)
+    p.add_argument("--dropout", type=float, default=RunConfig.dropout)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
+    p.add_argument("--prime-bits", type=int, default=RunConfig.prime_bits,
                    help="modulus size: the largest prime in (2^bits, 2^(bits+1))")
-    p.add_argument("--delta-exp", type=int, default=40)
-    p.add_argument("--mode", choices=("memory", "socket"), default="memory")
+    p.add_argument("--delta-exp", type=int, default=RunConfig.delta_exp)
+    p.add_argument("--mode", choices=("memory", "socket"), default=RunConfig.mode)
     p.add_argument("--adversary", type=str, default=None,
                    help="target:action:round[:magnitude], e.g. cs:tamper_aggregate:1; "
                         "target:action is one of " + supported_adversaries())

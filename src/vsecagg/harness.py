@@ -69,9 +69,10 @@ class Attack:
     """A malicious server's rewrite of every message of one kind that it sends.
 
     ``apply(server, spec, rng, shares, count, body)`` returns the (count, body)
-    the server sends in place of a publication's; ``shares`` maps each of the
-    round's participants at that server, in participant order, to the share
-    run_round delivered to it.
+    the server sends in place of a publication's, where a body is the
+    published vector at the CS and the published tag, an int, at the VS;
+    ``shares`` maps each of the round's participants at that server, in
+    participant order, to the share run_round delivered to it.
     """
 
     server: str        # "cs" or "vs": the server that sends the rewritten messages
@@ -88,9 +89,10 @@ ADVERSARY_ACTIONS = {
     "forge_tag": Attack("vs", MessageKind.PUBLISH_TAG, _forge_tag),
 }
 
-# How send reads and writes the (count, body) of each kind an attack rewrites.
-_PUBLICATIONS = {MessageKind.PUBLISH_MODEL: (wire.unpack_publish_model, wire.pack_publish_model),
-                 MessageKind.PUBLISH_TAG: (wire.unpack_publish_tag, wire.pack_publish_tag)}
+# How send reads and writes the body of each publication kind an attack
+# rewrites; the count before it is the same 8 bytes in both.
+_PUBLICATIONS = {MessageKind.PUBLISH_MODEL: (field.vec_from_raw, field.vec_to_raw),
+                 MessageKind.PUBLISH_TAG: (tags.tag_from_bytes, tags.tag_to_bytes)}
 
 
 def supported_adversaries() -> str:
@@ -379,9 +381,11 @@ def run_round(users_online: List[UserState], all_users: Dict[int, UserState],
                                       else (vs, vs_inbox, vs_ids))
                 delivered = {share.sender: share for share in inbox}
                 shares = {uid: delivered[uid] for uid in ids}
-                unpack, pack = _PUBLICATIONS[msg.kind]
-                body = pack(*attack.apply(server, adv, rng, shares, *unpack(msg.payload)))
-                rewritten[id(msg)] = msg, Message(msg.kind, round_index, msg.sender, body)
+                read, write = _PUBLICATIONS[msg.kind]
+                m, body = wire.unpack_publication(msg.payload)
+                m, body = attack.apply(server, adv, rng, shares, m, read(body))
+                rewritten[id(msg)] = msg, Message(msg.kind, round_index, msg.sender,
+                                                  wire.pack_publication(m, write(body)))
             msg = rewritten[id(msg)][1]
         return net.transfer(name, msg)
 
@@ -401,16 +405,15 @@ def run_round(users_online: List[UserState], all_users: Dict[int, UserState],
     # aggregates must not depend on arrival order.
     rng.shuffle(cs_inbox)
     rng.shuffle(vs_inbox)
-    for msg in cs_inbox:
-        cs.receive_share(msg)
-    for msg in vs_inbox:
-        vs.receive_tag_share(msg)
+    for server, inbox in ((cs, cs_inbox), (vs, vs_inbox)):
+        for msg in inbox:
+            server.receive_share(msg)
 
     vs_ids, w_t = timed("vs_aggregate", vs.model_aggregate,
                         send("cs->vs", cs.online_list(round_index)))
     cs_ids, b_t = timed("eval", cs.tag_aggregate, send("vs->cs", vs.online_list(round_index)))
-    model_msg = timed("cs_aggregate", cs.finalize_model, send("vs->cs", w_t))
-    tag_msg = vs.finalize_tag(send("cs->vs", b_t))
+    model_msg = timed("cs_aggregate", cs.finalize, send("vs->cs", w_t))
+    tag_msg = vs.finalize(send("cs->vs", b_t))
 
     # The CS sends the model publication, so its participants receive it.
     results = {uid: timed("verify", all_users[uid].reconstruct_round,

@@ -16,14 +16,16 @@ for one prime R, the codec's modulus:
                tag, and on success decodes the mean.
 
 Each role builds the messages it sends and reads the messages it
-receives.  The CS and VS share one round book, which fixes a round's
-participants once, so a server sends one reshare per round: two, for
+receives.  The CS and the VS run one state machine and differ only in
+their share type (d words at the CS, one tag, a Python int, at the VS)
+and in their reshare.  Each keeps its users' shares, fixes a round's
+participants once, so it sends one reshare per round: two, for
 different participant sets, would differ by one user's mask and so
-reveal that user's update to the peer.  The book holds open rounds only.
-A server finalizes a round once it has fixed its participants, and so
-sent its own reshare; finalizing returns the round's publication and
-drops that round and every earlier one, so a finished round leaves no
-state.
+reveal that user's update to the peer.  Once it has sent its reshare it
+finalizes the round: it sums the participants' shares and the peer's
+reshare mod R and returns that sum, with m, as the round's publication,
+and drops that round and every earlier one, so its book holds open
+rounds only.
 
 Users require the participant counts published by the two servers to
 agree before decoding: the tag covers the sum but not the divisor, so a
@@ -44,8 +46,7 @@ import numpy as np
 from . import codec, field, sharing, tags
 from .prf import KeyMaterial, concat_keys, expand, expand_one
 from .wire import (AlarmReason, Message, MessageKind, WireError, pack_online_list,
-                   pack_publish_model, pack_publish_tag, unpack_online_list,
-                   unpack_publish_model, unpack_publish_tag)
+                   pack_publication, unpack_online_list, unpack_publication)
 
 
 class ProtocolError(Exception):
@@ -64,12 +65,6 @@ class ProtocolParams:
     def r(self) -> int:
         """The one prime R of models and tags: the codec's modulus."""
         return self.codec.r_w
-
-
-def _require_canonical(vec: np.ndarray, r: int, what: str) -> None:
-    # The modular sum, add and subtract are exact only on canonical residues.
-    if field.first_non_canonical(vec, r) is not None:
-        raise ProtocolError(f"{what} holds non-canonical residues")
 
 
 @functools.lru_cache(maxsize=1)
@@ -171,10 +166,12 @@ class UserState:
                                  round_index, msg.round_index)
         reading = model_msg
         try:
-            m_cs, w1pp = unpack_publish_model(model_msg.payload)
+            m_cs, body = unpack_publication(model_msg.payload)
+            w1pp = field.vec_from_raw(body)
             reading = tag_msg
-            m_vs, b2p = unpack_publish_tag(tag_msg.payload)
-        except WireError:
+            m_vs, body = unpack_publication(tag_msg.payload)
+            b2p = tags.tag_from_bytes(body)
+        except (WireError, field.FieldError):
             return _rejected(round_index, AlarmReason.MALFORMED_PUBLICATION,
                              int(reading.kind), len(reading.payload))
         if m_cs != m_vs:
@@ -217,10 +214,17 @@ class _ServerRound:
 
 
 class _Server:
-    """Round bookkeeping and checks that the CS and VS share."""
+    """The one round state machine of the CS and the VS.
+
+    A subclass names the kinds of the shares, the reshare and the
+    publication it handles, and defines ``_read(msg)``, the share or
+    reshare a message of the right size carries, and ``_sum(terms)``, the
+    bytes of the terms' sum mod R that it publishes.
+    """
 
     _name: str    # "CS" or "VS"
     _sender: int  # sender id of every message the server builds
+    _share_kind: MessageKind  # and _reshare_kind, _publish_kind
 
     def __init__(self, params: ProtocolParams, seed: KeyMaterial, payload_bytes: int):
         self.params = params
@@ -259,9 +263,9 @@ class _Server:
                                 f"{len(msg.payload)} bytes, expected {size}")
         return self.rounds.get(msg.round_index)
 
-    def _check_share(self, msg: Message, kind: MessageKind) -> None:
-        """Raise unless ``msg`` is a new share from a registered user, in time."""
-        state = self._open_round(msg, kind, self.payload_bytes)
+    def receive_share(self, msg: Message) -> None:
+        """Keep a new share from a registered user, in time; the first one opens its round."""
+        state = self._open_round(msg, self._share_kind, self.payload_bytes)
         if msg.sender not in self.user_keys:
             raise ProtocolError(f"{self._name} has no key for user {msg.sender}")
         if state is not None and state.participants is not None:
@@ -269,9 +273,7 @@ class _Server:
         if state is not None and msg.sender in state.shares:
             raise ProtocolError(
                 f"round {msg.round_index}: duplicate share from user {msg.sender}")
-
-    def _keep_share(self, msg: Message, share) -> None:
-        """Keep a share that passed every check; the first one opens its round."""
+        share = self._read(msg)
         self.rounds.setdefault(msg.round_index, _ServerRound()).shares[msg.sender] = share
 
     def _fix_participants(self, peer_list: Message) -> Tuple[int, ...]:
@@ -290,29 +292,32 @@ class _Server:
         state.participants = common
         return common
 
-    def _participant_shares(self, reshare: Message, kind: MessageKind) -> list:
-        """Every participant's share, once ``reshare`` passed the checks of a share
-        and this server fixed the participants, and so sent its own reshare."""
-        state = self._open_round(reshare, kind, self.payload_bytes)
+    def finalize(self, reshare: Message) -> Message:
+        """The publication of the reshare's round: the participants' shares and
+        the peer's reshare summed mod R, with the participant count m.
+
+        A server finalizes only once it fixed the participants, and so sent
+        its own reshare; the round and every earlier one then leave.
+        """
+        state = self._open_round(reshare, self._reshare_kind, self.payload_bytes)
         if state is None or state.participants is None:
             raise ProtocolError(f"round {reshare.round_index}: {self._name} has fixed "
                                 "no participants")
-        return [state.shares[uid] for uid in state.participants]
-
-    def _finalize(self, reshare: Message, kind: MessageKind, pack, body) -> Message:
-        """The reshare's round's publication; that round and every earlier one leave."""
+        terms = [state.shares[uid] for uid in state.participants] + [self._read(reshare)]
         round_index = reshare.round_index
-        m = len(self.rounds[round_index].participants)
         for r in [r for r in self.rounds if r <= round_index]:
             del self.rounds[r]
         self.finalized_round = round_index
-        return Message(kind, round_index, self._sender, pack(m, body))
+        return Message(self._publish_kind, round_index, self._sender,
+                       pack_publication(len(state.participants), self._sum(terms)))
 
 
 class CsState(_Server):
-    """Computation server: collects model shares, publishes the model aggregate."""
+    """Computation server: sums model shares, publishes w''_1 = sum_i w_i1 + w_t."""
 
     _name, _sender = "CS", 0
+    _share_kind, _reshare_kind, _publish_kind = (
+        MessageKind.MODEL_SHARE, MessageKind.RESHARE_MODEL, MessageKind.PUBLISH_MODEL)
 
     def __init__(self, params: ProtocolParams, k_cg: KeyMaterial,
                  k_cv: KeyMaterial, seed: KeyMaterial):
@@ -320,21 +325,16 @@ class CsState(_Server):
         self.k_cg = k_cg
         self.k_cv = k_cv
 
-    def receive_share(self, msg: Message) -> None:
-        self._check_share(msg, MessageKind.MODEL_SHARE)
+    def _read(self, msg: Message) -> np.ndarray:
         vec = field.vec_from_raw(msg.payload)
-        _require_canonical(vec, self.params.r, f"share from user {msg.sender}")
-        self._keep_share(msg, vec)
+        # The modular sum is exact only on canonical residues.
+        if field.first_non_canonical(vec, self.params.r) is not None:
+            raise ProtocolError(f"round {msg.round_index}: {msg.kind.name} from sender "
+                                f"{msg.sender} holds non-canonical residues")
+        return vec
 
-    def finalize_model(self, reshare: Message) -> Message:
-        """PUBLISH_MODEL: w''_1 = sum of participant shares + w_t from the VS's
-        RESHARE_MODEL, with m."""
-        p = self.params
-        shares = self._participant_shares(reshare, MessageKind.RESHARE_MODEL)
-        w_t = field.vec_from_raw(reshare.payload)
-        _require_canonical(w_t, p.r, f"round {reshare.round_index}: reshare w_t from the VS")
-        return self._finalize(reshare, MessageKind.PUBLISH_MODEL, pack_publish_model,
-                              field.vec_add(field.vec_sum(shares, p.r), w_t, p.r))
+    def _sum(self, terms: list) -> memoryview:
+        return field.vec_to_raw(field.vec_sum(terms, self.params.r))
 
     def tag_aggregate(self, vs_list: Message) -> Tuple[Tuple[int, ...], Message]:
         """The participants fixed from the VS's ONLINE_LIST, and the answer
@@ -349,9 +349,11 @@ class CsState(_Server):
 
 
 class VsState(_Server):
-    """Verification server: regenerates model shares, publishes the tag aggregate."""
+    """Verification server: sums tag shares, publishes b'_2 = sum_i b_i2 + b_t."""
 
     _name, _sender = "VS", 1
+    _share_kind, _reshare_kind, _publish_kind = (
+        MessageKind.TAG_SHARE, MessageKind.RESHARE_TAG, MessageKind.PUBLISH_TAG)
 
     def __init__(self, params: ProtocolParams, k_vg: KeyMaterial,
                  k_vv: KeyMaterial, seed: KeyMaterial):
@@ -359,9 +361,11 @@ class VsState(_Server):
         self.k_vg = k_vg
         self.k_vv = k_vv
 
-    def receive_tag_share(self, msg: Message) -> None:
-        self._check_share(msg, MessageKind.TAG_SHARE)
-        self._keep_share(msg, tags.tag_from_bytes(msg.payload))
+    def _read(self, msg: Message) -> int:
+        return tags.tag_from_bytes(msg.payload)
+
+    def _sum(self, terms: list) -> bytes:
+        return tags.tag_to_bytes(sum(terms) % self.params.r)
 
     def model_aggregate(self, cs_list: Message) -> Tuple[Tuple[int, ...], Message]:
         """The participants fixed from the CS's ONLINE_LIST, and the answer
@@ -375,13 +379,6 @@ class VsState(_Server):
         w_t = field.vec_sub(total, expand(self.k_vg, round_index, p.dim, p.r), p.r)
         return ids, Message(MessageKind.RESHARE_MODEL, round_index, self._sender,
                             field.vec_to_raw(w_t))
-
-    def finalize_tag(self, reshare: Message) -> Message:
-        """PUBLISH_TAG: b'_2 = sum of participant tag shares + b_t from the CS's
-        RESHARE_TAG, with m."""
-        b2 = sum(self._participant_shares(reshare, MessageKind.RESHARE_TAG))
-        return self._finalize(reshare, MessageKind.PUBLISH_TAG, pack_publish_tag,
-                              (b2 + tags.tag_from_bytes(reshare.payload)) % self.params.r)
 
 
 def _enroll(cs: CsState, vs: VsState, uid: int, initial: np.ndarray, rng) -> UserState:

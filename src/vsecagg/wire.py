@@ -12,7 +12,10 @@ Frame layout (all multi-byte integers little-endian):
 Model-share payloads are the raw 8-byte field-element words with no
 extra count prefix (the frame length determines the element count), so
 a share of a d-dimensional model is exactly 8*d payload bytes and a tag
-share is exactly 8.
+share is exactly 8.  A publication, of the model or of the tag, is an
+8-byte participant count, then its words: d at the CS, one at the VS.
+Their reader, ``field.vec_from_raw`` or ``tags.tag_from_bytes``, checks
+their length.
 
 Two channel backends share the same semantics: an in-memory FIFO for
 deterministic simulation and a TCP stream for networked runs.  A
@@ -34,11 +37,6 @@ from collections import deque
 from dataclasses import dataclass, field as dc_field
 from enum import IntEnum
 from typing import Dict, Iterable, List, Tuple
-
-import numpy as np
-
-from . import field
-from .tags import TAG_BYTES, tag_from_bytes, tag_to_bytes
 
 MAGIC = b"DAG1"
 HEADER = struct.Struct("<4sBQII")
@@ -150,35 +148,17 @@ def unpack_online_list(payload: bytes) -> List[int]:
     return list(struct.unpack(f"<{len(payload) // 4}I", payload))
 
 
-def pack_publish_model(m: int, vec: np.ndarray) -> bytes:
-    return struct.pack("<Q", m) + field.vec_to_raw(vec)
+def pack_publication(m: int, body) -> bytes:
+    return struct.pack("<Q", m) + body
 
 
-def _unpack_publish_count(payload: bytes) -> Tuple[int, memoryview]:
-    """Split a publication into its participant count and the published body."""
+def unpack_publication(payload) -> Tuple[int, memoryview]:
+    """Split a publication into its participant count and a view of its words."""
     if len(payload) < 8:
         raise WireError(
             f"publication payload of {len(payload)} bytes has no 8-byte count", len(payload))
     (m,) = struct.unpack_from("<Q", payload)
     return m, memoryview(payload)[8:]
-
-
-def unpack_publish_model(payload: bytes) -> Tuple[int, np.ndarray]:
-    m, body = _unpack_publish_count(payload)
-    if len(body) % 8 != 0:
-        raise WireError(f"published model of {len(body)} bytes is not a whole number of words", 8)
-    return m, field.vec_from_raw(body)
-
-
-def pack_publish_tag(m: int, tag: int) -> bytes:
-    return struct.pack("<Q", m) + tag_to_bytes(tag)
-
-
-def unpack_publish_tag(payload: bytes) -> Tuple[int, int]:
-    m, body = _unpack_publish_count(payload)
-    if len(body) != TAG_BYTES:
-        raise WireError(f"published tag must be {TAG_BYTES} bytes, got {len(body)}", 8)
-    return m, tag_from_bytes(body)
 
 
 class AlarmReason(IntEnum):

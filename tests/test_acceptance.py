@@ -18,7 +18,7 @@ from vsecagg.harness import (AdversarySpec, RunConfig, default_params,
                              run_round, run_simulation, _Network)
 from vsecagg.prf import KeyMaterial, expand
 from vsecagg.roles import ProtocolParams, setup
-from vsecagg.wire import MessageKind, unpack_publish_model
+from vsecagg.wire import MessageKind, unpack_publication
 
 BIG_PRIME = FieldModulus((1 << 60) + 33)  # the smallest prime above 2^60
 DELTA = 1 << 40
@@ -279,7 +279,8 @@ def test_criterion_8_weighted_aggregation():
         assert np.max(np.abs(res.model - expected)) <= TOL
     # The weight sum is the last coordinate of the unmasked aggregate.
     mask = expand(users[0].k_vg, 1, params.dim, BIG_PRIME)
-    _, w1pp = unpack_publish_model(published[MessageKind.PUBLISH_MODEL].payload)
+    _, body = unpack_publication(published[MessageKind.PUBLISH_MODEL].payload)
+    w1pp = field.vec_from_raw(body)
     w_prime = field.vec_add(w1pp, mask, BIG_PRIME)
     weight_sum = int(field.vec_to_signed(w_prime[-1:], BIG_PRIME)[0]) / DELTA
     assert weight_sum == 4.0

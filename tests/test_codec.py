@@ -112,6 +112,12 @@ def test_params_reject_capacity_violation():
         CodecParams(delta=1, r_w=97, n_max=13, x_min=-4.0, x_max=4.0)
     with pytest.raises(CodecError):
         CodecParams(delta=3, r_w=97, n_max=1)  # not a power of two
+    for x_min, x_max in ((1.0, 1.0), (2.0, -2.0)):
+        with pytest.raises(CodecError, match="x_min must be below x_max"):
+            CodecParams(delta=1, r_w=97, n_max=1, x_min=x_min, x_max=x_max)
+    for n_max in (0, -1):
+        with pytest.raises(CodecError, match="n_max must be at least 1"):
+            CodecParams(delta=1, r_w=97, n_max=n_max)
 
 
 def test_additivity_without_wrap():

@@ -40,6 +40,7 @@ def test_find_prime_below():
     assert find_prime_below(10) == 7
     assert find_prime_below(12) == 11
     assert find_prime_below(14) == 13
+    assert find_prime_below(99) == 97  # an odd bound
     assert find_prime_below(1 << 20) == (1 << 20) - 3
     for bound in (10, 16, 100, 1 << 20):
         p = find_prime_below(bound)
@@ -111,6 +112,7 @@ def test_dot_example():
     assert dot(a, b, R97) == 31
     zero = vec([0, 0])
     assert dot(zero, b, R97) == 0
+    assert dot(vec([]), vec([]), R97) == 0
 
 
 def test_dot_length_mismatch():

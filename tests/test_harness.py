@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vsecagg import harness, wire
+from vsecagg import cli, harness, wire
 from vsecagg.cli import main as cli_main
 from vsecagg.codec import CodecParams
 from vsecagg.field import FieldModulus
@@ -180,12 +180,12 @@ def test_an_attack_rewrites_only_its_servers_messages_and_leaves_their_state_hon
 def keep_publications(cs, vs):
     """The frames of the publications ``cs`` and ``vs`` compute, as they finalize."""
     published = []
-    for server, name in ((cs, "finalize_model"), (vs, "finalize_tag")):
-        def finalize(reshare, compute=getattr(server, name)):
+    for server in (cs, vs):
+        def finalize(reshare, compute=server.finalize):
             msg = compute(reshare)
             published.append(bytes(msg.frame))
             return msg
-        setattr(server, name, finalize)
+        server.finalize = finalize
     return published
 
 
@@ -240,13 +240,13 @@ def test_count_mismatches_are_counted_per_participant():
 
 
 def test_length_mismatch_alarm_per_participant(monkeypatch):
-    finalize = CsState.finalize_model
+    finalize = CsState.finalize
 
     def publish_short(cs, reshare):
         msg = finalize(cs, reshare)
         return replace(msg, payload=msg.payload[:-8])
 
-    monkeypatch.setattr(CsState, "finalize_model", publish_short)
+    monkeypatch.setattr(CsState, "finalize", publish_short)  # shadows the inherited one
     report = run_simulation(RunConfig(users=3, dim=2, rounds=1, seed=1))
     rec = report.rounds[0]
     assert not rec.verified and not report.exit_ok
@@ -255,29 +255,33 @@ def test_length_mismatch_alarm_per_participant(monkeypatch):
     assert rec.participants == (0, 1, 2)
 
 
-@pytest.mark.parametrize("server,publish,kind", [
-    (CsState, "finalize_model", MessageKind.PUBLISH_MODEL),
-    (VsState, "finalize_tag", MessageKind.PUBLISH_TAG),
-])
-def test_malformed_publication_alarm_per_participant(monkeypatch, server, publish, kind):
-    original = getattr(server, publish)
+@pytest.mark.parametrize("server,kind,payload", [
+    (CsState, MessageKind.PUBLISH_MODEL, b"\x00" * 3),  # no count
+    (VsState, MessageKind.PUBLISH_TAG, b"\x00" * 3),
+    (CsState, MessageKind.PUBLISH_MODEL, b"\x00" * (8 + 16 + 3)),  # a partial word
+    (VsState, MessageKind.PUBLISH_TAG, b"\x00" * (8 + 16)),  # a 16-byte tag
+], ids=["model-without-count", "tag-without-count", "model-with-partial-word",
+        "tag-of-16-bytes"])
+def test_malformed_publication_alarm_per_participant(monkeypatch, server, kind, payload):
+    finalize = server.finalize
     outcomes = []
     run_round = harness.run_round
 
     def publish_malformed(state, reshare):
-        return replace(original(state, reshare), payload=b"\x00" * 3)
+        return replace(finalize(state, reshare), payload=payload)
 
     def spy(*args, **kwargs):
         outcomes.append(run_round(*args, **kwargs))
         return outcomes[-1]
 
-    monkeypatch.setattr(server, publish, publish_malformed)
+    monkeypatch.setattr(server, "finalize", publish_malformed)
     monkeypatch.setattr(harness, "run_round", spy)
     report = run_simulation(RunConfig(users=3, dim=2, rounds=1, seed=1))
     rec = report.rounds[0]
     assert not rec.verified and not report.exit_ok
-    assert report.alarms == [Alarm(1, uid, AlarmReason.MALFORMED_PUBLICATION, int(kind), 3)
-                             for uid in rec.participants]
+    assert report.alarms == [
+        Alarm(1, uid, AlarmReason.MALFORMED_PUBLICATION, int(kind), len(payload))
+        for uid in rec.participants]
     assert rec.participants == (0, 1, 2)
     # A malformed publication is a result like every other rejection.
     (outcome,) = outcomes
@@ -292,8 +296,8 @@ def four_user_round(net, vs_skips=()):
     params = default_params(RunConfig(users=4, dim=3))
     rng = random.Random(3)
     users, cs, vs = setup(4, params, rng=rng)
-    receive = vs.receive_tag_share
-    vs.receive_tag_share = lambda msg: None if msg.sender in vs_skips else receive(msg)
+    receive = vs.receive_share
+    vs.receive_share = lambda msg: None if msg.sender in vs_skips else receive(msg)
     fixed = {}
     for name, server, method in (("cs", cs, "tag_aggregate"), ("vs", vs, "model_aggregate")):
         def answer(msg, name=name, answer=getattr(server, method)):
@@ -485,6 +489,20 @@ def test_cli_simulate_exit_codes(tmp_path):
     rc = cli_main(["simulate", "--users", "3", "--dim", "2", "--rounds", "1",
                    "--seed", "1", "--adversary", "cs:tamper_aggregate:1"])
     assert rc == 0  # detected adversary is a successful run
+
+
+def test_cli_simulate_without_flags_runs_the_default_config(monkeypatch, capsys):
+    configs = []
+    simulate = cli.run_simulation
+
+    def spy(cfg):
+        configs.append(cfg)
+        return simulate(cfg)
+
+    monkeypatch.setattr(cli, "run_simulation", spy)
+    assert cli_main(["simulate"]) == 0
+    assert configs == [RunConfig()]
+    assert "exit_ok=True" in capsys.readouterr().out
 
 
 def test_cli_calibrate_and_oracle(tmp_path, capsys):

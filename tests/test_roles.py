@@ -13,7 +13,7 @@ from vsecagg.prf import KeyMaterial, concat_keys, expand
 from vsecagg.roles import (CsState, ProtocolError, ProtocolParams, UserState, VsState,
                            init_model_from_seeds, join_new_user, setup)
 from vsecagg.wire import (AlarmReason, Message, MessageKind, pack_online_list,
-                          pack_publish_model, unpack_publish_model, unpack_publish_tag)
+                          pack_publication, unpack_publication)
 
 BIG_PRIME = FieldModulus((1 << 60) + 33)  # the smallest prime above 2^60
 MERSENNE_61 = (1 << 61) - 1  # the default modulus
@@ -33,7 +33,7 @@ def share_all(users, cs, vs, updates, r, weights=None):
         weight = weights[u.uid] if weights else None
         to_cs, to_vs = u.share_round(updates[u.uid], r, weight=weight)
         cs.receive_share(to_cs)
-        vs.receive_tag_share(to_vs)
+        vs.receive_share(to_vs)
 
 
 def reshares(cs, vs, r):
@@ -47,7 +47,7 @@ def reshares(cs, vs, r):
 def aggregate(cs, vs, r):
     """Both reshares of round r, then both finalizations; returns the publications."""
     w_t, b_t = reshares(cs, vs, r)
-    return cs.finalize_model(w_t), vs.finalize_tag(b_t)
+    return cs.finalize(w_t), vs.finalize(b_t)
 
 
 def run_honest_round(users, cs, vs, updates, r, weights=None):
@@ -74,7 +74,19 @@ def assert_all_verify(users, publications, r, model=None):
 
 def model_publication(vec, m, r):
     """A PUBLISH_MODEL message carrying ``vec`` and count ``m``, as the CS frames one."""
-    return Message(MessageKind.PUBLISH_MODEL, r, 0, pack_publish_model(m, vec))
+    return Message(MessageKind.PUBLISH_MODEL, r, 0, pack_publication(m, field.vec_to_raw(vec)))
+
+
+def read_model(msg):
+    """The count and the vector a PUBLISH_MODEL message carries."""
+    m, body = unpack_publication(msg.payload)
+    return m, field.vec_from_raw(body)
+
+
+def read_tag(msg):
+    """The count and the tag a PUBLISH_TAG message carries."""
+    m, body = unpack_publication(msg.payload)
+    return m, tags.tag_from_bytes(body)
 
 
 def reshare_model(vec, r):
@@ -179,6 +191,22 @@ def test_share_round_rejects_stale_round():
         users[0].share_round(np.zeros(2), 1)
 
 
+def test_share_round_rejects_a_bad_weight_or_update_size():
+    params = make_params(dim=2)
+    users, _, _ = setup(1, params, rng=random.Random(47))
+    u = users[0]
+    for weight in (0.0, -1.0):
+        with pytest.raises(ProtocolError, match=f"weight must be positive, got {weight}"):
+            u.share_round(np.zeros(2), 1, weight=weight)
+    # A weighted update is one coordinate longer than an unweighted run's d.
+    for update, weight in ((np.zeros(2), 1.0), (np.zeros(1), None)):
+        size = update.size + (weight is not None)
+        with pytest.raises(ProtocolError, match=f"update has {size} parameters, expected 2"):
+            u.share_round(update, 1, weight=weight)
+    # A refused update shares nothing: round 1 is still the user's to share.
+    assert u.share_round(np.zeros(2), 1)[0].round_index == 1
+
+
 def test_vs_model_aggregate_hand_summed():
     r = 17
     params = make_params(dim=1, r=r, n_max=2, delta=1, bound=3.0)
@@ -202,9 +230,9 @@ def test_vs_model_aggregate_order_independent():
     _, _, vs_b = setup(3, params, rng=random.Random(9))
     to_vs = [u.share_round(np.zeros(4), 1)[1] for u in users]
     for msg in to_vs:
-        vs_a.receive_tag_share(msg)
+        vs_a.receive_share(msg)
     for msg in reversed(to_vs):
-        vs_b.receive_tag_share(msg)
+        vs_b.receive_share(msg)
     fixed_a, w_a = vs_a.model_aggregate(list_message([0, 1, 2], 1, sender=0))
     fixed_b, w_b = vs_b.model_aggregate(Message(MessageKind.ONLINE_LIST, 1, 0,
                                                 struct.pack("<3I", 2, 0, 1)))
@@ -237,7 +265,7 @@ def test_each_server_sends_one_reshare_per_round():
             with pytest.raises(ProtocolError, match="round 1: [CV]S already fixed them"):
                 answer(list_message(ids, 1, sender))
     assert cs.rounds[1].participants == vs.rounds[1].participants == (0, 1, 2)
-    assert_all_verify(users, (cs.finalize_model(w_t), vs.finalize_tag(b_t)), 1,
+    assert_all_verify(users, (cs.finalize(w_t), vs.finalize(b_t)), 1,
                       np.full(3, 0.5))
 
 
@@ -256,8 +284,8 @@ def test_servers_reshare_only_for_fixed_participants():
     assert tags.tag_from_bytes(b_t.payload) == (
         sum(int(expand(cs.user_keys[uid], 1, 1, params.r)[0]) for uid in (0, 2))
         - int(expand(cs.k_cg, 1, 1, params.r)[0])) % params.r
-    publications = cs.finalize_model(w_t), vs.finalize_tag(b_t)
-    assert unpack_publish_model(publications[0].payload)[0] == 2
+    publications = cs.finalize(w_t), vs.finalize(b_t)
+    assert read_model(publications[0])[0] == 2
     assert_all_verify([users[0], users[2]], publications, 1, np.full(2, 0.25))
 
 
@@ -281,9 +309,9 @@ def test_servers_fix_participants_once():
     with pytest.raises(ProtocolError):
         cs.tag_aggregate(list_message([0], 1))
     assert cs.rounds[1].participants == (0, 1, 2)
-    model_msg, tag_msg = cs.finalize_model(w_t), vs.finalize_tag(b_t)
-    assert unpack_publish_model(model_msg.payload)[0] == 3
-    assert unpack_publish_tag(tag_msg.payload)[0] == 3
+    model_msg, tag_msg = cs.finalize(w_t), vs.finalize(b_t)
+    assert read_model(model_msg)[0] == 3
+    assert read_tag(tag_msg)[0] == 3
     assert_all_verify(users, (model_msg, tag_msg), 1, np.full(2, 0.25))
 
 
@@ -327,15 +355,15 @@ def test_a_server_finalizes_only_after_sending_its_own_reshare(server):
     if server == "cs":
         _, w_t = vs.model_aggregate(cs.online_list(1))
         with pytest.raises(ProtocolError, match="round 1: CS has fixed no participants"):
-            cs.finalize_model(w_t)
+            cs.finalize(w_t)
         _, b_t = cs.tag_aggregate(vs.online_list(1))
     else:
         _, b_t = cs.tag_aggregate(vs.online_list(1))
         with pytest.raises(ProtocolError, match="round 1: VS has fixed no participants"):
-            vs.finalize_tag(b_t)
+            vs.finalize(b_t)
         _, w_t = vs.model_aggregate(cs.online_list(1))
     assert list(cs.rounds) == list(vs.rounds) == [1]
-    publications = cs.finalize_model(w_t), vs.finalize_tag(b_t)
+    publications = cs.finalize(w_t), vs.finalize(b_t)
     assert cs.rounds == vs.rounds == {}
     assert_all_verify(users, publications, 1, np.full(2, 0.25))
 
@@ -345,8 +373,8 @@ def test_a_finalized_round_takes_no_second_finalize_or_reshare_request():
     users, cs, vs = setup(2, params, rng=random.Random(45))
     share_all(users, cs, vs, {u.uid: np.zeros(2) for u in users}, 1)
     w_t, b_t = reshares(cs, vs, 1)
-    publications = cs.finalize_model(w_t), vs.finalize_tag(b_t)
-    for finalize_again, reshare in ((cs.finalize_model, w_t), (vs.finalize_tag, b_t)):
+    publications = cs.finalize(w_t), vs.finalize(b_t)
+    for finalize_again, reshare in ((cs.finalize, w_t), (vs.finalize, b_t)):
         with pytest.raises(ProtocolError, match="already finalized round 1; got round 1"):
             finalize_again(reshare)
     # A server reshares only in answer to a list, and takes none for the round.
@@ -365,12 +393,12 @@ def test_server_rejects_a_share_after_fixing_participants(server):
     w_t, b_t = reshares(cs, vs, 1)
     to_cs, to_vs = users[2].share_round(np.full(2, 0.5), 1)
     target, receive, late = ((cs, cs.receive_share, to_cs) if server == "cs"
-                             else (vs, vs.receive_tag_share, to_vs))
+                             else (vs, vs.receive_share, to_vs))
     with pytest.raises(ProtocolError, match="late share from user 2"):
         receive(late)
     assert list(target.rounds[1].shares) == [0, 1]
     assert target.rounds[1].participants == (0, 1)
-    assert_all_verify(users[:2], (cs.finalize_model(w_t), vs.finalize_tag(b_t)), 1,
+    assert_all_verify(users[:2], (cs.finalize(w_t), vs.finalize(b_t)), 1,
                       np.full(2, 0.5))
 
 
@@ -384,14 +412,14 @@ def test_cs_rejects_duplicate_share():
     assert list(cs.rounds[1].shares) == [0]
 
 
-def test_finalize_model_reconstructs_encoded_sum():
+def test_finalize_reconstructs_encoded_sum():
     params = make_params(dim=2)
     users, cs, vs = setup(3, params, rng=random.Random(13))
     rng = np.random.default_rng(0)
     updates = {u.uid: rng.uniform(-1, 1, 2) for u in users}
     model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 1)
-    m_cs, w1pp = unpack_publish_model(model_msg.payload)
-    assert m_cs == unpack_publish_tag(tag_msg.payload)[0] == 3
+    m_cs, w1pp = read_model(model_msg)
+    assert m_cs == read_tag(tag_msg)[0] == 3
     # Oracle: sum of plaintext encodings.
     expected = field.vec_sum([encode(updates[u.uid], params.codec) for u in users],
                              params.r)
@@ -406,7 +434,7 @@ def test_tag_shares_reconstruct_tag_sum():
     rng = np.random.default_rng(1)
     updates = {u.uid: rng.uniform(-1, 1, 2) for u in users}
     _, tag_msg = run_honest_round(users, cs, vs, updates, 1)
-    _, b2p = unpack_publish_tag(tag_msg.payload)
+    _, b2p = read_tag(tag_msg)
     key_vec = tags.derive_tag_key(users[0].k_v, 1, 2, params.r)
     expected = sum(
         tags.gen_tag(encode(updates[u.uid], params.codec), key_vec, params.r)
@@ -446,8 +474,8 @@ def test_user_reconstruct_detects_flipped_coordinate():
     rng = np.random.default_rng(3)
     updates = {u.uid: rng.uniform(-1, 1, 4) for u in users}
     model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 1)
-    m, w1pp = unpack_publish_model(model_msg.payload)
-    _, b2p = unpack_publish_tag(tag_msg.payload)
+    m, w1pp = read_model(model_msg)
+    _, b2p = read_tag(tag_msg)
     tampered = w1pp.copy()
     tampered[2] = (tampered[2] + np.uint64(1)) % np.uint64(params.r)
     res = users[0].reconstruct_round(model_publication(tampered, m, 1), tag_msg, 1)
@@ -470,7 +498,7 @@ def test_user_reconstruct_rejects_m_mismatch():
     assert users[0].reconstruct_round(model_msg, tag_msg, 1).verified
     model = users[0].current_model
     model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 2)
-    m, w1pp = unpack_publish_model(model_msg.payload)
+    m, w1pp = read_model(model_msg)
     # Everything but the CS's count is honest, so only the count check can fire.
     res = users[0].reconstruct_round(model_publication(w1pp, m + 1, 2), tag_msg, 2)
     assert not res.verified
@@ -547,7 +575,7 @@ def test_weighted_round_matches_weighted_oracle():
     expected = (updates[0] * 1.0 + updates[1] * 3.0) / 4.0
     assert np.max(np.abs(res.model - expected)) <= 0.5 / params.codec.delta
     # Integral weights recover exactly.
-    assert weight_sum(users[0], unpack_publish_model(model_msg.payload)[1], 1) == 4.0
+    assert weight_sum(users[0], read_model(model_msg)[1], 1) == 4.0
 
 
 def test_a_user_decodes_a_round_as_it_shared_its_update():
@@ -613,23 +641,23 @@ def test_servers_reject_shares_for_finalized_rounds():
             late = {"cs": to_cs, "vs": to_vs}
             continue
         cs.receive_share(to_cs)
-        vs.receive_tag_share(to_vs)
+        vs.receive_share(to_vs)
     w_t, b_t = reshares(cs, vs, 1)
-    cs.finalize_model(w_t)
-    vs.finalize_tag(b_t)
+    cs.finalize(w_t)
+    vs.finalize(b_t)
     stale = "already finalized round 1; got round 1"
     with pytest.raises(ProtocolError, match=f"CS {stale}"):
         cs.receive_share(late["cs"])
     with pytest.raises(ProtocolError, match=f"VS {stale}"):
-        vs.receive_tag_share(late["vs"])
+        vs.receive_share(late["vs"])
     with pytest.raises(ProtocolError, match=f"CS {stale}"):
-        cs.finalize_model(w_t)
+        cs.finalize(w_t)
     with pytest.raises(ProtocolError, match=f"VS {stale}"):
-        vs.finalize_tag(b_t)
+        vs.finalize(b_t)
     # The next round is open.
     to_cs, to_vs = users[2].share_round(np.zeros(2), 2)
     cs.receive_share(to_cs)
-    vs.receive_tag_share(to_vs)
+    vs.receive_share(to_vs)
     assert list(cs.rounds[2].shares) == list(vs.rounds[2].shares) == [2]
 
 
@@ -652,23 +680,23 @@ def test_rejected_shares_open_no_round():
     # User 0's shares open round 2; round 3 is open at neither server.
     to_cs, to_vs = users[0].share_round(np.zeros(2), 2)
     cs.receive_share(to_cs)
-    vs.receive_tag_share(to_vs)
+    vs.receive_share(to_vs)
     non_canonical = field.vec_from_raw(to_cs.payload).copy()
     non_canonical[0] = np.uint64(params.r)
     model, tag = MessageKind.MODEL_SHARE, MessageKind.TAG_SHARE
-    bad = [(cs.receive_share, to_cs), (vs.receive_tag_share, to_vs),  # duplicates
+    bad = [(cs.receive_share, to_cs), (vs.receive_share, to_vs),  # duplicates
            (cs.receive_share, Message(model, 1, 1, to_cs.payload)),  # finalized round
-           (vs.receive_tag_share, Message(tag, 1, 1, to_vs.payload))]
+           (vs.receive_share, Message(tag, 1, 1, to_vs.payload))]
     for r in (2, 3):
         bad += [(cs.receive_share, Message(tag, r, 1, to_vs.payload)),
                 (cs.receive_share, Message(model, r, 1, to_cs.payload[:-8])),
                 (cs.receive_share, Message(model, r, 1, b"abc")),
                 (cs.receive_share, Message(model, r, 1, field.vec_to_raw(non_canonical))),
-                (vs.receive_tag_share, Message(model, r, 1, to_cs.payload)),
-                (vs.receive_tag_share, Message(tag, r, 1, b"abc")),
-                (vs.receive_tag_share, Message(tag, r, 1, to_vs.payload + b"\0")),
+                (vs.receive_share, Message(model, r, 1, to_cs.payload)),
+                (vs.receive_share, Message(tag, r, 1, b"abc")),
+                (vs.receive_share, Message(tag, r, 1, to_vs.payload + b"\0")),
                 (cs.receive_share, Message(model, r, 999, to_cs.payload)),  # unregistered
-                (vs.receive_tag_share, Message(tag, r, 999, to_vs.payload))]
+                (vs.receive_share, Message(tag, r, 999, to_vs.payload))]
 
     def books():
         return [{r: sorted(state.shares) for r, state in server.rounds.items()}
@@ -682,7 +710,7 @@ def test_rejected_shares_open_no_round():
     # Round 2 completes with user 1's honest shares, and both users verify it.
     to_cs, to_vs = users[1].share_round(np.zeros(2), 2)
     cs.receive_share(to_cs)
-    vs.receive_tag_share(to_vs)
+    vs.receive_share(to_vs)
     assert_all_verify(users, aggregate(cs, vs, 2), 2, np.zeros(2))
 
 
@@ -693,7 +721,7 @@ def test_user_fails_closed_on_non_canonical_aggregate(r):
     rng = np.random.default_rng(7)
     updates = {u.uid: rng.uniform(-1, 1, 4) for u in users}
     model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 1)
-    m, w1pp = unpack_publish_model(model_msg.payload)
+    m, w1pp = read_model(model_msg)
     one_high = w1pp.copy()
     one_high[2] = np.uint64(r)
     everywhere = np.full(4, HIGH_WORD, dtype=np.uint64)
@@ -711,7 +739,7 @@ def test_user_fails_closed_on_wrong_length_aggregate():
     rng = np.random.default_rng(8)
     updates = {u.uid: rng.uniform(-1, 1, 4) for u in users}
     model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 1)
-    m, w1pp = unpack_publish_model(model_msg.payload)
+    m, w1pp = read_model(model_msg)
     for published in (w1pp[:3], np.append(w1pp, w1pp[:1]), w1pp[:0]):
         res = users[0].reconstruct_round(model_publication(published, m, 1), tag_msg, 1)
         assert not res.verified and res.model is None
@@ -726,16 +754,16 @@ def test_cs_rejects_non_canonical_reshare():
     for u in users:
         to_cs, to_vs = u.share_round(np.zeros(3), 1)
         cs.receive_share(to_cs)
-        vs.receive_tag_share(to_vs)
+        vs.receive_share(to_vs)
     w_t, _ = reshares(cs, vs, 1)  # the CS finalizes only once its own reshare is sent
     one_high = field.vec_from_raw(w_t.payload).copy()
     one_high[1] = np.uint64(MERSENNE_61)
     for bad in (one_high, np.full(3, HIGH_WORD, dtype=np.uint64)):
         with pytest.raises(ProtocolError, match="non-canonical"):
-            cs.finalize_model(reshare_model(bad, 1))
+            cs.finalize(reshare_model(bad, 1))
     assert cs.finalized_round == 0
-    model_msg = cs.finalize_model(w_t)
-    m, w1pp = unpack_publish_model(model_msg.payload)
+    model_msg = cs.finalize(w_t)
+    m, w1pp = read_model(model_msg)
     assert (model_msg.kind, model_msg.round_index, model_msg.sender) == (
         MessageKind.PUBLISH_MODEL, 1, 0)
     assert m == 2 and int(w1pp.max()) < MERSENNE_61 and cs.rounds == {}
@@ -788,19 +816,19 @@ def test_finalize_rejects_a_reshare_of_the_wrong_kind_or_round():
     for u in users:
         to_cs, to_vs = u.share_round(np.zeros(2), 2)
         cs.receive_share(to_cs)
-        vs.receive_tag_share(to_vs)
+        vs.receive_share(to_vs)
     w_t, b_t = reshares(cs, vs, 2)
     for bad in (b_t, replace(w_t, round_index=1), replace(w_t, round_index=3),
                 replace(w_t, payload=b"abc"), replace(w_t, payload=w_t.payload[:-8])):
         with pytest.raises(ProtocolError):
-            cs.finalize_model(bad)
+            cs.finalize(bad)
     for bad in (w_t, replace(b_t, round_index=1), replace(b_t, round_index=3),
                 replace(b_t, payload=b"abc")):
         with pytest.raises(ProtocolError):
-            vs.finalize_tag(bad)
+            vs.finalize(bad)
     assert cs.finalized_round == vs.finalized_round == 0
     assert list(cs.rounds) == list(vs.rounds) == [2]
-    publications = cs.finalize_model(w_t), vs.finalize_tag(b_t)
+    publications = cs.finalize(w_t), vs.finalize(b_t)
     assert cs.finalized_round == vs.finalized_round == 2
     assert_all_verify(users, publications, 2, np.zeros(2))
 

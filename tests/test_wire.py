@@ -3,13 +3,13 @@ import random
 import numpy as np
 import pytest
 
-from vsecagg import field, wire
+from vsecagg import field, tags, wire
+from vsecagg.field import FieldError
 from vsecagg.harness import _Network
 from vsecagg.wire import (HEADER, MAGIC, LinkClosedError, MemoryLink, Message,
                           MessageKind, WireError, deserialize, pack_online_list,
-                          pack_publish_model, pack_publish_tag, serialize,
-                          socket_link_pair, unpack_online_list, unpack_publish_model,
-                          unpack_publish_tag)
+                          pack_publication, serialize, socket_link_pair,
+                          unpack_online_list, unpack_publication)
 
 
 def random_message(rng: random.Random) -> Message:
@@ -42,6 +42,13 @@ def test_model_share_payload_size_at_20k():
     msg = Message(MessageKind.MODEL_SHARE, 1, 1, field.vec_to_raw(vec))
     assert len(msg.payload) == 160_000
     assert len(serialize(msg)) == 160_000 + 21
+
+
+def test_serialize_refuses_a_payload_over_the_limit(monkeypatch):
+    monkeypatch.setattr(wire, "MAX_PAYLOAD", 64)
+    assert len(serialize(Message(MessageKind.MODEL_SHARE, 1, 1, b"\x00" * 64))) == 21 + 64
+    with pytest.raises(WireError, match="payload of 65 bytes exceeds"):
+        serialize(Message(MessageKind.MODEL_SHARE, 1, 1, b"\x00" * 65))
 
 
 def test_bad_magic():
@@ -81,41 +88,47 @@ def test_online_list_payloads():
 
 
 def test_publish_payloads():
+    # Both publications are the count as 8 little-endian bytes, then their words.
     vec = np.arange(4, dtype=np.uint64)
-    m, back = unpack_publish_model(pack_publish_model(3, vec))
-    assert m == 3 and np.array_equal(back, vec)
-    m, tag = unpack_publish_tag(pack_publish_tag(7, 12345))
-    assert (m, tag) == (7, 12345)
+    model = pack_publication(3, field.vec_to_raw(vec))
+    assert bytes(model) == (3).to_bytes(8, "little") + vec.astype("<u8").tobytes()
+    m, body = unpack_publication(model)
+    assert m == 3 and np.array_equal(field.vec_from_raw(body), vec)
+    tag = pack_publication(7, tags.tag_to_bytes(12345))
+    assert bytes(tag) == (7).to_bytes(8, "little") + (12345).to_bytes(8, "little")
+    m, body = unpack_publication(tag)
+    assert (m, tags.tag_from_bytes(body)) == (7, 12345)
 
 
 @pytest.mark.parametrize("payload", [b"", b"abc", b"\x00" * 7])
 def test_publish_payloads_without_count(payload):
-    for unpack in (unpack_publish_model, unpack_publish_tag):
-        with pytest.raises(WireError, match="has no 8-byte count"):
-            unpack(payload)
+    with pytest.raises(WireError, match="has no 8-byte count"):
+        unpack_publication(payload)
 
 
 def test_publish_payloads_with_bad_body_length():
-    model = pack_publish_model(3, np.arange(4, dtype=np.uint64))
-    with pytest.raises(WireError, match="is not a whole number of words"):
-        unpack_publish_model(model[:-3])
-    assert unpack_publish_model(model[:8])[1].size == 0
-    tag = pack_publish_tag(7, 12345)
+    # The wire splits off the count; the body's reader checks its length.
+    model = pack_publication(3, field.vec_to_raw(np.arange(4, dtype=np.uint64)))
+    with pytest.raises(FieldError, match="must be a multiple of 8"):
+        field.vec_from_raw(unpack_publication(model[:-3])[1])
+    assert field.vec_from_raw(unpack_publication(model[:8])[1]).size == 0
+    tag = pack_publication(7, tags.tag_to_bytes(12345))
     for bad in (tag[:8], tag[:-1], tag + b"\x00"):
-        with pytest.raises(WireError, match="published tag must be 8 bytes"):
-            unpack_publish_tag(bad)
+        with pytest.raises(FieldError, match="tag must be 8 bytes"):
+            tags.tag_from_bytes(unpack_publication(bad)[1])
 
 
 def test_decoded_share_and_publication_are_read_only_views_of_the_frame():
     vec = np.random.default_rng(8).integers(0, (1 << 61) - 1, 1000, dtype=np.uint64)
     for kind, payload in ((MessageKind.MODEL_SHARE, field.vec_to_raw(vec)),
-                          (MessageKind.PUBLISH_MODEL, pack_publish_model(4, vec))):
+                          (MessageKind.PUBLISH_MODEL, pack_publication(4, field.vec_to_raw(vec)))):
         frame = serialize(Message(kind, 1, 2, payload))
         msg = deserialize(frame)
         if kind is MessageKind.MODEL_SHARE:
             got = field.vec_from_raw(msg.payload)
         else:
-            m, got = unpack_publish_model(msg.payload)
+            m, body = unpack_publication(msg.payload)
+            got = field.vec_from_raw(body)
             assert m == 4
         assert np.array_equal(got, vec)
         assert not got.flags.writeable
@@ -138,8 +151,10 @@ def test_memory_link_fifo_and_ledger():
 
 def test_closed_memory_link_neither_sends_nor_receives():
     link = MemoryLink()
+    with pytest.raises(LinkClosedError, match="link has no pending message"):
+        link.recv()  # open, but empty
     link.close()
-    with pytest.raises(LinkClosedError):
+    with pytest.raises(LinkClosedError, match="link is closed"):
         link.recv()
     with pytest.raises(LinkClosedError):
         link.send(Message(MessageKind.ONLINE_LIST, 1, 1, b""))
@@ -156,7 +171,7 @@ def test_message_is_framed_once_for_every_link(monkeypatch):
     net = _Network("memory")
     names = [f"cs->user{uid}" for uid in range(3)]
     vec = np.arange(10, dtype=np.uint64)
-    msg = Message(MessageKind.PUBLISH_MODEL, 4, 0, pack_publish_model(3, vec))
+    msg = Message(MessageKind.PUBLISH_MODEL, 4, 0, pack_publication(3, field.vec_to_raw(vec)))
     for name in names:
         assert net.transfer(name, msg) == msg
     assert framed == [msg]
