@@ -11,7 +11,8 @@ verification reason over the integers.
 truncates toward zero, and embeds the result in place in the cast's own
 words.  It needs no range check after the cast: the input bound check
 and the capacity check keep every rounded value within +-(R_w - 1)/2.
-``decode`` divides once, by delta * m.
+``decode`` divides once, by delta * m, where m is the participant count
+or, in a weighted round, the weight sum.
 """
 
 from __future__ import annotations
@@ -103,10 +104,10 @@ def encode(values, params: CodecParams) -> np.ndarray:
     return out
 
 
-def decode(vec: np.ndarray, params: CodecParams, m: int) -> np.ndarray:
-    """Signed lift, unscale, and divide by the participant count."""
-    if m < 1:
-        raise CodecError("participant count must be at least 1")
+def decode(vec: np.ndarray, params: CodecParams, m: float) -> np.ndarray:
+    """Signed lift, unscale, and divide by m: the participant count, or a weight sum."""
+    if not m > 0:
+        raise CodecError(f"divisor must be positive, got {m}")
     # delta * m is exact in float64 and dividing by the power of two delta
     # is exact, so one division rounds as dividing by delta, then m, did.
     return field.vec_to_signed(vec, params.r_w) / float(params.delta * m)

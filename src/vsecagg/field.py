@@ -210,7 +210,7 @@ def _limb_view(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype="<u8").view("<u2").reshape(-1, 4)
 
 
-def _weighted_total(sums: np.ndarray) -> int:
+def _limb_pair_total(sums: np.ndarray) -> int:
     """The sum of sums[i, j] * 2^(16 (i + j)) over the 4 x 4 limb-pair sums.
 
     Each exact float64 sum is below 2^53, so the up to four sums of one
@@ -241,7 +241,7 @@ def dot(a: np.ndarray, b: np.ndarray, r: int) -> int:
         b_block[...] = b_limbs[start:start + n]
         sums += a_block.T @ b_block
         if k % _DOT_FOLD_BLOCKS == 0 or start + n == a.size:
-            total += _weighted_total(sums)
+            total += _limb_pair_total(sums)
             sums[...] = 0
     return total % r
 

@@ -42,22 +42,22 @@ def _tamper_model_share(cs: CsState, spec, rng, shares, m, w):
     # An offset on one participant's share moves the sum by the same offset,
     # so the victim is drawn only to keep the rng stream of a share attack.
     rng.choice(list(shares))
-    return m, _bumped(w, rng.randrange(cs.params.dim), spec.magnitude, cs.params.r)
+    return m, _bumped(w, rng.randrange(cs.params.words), spec.magnitude, cs.params.r)
 
 
 def _drop_participant(cs: CsState, spec, rng, shares, m, w):
     # The CS claims the victim participated but omits its share from the sum.
     victim = rng.choice(list(shares))
-    rng.randrange(cs.params.dim)  # the coordinate draw of a share attack
+    rng.randrange(cs.params.words)  # the coordinate draw of a share attack
     return m, field.vec_sub(w, field.vec_from_raw(shares[victim].payload), cs.params.r)
 
 
 def _tamper_aggregate(cs: CsState, spec, rng, shares, m, w):
-    return m, _bumped(w, rng.randrange(cs.params.dim), spec.magnitude, cs.params.r)
+    return m, _bumped(w, rng.randrange(cs.params.words), spec.magnitude, cs.params.r)
 
 
 def _lie_about_m(cs: CsState, spec, rng, shares, m, w):
-    return m + max(1, spec.magnitude), w
+    return m + spec.magnitude, w
 
 
 def _forge_tag(vs: VsState, spec, rng, shares, m, tag):
@@ -107,7 +107,7 @@ class AdversarySpec:
     target: str            # the server that performs the action
     action: str
     round_index: int
-    magnitude: int = 1     # field offset for tampering actions
+    magnitude: int = 1     # field offset for tampering actions, count offset for lie_about_m
 
     def __post_init__(self) -> None:
         attack = ADVERSARY_ACTIONS.get(self.action)
@@ -117,6 +117,9 @@ class AdversarySpec:
         if self.round_index < 1:
             raise ConfigError(f"adversary round {self.round_index} is not a round: "
                               "rounds are numbered from 1")
+        # The bound keeps a lied count m + magnitude inside its 8 bytes.
+        if not 1 <= self.magnitude < 1 << 32:
+            raise ConfigError(f"adversary magnitude {self.magnitude} must lie in [1, 2^32)")
 
     @classmethod
     def parse(cls, text: str) -> "AdversarySpec":
@@ -257,18 +260,18 @@ def default_params(cfg: RunConfig) -> ProtocolParams:
     the Mersenne prime 2^61 - 1.
     """
     r = find_prime_below(1 << (cfg.prime_bits + 1))
-    dim = cfg.dim + 1 if cfg.weights is not None else cfg.dim
     bound = 10.0
-    # A weight scales an update drawn from [-1, 1] and rides along as a
-    # coordinate itself, so it must lie in (0, bound].
-    if cfg.weights is not None and not all(0 < w <= bound for w in cfg.weights):
-        raise ConfigError(f"every weight must lie in (0, {bound}]")
+    # A weight scales an update drawn from [-1, 1] and rides along as a word
+    # itself, so it must lie in [one quantum, bound]: below, it may encode to 0.
+    quantum = 2.0 ** -cfg.delta_exp
+    if cfg.weights is not None and not all(quantum <= w <= bound for w in cfg.weights):
+        raise ConfigError(f"every weight must lie in [2^-{cfg.delta_exp}, {bound}]")
     try:
         cparams = codec.CodecParams(delta=1 << cfg.delta_exp, r_w=r,
                                     n_max=cfg.users, x_min=-bound, x_max=bound)
     except codec.CodecError as exc:
         raise ConfigError(str(exc)) from None
-    return ProtocolParams(dim=dim, codec=cparams)
+    return ProtocolParams(dim=cfg.dim, codec=cparams, weighted=cfg.weights is not None)
 
 
 def plaintext_oracle(updates: Dict[int, np.ndarray], participants: Sequence[int],

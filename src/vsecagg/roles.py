@@ -55,10 +55,20 @@ class ProtocolError(Exception):
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Parameters every role must share identically."""
+    """Parameters every role must share identically.
+
+    ``dim`` is d, the length of an update and of a decoded model; in a
+    ``weighted`` run every share carries its user's weight as one more word.
+    """
 
     dim: int
     codec: codec.CodecParams
+    weighted: bool = False
+
+    @functools.cached_property
+    def words(self) -> int:
+        """Length of every share, mask, tag key and aggregate: d, plus the weight's word."""
+        return self.dim + self.weighted
 
     # Cached: every kernel call of a round reads it.
     @functools.cached_property
@@ -113,19 +123,6 @@ class UserState:
         self._last_shared_round = 0
         # (round, key vector) of the last shared round, reused once to verify it.
         self._tag_key: Optional[Tuple[int, np.ndarray]] = None
-        # Whether the last shared update carried a weight; the user decodes alike.
-        self._weighted = False
-
-    def _encode_update(self, update, weight: Optional[float]) -> np.ndarray:
-        p = self.params
-        if weight is None:
-            return codec.encode(update, p.codec)
-        if weight <= 0:
-            raise ProtocolError(f"aggregation weight must be positive, got {weight}")
-        # Weighted path: the weight rides along as one extra parameter so
-        # users can recover the weight sum and divide by it.
-        scaled = np.append(np.asarray(update, dtype=np.float64) * weight, weight)
-        return codec.encode(scaled, p.codec)
 
     def share_round(self, update, round_index: int,
                     weight: Optional[float] = None) -> Tuple[Message, Message]:
@@ -135,16 +132,28 @@ class UserState:
             raise ProtocolError(
                 f"user {self.uid} already shared round {self._last_shared_round}; "
                 f"got round {round_index}")
-        encoded = self._encode_update(update, weight)
-        if encoded.size != p.dim:
-            raise ProtocolError(f"update has {encoded.size} parameters, expected {p.dim}")
+        update = np.asarray(update, dtype=np.float64)
+        if update.size != p.dim:
+            raise ProtocolError(f"update has {update.size} parameters, expected {p.dim}")
+        if (weight is not None) != p.weighted:
+            raise ProtocolError(f"user {self.uid}: a weighted run shares a weight with every "
+                                f"update, an unweighted run none; got weight {weight}")
+        if weight is not None:
+            if not weight > 0:
+                raise ProtocolError(f"aggregation weight must be positive, got {weight}")
+            # Below one quantum a weight may encode to 0, and a weight sum of 0 divides nothing.
+            if weight < 1 / p.codec.delta:
+                raise ProtocolError(f"aggregation weight {weight} is below one quantum, "
+                                    f"1/{p.codec.delta}")
+            # The weight rides as the last word, so users recover the weight sum.
+            update = np.append(update * weight, weight)
+        encoded = codec.encode(update, p.codec)
         share = sharing.share_with_prf(encoded, self.k_vi, round_index, p.r)
-        key_vec = tags.derive_tag_key(self.k_v, round_index, p.dim, p.r)
+        key_vec = tags.derive_tag_key(self.k_v, round_index, p.words, p.r)
         b_i = tags.gen_tag(encoded, key_vec, p.r)
         b_i2 = (b_i - expand_one(self.k_ci, round_index, p.r)) % p.r
         self._last_shared_round = round_index
         self._tag_key = (round_index, key_vec)
-        self._weighted = weight is not None
         return (
             Message(MessageKind.MODEL_SHARE, round_index, self.uid,
                     field.vec_to_raw(share)),
@@ -176,31 +185,27 @@ class UserState:
                              int(reading.kind), len(reading.payload))
         if m_cs != m_vs:
             return _rejected(round_index, AlarmReason.COUNT_MISMATCH, m_cs, m_vs)
-        # Fail closed before any arithmetic on an aggregate that is not d
-        # residues mod R.
-        if w1pp.size != p.dim:
-            return _rejected(round_index, AlarmReason.LENGTH_MISMATCH, p.dim, int(w1pp.size))
+        # Fail closed before any arithmetic on an aggregate that is not
+        # ``words`` residues mod R.
+        if w1pp.size != p.words:
+            return _rejected(round_index, AlarmReason.LENGTH_MISMATCH, p.words, int(w1pp.size))
         bad = field.first_non_canonical(w1pp, p.r)
         if bad is not None:
             return _rejected(round_index, AlarmReason.NON_CANONICAL, bad, int(w1pp[bad]))
         expected = (expand_one(self.k_cg, round_index, p.r) + b2p) % p.r
-        w_prime = field.vec_add(w1pp, expand(self.k_vg, round_index, p.dim, p.r), p.r)
+        w_prime = field.vec_add(w1pp, expand(self.k_vg, round_index, p.words, p.r), p.r)
         if self._tag_key is not None and self._tag_key[0] == round_index:
             key_vec = self._tag_key[1]
             self._tag_key = None  # a d-word vector no later round reads
         else:
-            key_vec = tags.derive_tag_key(self.k_v, round_index, p.dim, p.r)
+            key_vec = tags.derive_tag_key(self.k_v, round_index, p.words, p.r)
         computed = tags.gen_tag(w_prime, key_vec, p.r)
         if computed != expected:
             # State stays untouched; the caller surfaces the alarm.
             return _rejected(round_index, AlarmReason.TAG_MISMATCH, expected, computed)
-        if self._weighted:
-            signed = field.vec_to_signed(w_prime, p.r)
-            weight_sum = signed[-1] / p.codec.delta
-            # One division, as in codec.decode: delta * weight_sum is exact.
-            model = signed[:-1] / (p.codec.delta * weight_sum)
-        else:
-            model = codec.decode(w_prime, p.codec, m_cs)
+        # A weighted mean divides by the weight sum, the decoded last word.
+        divisor = codec.decode(w_prime[-1:], p.codec, 1)[0] if p.weighted else m_cs
+        model = codec.decode(w_prime[:p.dim], p.codec, divisor)
         self.current_model = model
         self.last_verified_round = round_index
         return ReconstructResult(round_index, True, model)
@@ -321,7 +326,7 @@ class CsState(_Server):
 
     def __init__(self, params: ProtocolParams, k_cg: KeyMaterial,
                  k_cv: KeyMaterial, seed: KeyMaterial):
-        super().__init__(params, seed, 8 * params.dim)
+        super().__init__(params, seed, 8 * params.words)
         self.k_cg = k_cg
         self.k_cv = k_cv
 
@@ -374,9 +379,9 @@ class VsState(_Server):
         p, round_index = self.params, cs_list.round_index
         ids = self._fix_participants(cs_list)
         # A generator: each mask is added and dropped before the next is made.
-        total = field.vec_sum((expand(self.user_keys[uid], round_index, p.dim, p.r)
+        total = field.vec_sum((expand(self.user_keys[uid], round_index, p.words, p.r)
                                for uid in ids), p.r)
-        w_t = field.vec_sub(total, expand(self.k_vg, round_index, p.dim, p.r), p.r)
+        w_t = field.vec_sub(total, expand(self.k_vg, round_index, p.words, p.r), p.r)
         return ids, Message(MessageKind.RESHARE_MODEL, round_index, self._sender,
                             field.vec_to_raw(w_t))
 

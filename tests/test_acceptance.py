@@ -25,8 +25,9 @@ DELTA = 1 << 40
 TOL = 0.5 / DELTA
 
 
-def make_params(dim, n_max):
-    return ProtocolParams(dim=dim, codec=CodecParams(delta=DELTA, r_w=BIG_PRIME, n_max=n_max))
+def make_params(dim, n_max, weighted=False):
+    return ProtocolParams(dim=dim, codec=CodecParams(delta=DELTA, r_w=BIG_PRIME, n_max=n_max),
+                          weighted=weighted)
 
 
 def delivered_publications(net):
@@ -263,7 +264,7 @@ def test_criterion_7_join_and_multi_round():
 
 def test_criterion_8_weighted_aggregation():
     """Weights (1, 3): weighted mean matches the oracle; weight sum is exactly 4."""
-    params = make_params(dim=3, n_max=2)  # 2 model coords + weight coord
+    params = make_params(dim=2, n_max=2, weighted=True)  # 2 model coords + the weight's word
     users, cs, vs = setup(2, params, rng=random.Random(41))
     all_users = {u.uid: u for u in users}
     net = _Network("memory")
@@ -278,7 +279,7 @@ def test_criterion_8_weighted_aggregation():
         assert res.verified
         assert np.max(np.abs(res.model - expected)) <= TOL
     # The weight sum is the last coordinate of the unmasked aggregate.
-    mask = expand(users[0].k_vg, 1, params.dim, BIG_PRIME)
+    mask = expand(users[0].k_vg, 1, params.words, BIG_PRIME)
     _, body = unpack_publication(published[MessageKind.PUBLISH_MODEL].payload)
     w1pp = field.vec_from_raw(body)
     w_prime = field.vec_add(w1pp, mask, BIG_PRIME)

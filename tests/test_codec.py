@@ -88,8 +88,10 @@ def test_decode_inverts_encode_examples():
 
 
 def test_decode_rejects_zero_participants():
-    with pytest.raises(CodecError):
-        decode(np.array([0], dtype=np.uint64), big_params(), 0)
+    # A weight sum divides a weighted round, so no divisor but a positive one passes.
+    for m in (0, -1, float("nan")):
+        with pytest.raises(CodecError, match="divisor must be positive"):
+            decode(np.array([0], dtype=np.uint64), big_params(), m)
 
 
 def test_round_trip_within_half_ulp():

@@ -89,14 +89,16 @@ ISOLATION_CASES = [
 
 @pytest.mark.parametrize("target,action", ISOLATION_CASES)
 def test_adversary_detected_and_isolated_to_its_round(target, action):
-    cfg = RunConfig(users=3, dim=4, rounds=2, seed=23,
-                    adversary=AdversarySpec(target, action, 1))
-    report = run_simulation(cfg)
-    assert report.rounds[0].adversarial
-    assert report.rounds[0].detected
-    assert not report.rounds[0].verified
-    assert report.rounds[1].verified  # next round recovers
-    assert report.exit_ok
+    # A weighted run's shares carry one more word, which the attack may hit.
+    for weights in (None, (1.0, 2.0, 3.0)):
+        cfg = RunConfig(users=3, dim=4, rounds=2, seed=23, weights=weights,
+                        adversary=AdversarySpec(target, action, 1))
+        report = run_simulation(cfg)
+        assert report.rounds[0].adversarial
+        assert report.rounds[0].detected
+        assert not report.rounds[0].verified
+        assert report.rounds[1].verified  # next round recovers
+        assert report.exit_ok
 
 
 def test_every_attack_in_the_table_has_acceptance_coverage():
@@ -433,10 +435,12 @@ def test_per_round_user_up_traffic():
 
 
 def test_weighted_simulation():
-    cfg = RunConfig(users=2, dim=3, rounds=1, seed=4, weights=(1.0, 3.0))
-    report = run_simulation(cfg)
-    assert report.exit_ok
-    assert report.max_oracle_deviation <= 0.5 / (1 << cfg.delta_exp)
+    # The second pair of weights sums below 1: the mean divides by less than one.
+    for weights in ((1.0, 3.0), (0.25, 0.5)):
+        cfg = RunConfig(users=2, dim=3, rounds=1, seed=4, weights=weights)
+        report = run_simulation(cfg)
+        assert report.exit_ok
+        assert report.max_oracle_deviation <= 0.5 / (1 << cfg.delta_exp)
 
 
 def test_plaintext_oracle_examples():
@@ -565,10 +569,17 @@ def test_cli_oracle_matches_simulated_round_one(monkeypatch, capsys, tmp_path, w
     ["simulate", "--report-out", "{tmp}/missing/x"],
     ["calibrate", "--trials", "10", "--report-out", "{tmp}/missing/x"],
     ["oracle", "--report-out", "{tmp}/missing/x"],
+    # A magnitude the attack cannot perform: no offset, or a count past 8 bytes.
+    ["simulate", "--users", "3", "--dim", "2", "--adversary", "cs:tamper_aggregate:1:0"],
+    ["simulate", "--users", "3", "--dim", "2",
+     "--adversary", "cs:lie_about_m:1:18446744073709551615"],
+    # A weight below one quantum encodes to 0, so the weight sum would be 0.
+    ["simulate", "--users", "2", "--dim", "2", "--weights-file", "{tmp}/tiny.txt"],
 ])
 def test_cli_config_error_is_a_usage_error(capsys, tmp_path, argv):
     for name, text in (("words", "1.0\nheavy\n"), ("zero", "0\n1\n"),
-                       ("large", "1\n20\n"), ("nan", "nan\n1\n")):
+                       ("large", "1\n20\n"), ("nan", "nan\n1\n"),
+                       ("tiny", "1e-300\n1e-300\n")):
         (tmp_path / f"{name}.txt").write_text(text)
     assert cli_main([arg.format(tmp=tmp_path) for arg in argv]) == 2
     captured = capsys.readouterr()
@@ -584,7 +595,7 @@ def test_cli_weights_file(tmp_path, capsys):
                    "--seed", "2", "--weights-file", str(weights)])
     assert rc == 0
     out = capsys.readouterr().out
-    # The weight travels as one more coordinate: 8 * (d + 1) bytes of model
+    # The weight travels as one more word: 8 * (d + 1) bytes of model
     # share up, next to the 8-byte tag share.
     assert "traffic link=user0->cs round=1 payload=24 " in out
     assert "traffic link=user0->vs round=1 payload=8 " in out

@@ -235,14 +235,16 @@ def test_encode_bounds_and_exact_ties_match_fraction_reference(params):
     assert np.array_equal(codec.encode(values, params), reference_encode(values, params))
 
 
-@pytest.mark.parametrize("m", [1, 3, 10, 1000])
+# A weighted round divides by its weight sum, which may be fractional.
+@pytest.mark.parametrize("m", [1, 3, 10, 1000, 0.5, 2.75])
 def test_decode_bit_equal_to_dividing_by_delta_then_m(m):
     r = MERSENNE_61
     params = codec.CodecParams(delta=1 << 40, r_w=r, n_max=1000)
     half = (r - 1) // 2
     rng = np.random.default_rng(9)
-    # The sums of m honest encodings, then uniform residues, then the edges.
-    sums = field.vec_to_signed(codec.encode(rng.uniform(-10, 10, 2000), params), r) * m
+    # The sums of ceil(m) honest encodings, then uniform residues, then the edges.
+    encoded = codec.encode(rng.uniform(-10, 10, 2000), params)
+    sums = field.vec_to_signed(encoded, r) * math.ceil(m)
     vec = np.concatenate([np.where(sums < 0, sums + r, sums).astype(np.uint64),
                           rng.integers(0, r, 2000, dtype=np.uint64),
                           np.array([0, 1, 2, half - 1, half, half + 1, r - 2, r - 1],

@@ -22,9 +22,10 @@ MERSENNE_61 = (1 << 61) - 1  # the default modulus
 HIGH_WORD = (1 << 64) - (1 << 61)
 
 
-def make_params(dim=2, r=BIG_PRIME, n_max=10, delta=1 << 40, bound=10.0):
+def make_params(dim=2, r=BIG_PRIME, n_max=10, delta=1 << 40, bound=10.0, weighted=False):
     return ProtocolParams(dim=dim, codec=CodecParams(delta=delta, r_w=r, n_max=n_max,
-                                                     x_min=-bound, x_max=bound))
+                                                     x_min=-bound, x_max=bound),
+                          weighted=weighted)
 
 
 def share_all(users, cs, vs, updates, r, weights=None):
@@ -96,7 +97,7 @@ def reshare_model(vec, r):
 def weight_sum(user, w1pp, r):
     """The weight-sum coordinate of a weighted round's published aggregate."""
     p = user.params
-    w_prime = field.vec_add(w1pp, expand(user.k_vg, r, p.dim, p.r), p.r)
+    w_prime = field.vec_add(w1pp, expand(user.k_vg, r, p.words, p.r), p.r)
     return int(field.vec_to_signed(w_prime[-1:], p.r)[0]) / p.codec.delta
 
 
@@ -192,19 +193,27 @@ def test_share_round_rejects_stale_round():
 
 
 def test_share_round_rejects_a_bad_weight_or_update_size():
-    params = make_params(dim=2)
-    users, _, _ = setup(1, params, rng=random.Random(47))
-    u = users[0]
+    (plain,), _, _ = setup(1, make_params(dim=2), rng=random.Random(47))
+    (weighted,), _, _ = setup(1, make_params(dim=2, weighted=True), rng=random.Random(47))
     for weight in (0.0, -1.0):
         with pytest.raises(ProtocolError, match=f"weight must be positive, got {weight}"):
+            weighted.share_round(np.zeros(2), 1, weight=weight)
+    # A weight below one quantum encodes to 0, and a weight sum of 0 divides nothing.
+    with pytest.raises(ProtocolError, match="weight 1e-300 is below one quantum"):
+        weighted.share_round(np.zeros(2), 1, weight=1e-300)
+    # An update holds d values in either run: the weight's word is not the caller's.
+    for u, weight in ((plain, None), (weighted, 1.0)):
+        for size in (1, 3):
+            with pytest.raises(ProtocolError, match=f"update has {size} parameters, expected 2"):
+                u.share_round(np.zeros(size), 1, weight=weight)
+    # The run decides the weighting: a weight in an unweighted run is refused,
+    # and so is an update without one in a weighted run.
+    for u, weight in ((plain, 1.0), (weighted, None)):
+        with pytest.raises(ProtocolError, match=f"an unweighted run none; got weight {weight}"):
             u.share_round(np.zeros(2), 1, weight=weight)
-    # A weighted update is one coordinate longer than an unweighted run's d.
-    for update, weight in ((np.zeros(2), 1.0), (np.zeros(1), None)):
-        size = update.size + (weight is not None)
-        with pytest.raises(ProtocolError, match=f"update has {size} parameters, expected 2"):
-            u.share_round(update, 1, weight=weight)
     # A refused update shares nothing: round 1 is still the user's to share.
-    assert u.share_round(np.zeros(2), 1)[0].round_index == 1
+    assert plain.share_round(np.zeros(2), 1)[0].round_index == 1
+    assert weighted.share_round(np.zeros(2), 1, weight=1.0)[0].round_index == 1
 
 
 def test_vs_model_aggregate_hand_summed():
@@ -564,8 +573,7 @@ def test_join_rejects_duplicate_id():
 
 
 def test_weighted_round_matches_weighted_oracle():
-    base_dim = 2
-    params = make_params(dim=base_dim + 1)
+    params = make_params(dim=2, weighted=True)
     users, cs, vs = setup(2, params, rng=random.Random(23))
     weights = {0: 1.0, 1: 3.0}
     updates = {0: np.array([0.5, -0.5]), 1: np.array([0.25, 0.75])}
@@ -578,34 +586,26 @@ def test_weighted_round_matches_weighted_oracle():
     assert weight_sum(users[0], read_model(model_msg)[1], 1) == 4.0
 
 
-def test_a_user_decodes_a_round_as_it_shared_its_update():
-    # The weight rides as the last coordinate, so a user that shared a
-    # weighted update decodes the weighted mean of the d - 1 others, and one
-    # that shared an unweighted update all d coordinates, with no flag.
-    params = make_params(dim=3)
+def test_a_joiner_decodes_a_weighted_round_as_its_participants_do():
+    # The run, not a user's last share, decides the weighting, so a user
+    # that joins after a weighted round decodes its publications alike.
+    params = make_params(dim=2, weighted=True)
     users, cs, vs = setup(2, params, rng=random.Random(46))
-    weights = {0: 1.0, 1: 3.0}
-    updates = {0: np.array([0.5, 1.0]), 1: np.array([0.25, 0.5])}
-    model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 1, weights=weights)
-    for u in users:
-        res = u.reconstruct_round(model_msg, tag_msg, 1)
-        assert res.verified
-        assert res.model.shape == (2,)
-        assert np.array_equal(res.model, [0.3125, 0.625])
-    plain = {0: np.array([0.5, 1.0, 1.0]), 1: np.array([0.25, 0.5, 3.0])}
-    model_msg, tag_msg = run_honest_round(users, cs, vs, plain, 2)
-    for u in users:
-        res = u.reconstruct_round(model_msg, tag_msg, 2)
-        assert res.verified
-        assert np.array_equal(res.model, [0.375, 0.75, 2.0])
+    updates = {0: np.array([0.5, -0.25]), 1: np.array([0.75, 0.125])}
+    publications = run_honest_round(users, cs, vs, updates, 1, weights={0: 1.0, 1: 3.0})
+    joiner = join_new_user(cs, vs, rng=random.Random(47))
+    everyone = users + [joiner]
+    assert_all_verify(everyone, publications, 1, model=[0.6875, 0.03125])
+    # The initial model has d coordinates, as every decoded model has.
+    assert all(u.initial_model.shape == (2,) for u in everyone)
 
 
 def test_weighted_unit_weights_match_unweighted():
-    params = make_params(dim=3)
+    params = make_params(dim=2, weighted=True)
     users_w, cs_w, vs_w = setup(2, params, rng=random.Random(24))
-    users_p, cs_p, vs_p = setup(2, params, rng=random.Random(24))
+    users_p, cs_p, vs_p = setup(2, make_params(dim=3), rng=random.Random(24))
     # Weighted path with all weights 1 shares [w || 1]; compare against the
-    # unweighted path on the padded vector.
+    # unweighted path on the padded vector, which sends the same words.
     updates = {0: np.array([0.5, -0.25]), 1: np.array([0.125, 0.875])}
     weights = {0: 1.0, 1: 1.0}
     model_w, tag_w = run_honest_round(users_w, cs_w, vs_w, updates, 1, weights=weights)
@@ -613,6 +613,7 @@ def test_weighted_unit_weights_match_unweighted():
     padded = {uid: np.append(v, 1.0) for uid, v in updates.items()}
     model_p, tag_p = run_honest_round(users_p, cs_p, vs_p, padded, 1)
     res_p = users_p[0].reconstruct_round(model_p, tag_p, 1)
+    assert (model_w.payload, tag_w.payload) == (model_p.payload, tag_p.payload)
     assert res_w.verified and res_p.verified
     assert np.allclose(res_w.model, res_p.model[:-1], atol=0.5 / params.codec.delta)
 
