@@ -23,7 +23,8 @@ r = params.r
 print(f"field modulus R = {r} (the Mersenne prime 2^61 - 1)")
 
 users, cs, vs = setup(3, params, rng=random.Random(7))
-print(f"setup: {len(users)} users, shared initial model derived from both servers' seeds")
+print(f"setup: {len(users)} users; each derives the initial model from both servers' "
+      "seeds when it first reads it")
 
 updates = {
     0: np.array([0.5, -1.0, 0.25, 2.0]),

@@ -123,8 +123,7 @@ def _run(args, report_out: Optional[TextIO]) -> int:
     rng = random.Random(cfg.seed)
     users, _, _ = setup(cfg.users, params, rng=rng)
     _, updates = draw_round(cfg, users, rng, np.random.default_rng(cfg.seed))
-    weights = dict(enumerate(cfg.weights)) if cfg.weights is not None else None
-    mean = plaintext_oracle(updates, sorted(updates), params.codec, weights=weights)
+    mean = plaintext_oracle(updates, sorted(updates), params.codec, weights=cfg.weights)
     text = "\n".join(f"{coord}={float(value)!r}" for coord, value in enumerate(mean)) + "\n"
     _emit(text, report_out)
     return 0

@@ -151,6 +151,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.users < 1 or self.dim < 1 or self.rounds < 1:
             raise ConfigError("users, dim, and rounds must all be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout rate must lie in [0, 1)")
         if self.mode not in ("memory", "socket"):
@@ -276,8 +278,9 @@ def default_params(cfg: RunConfig) -> ProtocolParams:
 
 def plaintext_oracle(updates: Dict[int, np.ndarray], participants: Sequence[int],
                      cparams: codec.CodecParams,
-                     weights: Optional[Dict[int, float]] = None) -> np.ndarray:
-    """Ground-truth mean through the same fixed-point pipeline, no sharing."""
+                     weights: Optional[Sequence[float]] = None) -> np.ndarray:
+    """Ground-truth mean through the same fixed-point pipeline, no sharing;
+    ``weights`` is indexed by user id."""
     if not participants:
         raise ConfigError("oracle needs a non-empty participant list")
     total = None
@@ -357,16 +360,17 @@ class _RoundOutcome:
                    if res.alarm and res.alarm[0] is AlarmReason.COUNT_MISMATCH)
 
 
-def run_round(users_online: List[UserState], all_users: Dict[int, UserState],
+def run_round(users_online: Sequence[UserState], all_users: Sequence[UserState],
               cs: CsState, vs: VsState, net: _Network, round_index: int,
               updates: Dict[int, np.ndarray], rng: random.Random,
-              weights: Optional[Dict[int, float]] = None,
+              weights: Optional[Sequence[float]] = None,
               adversary: Optional[AdversarySpec] = None) -> _RoundOutcome:
     """Drive one full Share/Aggregate/Reconstruct round over the network.
 
-    The outcome's spans time each role call by stage: ``share`` (each
-    user's share_round), ``vs_aggregate`` and ``eval`` (the VS's and the
-    CS's answer to the peer's online list: fixing participants, then mask
+    ``all_users`` and ``weights`` are indexed by user id.  The outcome's
+    spans time each role call by stage: ``share`` (each user's
+    share_round), ``vs_aggregate`` and ``eval`` (the VS's and the CS's
+    answer to the peer's online list: fixing participants, then mask
     regeneration or tag-share evaluation), ``cs_aggregate`` (the CS's
     share sum) and ``verify`` (each participant's reconstruct_round).
     """
@@ -442,9 +446,6 @@ def run_simulation(cfg: RunConfig) -> MetricsReport:
     rng = random.Random(cfg.seed)
     update_rng = np.random.default_rng(cfg.seed)
     users, cs, vs = setup(cfg.users, params, rng=rng)
-    all_users = {u.uid: u for u in users}
-    weights = (dict(zip(sorted(all_users), cfg.weights))
-               if cfg.weights is not None else None)
     net = _Network(cfg.mode)
     report = MetricsReport(cfg, params.r)
     try:
@@ -457,8 +458,8 @@ def run_simulation(cfg: RunConfig) -> MetricsReport:
                 rec.aborted = True
                 continue
             start = time.perf_counter()
-            outcome = run_round(online, all_users, cs, vs, net, r, updates, rng,
-                                weights=weights, adversary=cfg.adversary)
+            outcome = run_round(online, users, cs, vs, net, r, updates, rng,
+                                weights=cfg.weights, adversary=cfg.adversary)
             rec.wall_time = time.perf_counter() - start
             rec.participants = tuple(outcome.results)
             # Every participant that rejects the round raises an alarm.
@@ -468,7 +469,7 @@ def run_simulation(cfg: RunConfig) -> MetricsReport:
             report.alarms.extend(alarms)
             rec.detected = rec.adversarial and not rec.verified
             if rec.verified:
-                oracle = plaintext_oracle(updates, rec.participants, params.codec, weights)
+                oracle = plaintext_oracle(updates, rec.participants, params.codec, cfg.weights)
                 rec.oracle_deviation = max(float(np.max(np.abs(res.model - oracle)))
                                            for res in outcome.results.values())
     finally:
@@ -514,6 +515,8 @@ def forgery_calibration(r_b: int, trials: int, seed: int = 0,
     """
     if trials < 1 or dim < 1:
         raise ConfigError("trials and dim must be positive")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     try:
         r_b = FieldModulus(r_b)
     except field.FieldError as exc:

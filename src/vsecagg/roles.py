@@ -24,8 +24,8 @@ different participant sets, would differ by one user's mask and so
 reveal that user's update to the peer.  Once it has sent its reshare it
 finalizes the round: it sums the participants' shares and the peer's
 reshare mod R and returns that sum, with m, as the round's publication,
-and drops that round and every earlier one, so its book holds open
-rounds only.
+and drops every round it holds: an honest user shares round r + 1 only
+after it reads round r's publications.
 
 Users require the participant counts published by the two servers to
 agree before decoding: the tag covers the sum but not the divisor, so a
@@ -77,13 +77,8 @@ class ProtocolParams:
         return self.codec.r_w
 
 
-@functools.lru_cache(maxsize=1)
 def init_model_from_seeds(s1: KeyMaterial, s2: KeyMaterial, dim: int, r: int) -> np.ndarray:
-    """Initial model every user derives identically; neither seed alone fixes it.
-
-    Read-only, so one array is shared by every user, joiners included:
-    the last one derived is kept and returned again for the same seeds.
-    """
+    """Initial model every user derives identically, read-only; neither seed alone fixes it."""
     model = expand(concat_keys(s1, s2), 0, dim, r)
     model.setflags(write=False)
     return model
@@ -104,25 +99,31 @@ def _rejected(round_index: int, reason: AlarmReason, first: int,
 
 
 class UserState:
-    """One federated-learning participant."""
+    """One federated-learning participant: its own keys, the servers' shared
+    keys, and both servers' seeds, from which it derives the initial model."""
 
     def __init__(self, uid: int, k_vi: KeyMaterial, k_ci: KeyMaterial,
                  k_cv: KeyMaterial, k_vv: KeyMaterial,
                  k_cg: KeyMaterial, k_vg: KeyMaterial,
-                 params: ProtocolParams, initial_model: np.ndarray):
+                 seed_c: KeyMaterial, seed_v: KeyMaterial, params: ProtocolParams):
         self.uid = uid
         self.k_vi = k_vi
         self.k_ci = k_ci
         self.k_cg = k_cg
         self.k_vg = k_vg
         self.k_v = concat_keys(k_cv, k_vv)
+        self.seeds = (seed_c, seed_v)
         self.params = params
-        self.initial_model = initial_model
         self.current_model: Optional[np.ndarray] = None
         self.last_verified_round: Optional[int] = None
         self._last_shared_round = 0
         # (round, key vector) of the last shared round, reused once to verify it.
         self._tag_key: Optional[Tuple[int, np.ndarray]] = None
+
+    @functools.cached_property
+    def initial_model(self) -> np.ndarray:
+        """The initial model, derived from the two servers' seeds on first read."""
+        return init_model_from_seeds(*self.seeds, self.params.dim, self.params.r)
 
     def share_round(self, update, round_index: int,
                     weight: Optional[float] = None) -> Tuple[Message, Message]:
@@ -238,8 +239,8 @@ class _Server:
         # the CS, one tag at the VS.
         self.payload_bytes = payload_bytes
         self.user_keys: Dict[int, KeyMaterial] = {}
-        # Open rounds only: a round leaves, with every earlier one, when it
-        # is finalized into its publication.
+        # Open rounds only: every round leaves when one is finalized into
+        # its publication.
         self.rounds: Dict[int, _ServerRound] = {}
         self.finalized_round = 0
 
@@ -302,7 +303,7 @@ class _Server:
         the peer's reshare summed mod R, with the participant count m.
 
         A server finalizes only once it fixed the participants, and so sent
-        its own reshare; the round and every earlier one then leave.
+        its own reshare; every round it holds then leaves.
         """
         state = self._open_round(reshare, self._reshare_kind, self.payload_bytes)
         if state is None or state.participants is None:
@@ -310,8 +311,7 @@ class _Server:
                                 "no participants")
         terms = [state.shares[uid] for uid in state.participants] + [self._read(reshare)]
         round_index = reshare.round_index
-        for r in [r for r in self.rounds if r <= round_index]:
-            del self.rounds[r]
+        self.rounds.clear()
         self.finalized_round = round_index
         return Message(self._publish_kind, round_index, self._sender,
                        pack_publication(len(state.participants), self._sum(terms)))
@@ -386,23 +386,8 @@ class VsState(_Server):
                             field.vec_to_raw(w_t))
 
 
-def _enroll(cs: CsState, vs: VsState, uid: int, initial: np.ndarray, rng) -> UserState:
-    """A user with fresh keys, registered at both servers.
-
-    Participants are registered users, so refusing a user past the codec's
-    ``n_max`` keeps every round's sum of encodings from wrapping mod R.
-    """
-    if len(cs.user_keys) >= cs.params.codec.n_max:
-        raise ProtocolError(f"user {uid} would exceed the codec's n_max of "
-                            f"{cs.params.codec.n_max} users")
-    k_vi, k_ci = KeyMaterial.generate(rng), KeyMaterial.generate(rng)
-    vs.register_user(uid, k_vi)
-    cs.register_user(uid, k_ci)
-    return UserState(uid, k_vi, k_ci, cs.k_cv, vs.k_vv, cs.k_cg, vs.k_vg, cs.params, initial)
-
-
 def setup(n: int, params: ProtocolParams, rng=None):
-    """Create n users and the two servers, distribute keys, derive the initial model.
+    """Create the two servers, then enrol n users, each through ``join_new_user``.
 
     ``rng`` is an optional ``random.Random`` so tests can reproduce key
     bytes; without it keys come from the OS CSPRNG.
@@ -412,13 +397,22 @@ def setup(n: int, params: ProtocolParams, rng=None):
     gen = lambda: KeyMaterial.generate(rng)
     cs = CsState(params, k_cg=gen(), k_cv=gen(), seed=gen())
     vs = VsState(params, k_vg=gen(), k_vv=gen(), seed=gen())
-    initial = init_model_from_seeds(cs.seed, vs.seed, params.dim, params.r)
-    return [_enroll(cs, vs, uid, initial, rng) for uid in range(n)], cs, vs
+    return [join_new_user(cs, vs, rng) for _ in range(n)], cs, vs
 
 
 def join_new_user(cs: CsState, vs: VsState, rng=None) -> UserState:
-    """Mid-training join: fetch shared keys from the servers, register fresh ones."""
-    existing = set(cs.user_keys) | set(vs.user_keys)
-    uid = max(existing) + 1 if existing else 0
-    initial = init_model_from_seeds(cs.seed, vs.seed, cs.params.dim, cs.params.r)
-    return _enroll(cs, vs, uid, initial, rng)
+    """Enrol a user, at setup or mid-training: the next id, fresh keys
+    registered at both servers, and the servers' shared keys and seeds.
+
+    Participants are registered users, so refusing a user past the codec's
+    ``n_max`` keeps every round's sum of encodings from wrapping mod R.
+    """
+    uid = len(cs.user_keys)
+    if uid >= cs.params.codec.n_max:
+        raise ProtocolError(f"user {uid} would exceed the codec's n_max of "
+                            f"{cs.params.codec.n_max} users")
+    k_vi, k_ci = KeyMaterial.generate(rng), KeyMaterial.generate(rng)
+    vs.register_user(uid, k_vi)
+    cs.register_user(uid, k_ci)
+    return UserState(uid, k_vi, k_ci, cs.k_cv, vs.k_vv, cs.k_cg, vs.k_vg,
+                     cs.seed, vs.seed, cs.params)

@@ -32,6 +32,8 @@ def test_run_config_validation():
         RunConfig(mode="carrier-pigeon")
     with pytest.raises(ConfigError):
         RunConfig(users=2, weights=(1.0,))
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        RunConfig(seed=-1)
     with pytest.raises(ConfigError):
         RunConfig(rounds=2, adversary=AdversarySpec("cs", "tamper_aggregate", 3))
     assert RunConfig(rounds=2, adversary=AdversarySpec("cs", "tamper_aggregate", 2)).adversary
@@ -346,6 +348,26 @@ def test_a_share_that_reaches_one_server_leaves_its_user_out_at_both():
         assert np.array_equal(res.model, np.full(3, 1 / 3))
 
 
+def test_a_publication_drops_shares_forged_for_far_future_rounds():
+    # Honest users share round r + 1 only after reading round r's
+    # publications, so a server holds no honest share past the round it
+    # publishes: forged shares for rounds 10^6 and 2^40 leave with it.
+    params = default_params(RunConfig(users=3, dim=4))
+    rng = random.Random(1)
+    users, cs, vs = setup(3, params, rng=rng)
+    for r in (10**6, 2**40):
+        cs.receive_share(Message(MessageKind.MODEL_SHARE, r, 2, bytes(8 * params.words)))
+        vs.receive_share(Message(MessageKind.TAG_SHARE, r, 2, bytes(8)))
+    assert list(cs.rounds) == list(vs.rounds) == [10**6, 2**40]
+    net = harness._Network("memory")
+    updates = {u.uid: np.full(4, 0.25) for u in users}
+    for r in (1, 2):
+        outcome = harness.run_round(users, users, cs, vs, net, r, updates, rng)
+        assert not outcome.alarms
+        assert cs.rounds == vs.rounds == {}
+    net.close()
+
+
 @pytest.mark.parametrize("adversary", [None, AdversarySpec("cs", "tamper_aggregate", 2)])
 def test_round_spans_time_each_role_call(monkeypatch, adversary):
     online_counts = []
@@ -457,6 +479,8 @@ def test_oracle_weighted():
     updates = {0: np.array([1.0]), 1: np.array([3.0])}
     out = plaintext_oracle(updates, [0, 1], p, weights={0: 1.0, 1: 3.0})
     assert out[0] == pytest.approx(2.5, abs=1e-9)  # (1*1 + 3*3) / 4
+    # Weights indexed by user id: a run's weight tuple reads the same.
+    assert np.array_equal(plaintext_oracle(updates, [0, 1], p, weights=(1.0, 3.0)), out)
 
 
 def test_forgery_calibration_large_modulus_never_passes():
@@ -575,6 +599,10 @@ def test_cli_oracle_matches_simulated_round_one(monkeypatch, capsys, tmp_path, w
      "--adversary", "cs:lie_about_m:1:18446744073709551615"],
     # A weight below one quantum encodes to 0, so the weight sum would be 0.
     ["simulate", "--users", "2", "--dim", "2", "--weights-file", "{tmp}/tiny.txt"],
+    # A seed below 0 is one no generator takes.
+    ["simulate", "--seed", "-1"],
+    ["oracle", "--seed", "-1"],
+    ["calibrate", "--seed", "-1"],
 ])
 def test_cli_config_error_is_a_usage_error(capsys, tmp_path, argv):
     for name, text in (("words", "1.0\nheavy\n"), ("zero", "0\n1\n"),

@@ -152,9 +152,43 @@ def test_initial_model_is_shared_and_read_only():
     params = make_params(dim=4)
     users, cs, vs = setup(3, params, rng=random.Random(4))
     joiner = join_new_user(cs, vs, rng=random.Random(5))
-    assert all(u.initial_model is users[0].initial_model for u in users)
-    assert joiner.initial_model is users[0].initial_model
+    assert all(np.array_equal(u.initial_model, users[0].initial_model)
+               for u in users + [joiner])
     for u in (users[0], joiner):
+        with pytest.raises(ValueError):
+            u.initial_model[0] = 1
+
+
+def count_expand_calls(monkeypatch):
+    """A list that grows by one entry per ``roles.expand`` call."""
+    from vsecagg import roles
+    calls, inner = [], roles.expand
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(roles, "expand", counting)
+    return calls
+
+
+def test_setup_expands_nothing(monkeypatch):
+    calls = count_expand_calls(monkeypatch)
+    setup(10, make_params(dim=1000), rng=random.Random(6))
+    assert calls == []
+
+
+def test_every_user_derives_the_initial_model_on_first_read(monkeypatch):
+    # A user enrolled at setup and a joiner derive it alike, once each.
+    params = make_params(dim=6)
+    users, cs, vs = setup(2, params, rng=random.Random(7))
+    joiner = join_new_user(cs, vs, rng=random.Random(8))
+    expected = init_model_from_seeds(cs.seed, vs.seed, params.dim, params.r)
+    calls = count_expand_calls(monkeypatch)
+    for count, u in enumerate((users[1], joiner), start=1):
+        assert np.array_equal(u.initial_model, expected)
+        assert np.array_equal(u.initial_model, expected)
+        assert len(calls) == count
         with pytest.raises(ValueError):
             u.initial_model[0] = 1
 
@@ -541,6 +575,7 @@ def test_enrolment_past_n_max_is_refused_before_a_round_can_wrap_the_sum():
 def test_join_new_user_keys_and_participation():
     params = make_params(dim=2)
     users, cs, vs = setup(2, params, rng=random.Random(20))
+    assert [u.uid for u in users] == [0, 1]
     rng = np.random.default_rng(5)
     updates = {u.uid: rng.uniform(-1, 1, 2) for u in users}
     model_msg, tag_msg = run_honest_round(users, cs, vs, updates, 1)
@@ -563,6 +598,8 @@ def test_join_new_user_keys_and_participation():
     res2 = joiner.reconstruct_round(model_msg2, tag_msg2, 2)
     assert res2.verified
     assert np.max(np.abs(res2.model - mean)) <= 0.5 / params.codec.delta
+    # Ids continue in enrolment order.
+    assert join_new_user(cs, vs, rng=random.Random(22)).uid == 3
 
 
 def test_join_rejects_duplicate_id():
