@@ -4,9 +4,9 @@ Three users hold small float update vectors.  Each one fixed-point
 encodes its update, splits it into two additive shares over the prime
 field (the verification-server share is PRF-compressed, so the user
 only uploads the computation-server share plus an 8-byte tag share),
-and the servers exchange their partial aggregates.  Every user then
-unmasks the published result, checks the homomorphic tag, and decodes
-the mean.
+and the servers, which each opened round 1, exchange their partial
+aggregates.  Every user then unmasks the published result, checks the
+homomorphic tag, and decodes the mean.
 """
 
 import random
@@ -32,6 +32,11 @@ updates = {
     2: np.array([-2.0, 3.0, 0.5, 0.0]),
 }
 
+# --- Each server opens round 1, the one round it holds until it publishes
+# it; a message for any other round is refused.
+cs.start_round(1)
+vs.start_round(1)
+
 # --- Share stage: each user uploads one share to CS and a tag share to VS.
 for u in users:
     to_cs, to_vs = u.share_round(updates[u.uid], round_index=1)
@@ -39,6 +44,9 @@ for u in users:
           f"tag share {len(to_vs.payload)} B -> VS")
     cs.receive_share(to_cs)
     vs.receive_share(to_vs)
+for name, server in (("CS", cs), ("VS", vs)):
+    print(f"{name} holds {len(server.rounds)} round book: round 1, shares from users "
+          f"{sorted(server.rounds[1].shares)}")
 
 # --- Aggregate stage: each server answers the peer's online list with its
 # reshare.  It fixes its participants as the peer's list intersected with

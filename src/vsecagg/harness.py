@@ -365,7 +365,8 @@ def run_round(users_online: Sequence[UserState], all_users: Sequence[UserState],
               updates: Dict[int, np.ndarray], rng: random.Random,
               weights: Optional[Sequence[float]] = None,
               adversary: Optional[AdversarySpec] = None) -> _RoundOutcome:
-    """Drive one full Share/Aggregate/Reconstruct round over the network.
+    """Open round ``round_index`` at both servers, then drive its
+    Share/Aggregate/Reconstruct over the network.
 
     ``all_users`` and ``weights`` are indexed by user id.  The outcome's
     spans time each role call by stage: ``share`` (each user's
@@ -402,6 +403,8 @@ def run_round(users_online: Sequence[UserState], all_users: Sequence[UserState],
         spans.setdefault(stage, []).append(time.perf_counter() - start)
         return result
 
+    cs.start_round(round_index)
+    vs.start_round(round_index)
     for u in users_online:
         weight = weights[u.uid] if weights is not None else None
         to_cs, to_vs = timed("share", u.share_round, updates[u.uid], round_index,

@@ -18,14 +18,14 @@ for one prime R, the codec's modulus:
 Each role builds the messages it sends and reads the messages it
 receives.  The CS and the VS run one state machine and differ only in
 their share type (d words at the CS, one tag, a Python int, at the VS)
-and in their reshare.  Each keeps its users' shares, fixes a round's
-participants once, so it sends one reshare per round: two, for
-different participant sets, would differ by one user's mask and so
-reveal that user's update to the peer.  Once it has sent its reshare it
-finalizes the round: it sums the participants' shares and the peer's
-reshare mod R and returns that sum, with m, as the round's publication,
-and drops every round it holds: an honest user shares round r + 1 only
-after it reads round r's publications.
+and in their reshare.  A server holds one round at a time, opened by
+``start_round(r)`` and taking nothing for any other round.  It keeps its
+users' shares of r and fixes r's participants once, so it sends one
+reshare per round: two, for different participant sets, would differ by
+one user's mask and so reveal that user's update to the peer.  Once it
+has sent its reshare it finalizes r: it sums the participants' shares
+and the peer's reshare mod R, returns that sum, with m, as the round's
+publication, and holds no round until the next ``start_round``.
 
 Users require the participant counts published by the two servers to
 agree before decoding: the tag covers the sum but not the divisor, so a
@@ -220,7 +220,8 @@ class _ServerRound:
 
 
 class _Server:
-    """The one round state machine of the CS and the VS.
+    """The one round state machine of the CS and the VS: round r runs from
+    ``start_round(r)`` to the ``finalize`` that returns its publication.
 
     A subclass names the kinds of the shares, the reshare and the
     publication it handles, and defines ``_read(msg)``, the share or
@@ -239,48 +240,55 @@ class _Server:
         # the CS, one tag at the VS.
         self.payload_bytes = payload_bytes
         self.user_keys: Dict[int, KeyMaterial] = {}
-        # Open rounds only: every round leaves when one is finalized into
-        # its publication.
+        # {r: book} of the open round r, from start_round(r) until its
+        # finalize or the next start_round; {} otherwise.
         self.rounds: Dict[int, _ServerRound] = {}
-        self.finalized_round = 0
+        self._last_started = 0  # round indices start at 1
 
     def register_user(self, uid: int, key: KeyMaterial) -> None:
         if uid in self.user_keys:
             raise ProtocolError(f"user id {uid} already registered at {self._name}")
         self.user_keys[uid] = key
 
+    def start_round(self, round_index: int) -> None:
+        """Open round ``round_index`` and drop a round left unfinished.  The
+        round comes after every round started before: a reopened round could
+        answer a second online list."""
+        if round_index <= self._last_started:
+            raise ProtocolError(f"{self._name} already started round "
+                                f"{self._last_started}; got round {round_index}")
+        self._last_started = round_index
+        self.rounds = {round_index: _ServerRound()}
+
     def online_list(self, round_index: int) -> Message:
-        """ONLINE_LIST to the peer server: the users this server holds a share from."""
-        state = self.rounds.get(round_index)
+        """ONLINE_LIST of the open round to the peer: the users this server holds a share from."""
         return Message(MessageKind.ONLINE_LIST, round_index, self._sender,
-                       pack_online_list(state.shares if state else ()))
+                       pack_online_list(self.rounds[round_index].shares))
 
     def _open_round(self, msg: Message, kind: MessageKind,
-                    size: Optional[int] = None) -> Optional[_ServerRound]:
-        """State of the open round ``msg`` belongs to, once its kind, round and,
-        if ``size`` is given, payload size pass; None while that round holds no share."""
+                    size: Optional[int] = None) -> _ServerRound:
+        """Book of the open round, once ``msg``'s kind, its round and, if
+        ``size`` is given, its payload size pass."""
         if msg.kind is not kind:
             raise ProtocolError(f"{self._name} cannot accept {msg.kind.name}")
-        if msg.round_index <= self.finalized_round:
-            raise ProtocolError(f"{self._name} already finalized round "
-                                f"{self.finalized_round}; got round {msg.round_index}")
+        if msg.round_index not in self.rounds:
+            raise ProtocolError(f"{self._name} has no round {msg.round_index} open")
         if size is not None and len(msg.payload) != size:
             raise ProtocolError(f"{kind.name} from sender {msg.sender} has "
                                 f"{len(msg.payload)} bytes, expected {size}")
-        return self.rounds.get(msg.round_index)
+        return self.rounds[msg.round_index]
 
     def receive_share(self, msg: Message) -> None:
-        """Keep a new share from a registered user, in time; the first one opens its round."""
+        """Keep a new share of the open round from a registered user, in time."""
         state = self._open_round(msg, self._share_kind, self.payload_bytes)
         if msg.sender not in self.user_keys:
             raise ProtocolError(f"{self._name} has no key for user {msg.sender}")
-        if state is not None and state.participants is not None:
+        if state.participants is not None:
             raise ProtocolError(f"round {msg.round_index}: late share from user {msg.sender}")
-        if state is not None and msg.sender in state.shares:
+        if msg.sender in state.shares:
             raise ProtocolError(
                 f"round {msg.round_index}: duplicate share from user {msg.sender}")
-        share = self._read(msg)
-        self.rounds.setdefault(msg.round_index, _ServerRound()).shares[msg.sender] = share
+        state.shares[msg.sender] = self._read(msg)
 
     def _fix_participants(self, peer_list: Message) -> Tuple[int, ...]:
         """Fix and return the round's participants: the peer's ONLINE_LIST
@@ -290,30 +298,28 @@ class _Server:
             peer_ids = unpack_online_list(peer_list.payload)
         except WireError as exc:
             raise ProtocolError(f"{self._name} got a malformed online list: {exc}") from None
-        if state is not None and state.participants is not None:
+        if state.participants is not None:
             raise ProtocolError(f"round {peer_list.round_index}: {self._name} already fixed them")
-        common = tuple(sorted(set(peer_ids) & set(state.shares))) if state else ()
+        common = tuple(sorted(set(peer_ids) & set(state.shares)))
         if not common:
             raise ProtocolError(f"round {peer_list.round_index}: no user reached both servers")
         state.participants = common
         return common
 
     def finalize(self, reshare: Message) -> Message:
-        """The publication of the reshare's round: the participants' shares and
+        """The publication of the open round: the participants' shares and
         the peer's reshare summed mod R, with the participant count m.
 
         A server finalizes only once it fixed the participants, and so sent
-        its own reshare; every round it holds then leaves.
+        its own reshare; the round then leaves, and no round is open.
         """
         state = self._open_round(reshare, self._reshare_kind, self.payload_bytes)
-        if state is None or state.participants is None:
+        if state.participants is None:
             raise ProtocolError(f"round {reshare.round_index}: {self._name} has fixed "
                                 "no participants")
         terms = [state.shares[uid] for uid in state.participants] + [self._read(reshare)]
-        round_index = reshare.round_index
         self.rounds.clear()
-        self.finalized_round = round_index
-        return Message(self._publish_kind, round_index, self._sender,
+        return Message(self._publish_kind, reshare.round_index, self._sender,
                        pack_publication(len(state.participants), self._sum(terms)))
 
 

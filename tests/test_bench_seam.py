@@ -9,9 +9,15 @@ traced, catches a change that breaks any of those seams.
 """
 
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from vsecagg.harness import RunConfig, default_params
+from vsecagg.roles import setup
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -51,3 +57,25 @@ def test_untraced_crowd_run_reports_every_end_to_end_metric():
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     for metric in declared:
         assert result["metrics"][metric["name"]]["value"] > 0, metric["name"]
+
+
+def test_servers_hold_the_open_round_under_the_name_perfbench_reads():
+    # perfbench reads ``getattr(server, "rounds", {})``, so a renamed book
+    # would let ``roles.state_mb == 0`` above pass with nothing measured.
+    params = default_params(RunConfig(users=3, dim=5))
+    users, cs, vs = setup(3, params, rng=random.Random(4))
+    for server in (cs, vs):
+        server.start_round(1)
+    for u in users:
+        to_cs, to_vs = u.share_round(np.zeros(5), 1)
+        cs.receive_share(to_cs)
+        vs.receive_share(to_vs)
+    for server in (cs, vs):
+        assert list(server.rounds) == [1]
+        assert sorted(server.rounds[1].shares) == [0, 1, 2]
+    assert sum(share.nbytes for share in cs.rounds[1].shares.values()) == 3 * 8 * params.words
+    _, w_t = vs.model_aggregate(cs.online_list(1))
+    _, b_t = cs.tag_aggregate(vs.online_list(1))
+    cs.finalize(w_t)
+    vs.finalize(b_t)
+    assert cs.rounds == vs.rounds == {}

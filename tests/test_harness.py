@@ -12,7 +12,7 @@ from vsecagg.field import FieldModulus
 from vsecagg.harness import (ADVERSARY_ACTIONS, STAGES, AdversarySpec, Alarm, ConfigError,
                              RunConfig, default_params, forgery_calibration,
                              plaintext_oracle, run_simulation)
-from vsecagg.roles import CsState, VsState, setup
+from vsecagg.roles import CsState, ProtocolError, VsState, setup
 from vsecagg.wire import (AlarmReason, Message, MessageKind, pack_online_list,
                          unpack_online_list)
 
@@ -348,23 +348,30 @@ def test_a_share_that_reaches_one_server_leaves_its_user_out_at_both():
         assert np.array_equal(res.model, np.full(3, 1 / 3))
 
 
-def test_a_publication_drops_shares_forged_for_far_future_rounds():
-    # Honest users share round r + 1 only after reading round r's
-    # publications, so a server holds no honest share past the round it
-    # publishes: forged shares for rounds 10^6 and 2^40 leave with it.
+def test_shares_forged_for_far_future_rounds_are_refused_on_receipt():
+    # A server holds only the round run_round started, so forged shares for
+    # rounds 10^6 and 2^40 are refused, before and after an honest round,
+    # and leave no book behind.
     params = default_params(RunConfig(users=3, dim=4))
     rng = random.Random(1)
     users, cs, vs = setup(3, params, rng=rng)
-    for r in (10**6, 2**40):
-        cs.receive_share(Message(MessageKind.MODEL_SHARE, r, 2, bytes(8 * params.words)))
-        vs.receive_share(Message(MessageKind.TAG_SHARE, r, 2, bytes(8)))
-    assert list(cs.rounds) == list(vs.rounds) == [10**6, 2**40]
+    forged = [(server, Message(kind, r, 2, bytes(size))) for r in (10**6, 2**40)
+              for server, kind, size in ((cs, MessageKind.MODEL_SHARE, 8 * params.words),
+                                         (vs, MessageKind.TAG_SHARE, 8))]
+
+    def refuse_forged():
+        for server, msg in forged:
+            with pytest.raises(ProtocolError, match=f"has no round {msg.round_index} open"):
+                server.receive_share(msg)
+        assert cs.rounds == vs.rounds == {}
+
+    refuse_forged()
     net = harness._Network("memory")
     updates = {u.uid: np.full(4, 0.25) for u in users}
     for r in (1, 2):
         outcome = harness.run_round(users, users, cs, vs, net, r, updates, rng)
         assert not outcome.alarms
-        assert cs.rounds == vs.rounds == {}
+        refuse_forged()
     net.close()
 
 

@@ -28,8 +28,14 @@ def make_params(dim=2, r=BIG_PRIME, n_max=10, delta=1 << 40, bound=10.0, weighte
                           weighted=weighted)
 
 
+def start(r, *servers):
+    """Open round r at each server, as run_round does before any user shares."""
+    for server in servers:
+        server.start_round(r)
+
+
 def share_all(users, cs, vs, updates, r, weights=None):
-    """Every user's two shares of round r, delivered to both servers."""
+    """Every user's two shares of round r, delivered to both servers; r must be open."""
     for u in users:
         weight = weights[u.uid] if weights else None
         to_cs, to_vs = u.share_round(updates[u.uid], r, weight=weight)
@@ -56,6 +62,7 @@ def run_honest_round(users, cs, vs, updates, r, weights=None):
 
     Returns the round's two publications.
     """
+    start(r, cs, vs)
     share_all(users, cs, vs, updates, r, weights)
     return aggregate(cs, vs, r)
 
@@ -254,6 +261,7 @@ def test_vs_model_aggregate_hand_summed():
     r = 17
     params = make_params(dim=1, r=r, n_max=2, delta=1, bound=3.0)
     users, cs, vs = setup(2, params, rng=random.Random(8))
+    start(1, cs, vs)
     share_all(users, cs, vs, {0: np.zeros(1), 1: np.ones(1)}, 1)
     ids, msg = vs.model_aggregate(cs.online_list(1))
     assert ids == (0, 1)
@@ -272,6 +280,7 @@ def test_vs_model_aggregate_order_independent():
     users, _, vs_a = setup(3, params, rng=random.Random(9))
     _, _, vs_b = setup(3, params, rng=random.Random(9))
     to_vs = [u.share_round(np.zeros(4), 1)[1] for u in users]
+    start(1, vs_a, vs_b)
     for msg in to_vs:
         vs_a.receive_share(msg)
     for msg in reversed(to_vs):
@@ -286,6 +295,7 @@ def test_vs_model_aggregate_order_independent():
 def test_cs_tag_aggregate_single_term():
     params = make_params()
     users, cs, vs = setup(1, params, rng=random.Random(11))
+    start(1, cs, vs)
     share_all(users, cs, vs, {0: np.zeros(2)}, 1)
     ids, msg = cs.tag_aggregate(vs.online_list(1))
     assert ids == (0,)
@@ -301,6 +311,7 @@ def test_each_server_sends_one_reshare_per_round():
     # user's share.  A server answers only the first list of a round.
     params = make_params(dim=3)
     users, cs, vs = setup(3, params, rng=random.Random(36))
+    start(1, cs, vs)
     share_all(users, cs, vs, {u.uid: np.full(3, 0.5) for u in users}, 1)
     w_t, b_t = reshares(cs, vs, 1)
     for answer, sender in ((vs.model_aggregate, 0), (cs.tag_aggregate, 1)):
@@ -317,6 +328,7 @@ def test_servers_reshare_only_for_fixed_participants():
     # out, so each reshare regenerates the masks of users 0 and 2 only.
     params = make_params()
     users, cs, vs = setup(3, params, rng=random.Random(37))
+    start(1, cs, vs)
     share_all(users, cs, vs, {u.uid: np.full(2, 0.25 * u.uid) for u in users}, 1)
     vs_ids, w_t = vs.model_aggregate(list_message([0, 2], 1, sender=0))
     cs_ids, b_t = cs.tag_aggregate(list_message([0, 2], 1))
@@ -335,6 +347,7 @@ def test_servers_reshare_only_for_fixed_participants():
 def test_servers_fix_participants_once():
     params = make_params()
     users, cs, vs = setup(3, params, rng=random.Random(38))
+    start(1, cs, vs)
     share_all(users, cs, vs, {u.uid: np.full(2, 0.25 * u.uid) for u in users}, 1)
     vs_ids, w_t = vs.model_aggregate(cs.online_list(1))
     assert vs_ids == (0, 1, 2)
@@ -361,9 +374,10 @@ def test_servers_fix_participants_once():
 def test_empty_intersection_fixes_no_participants():
     params = make_params()
     users, cs, vs = setup(2, params, rng=random.Random(39))
+    start(1, cs, vs)
     with pytest.raises(ProtocolError, match="round 1: no user reached both servers"):
         cs.tag_aggregate(list_message([0, 1], 1))  # the CS holds no share yet
-    assert 1 not in cs.rounds
+    assert cs.rounds[1].shares == {} and cs.rounds[1].participants is None
     share_all(users, cs, vs, {u.uid: np.zeros(2) for u in users}, 1)
     for ids in ([], [5]):
         with pytest.raises(ProtocolError, match="round 1: no user reached both servers"):
@@ -372,18 +386,95 @@ def test_empty_intersection_fixes_no_participants():
     assert_all_verify(users, aggregate(cs, vs, 1), 1, np.zeros(2))
 
 
-def test_a_round_abandoned_at_its_list_exchange_leaves_when_a_later_round_finalizes():
+def test_a_round_abandoned_at_its_list_exchange_leaves_when_the_next_round_starts():
     params = make_params()
     users, cs, vs = setup(2, params, rng=random.Random(43))
+    start(1, cs, vs)
     share_all(users, cs, vs, {u.uid: np.zeros(2) for u in users}, 1)
     vs.model_aggregate(cs.online_list(1))
     with pytest.raises(ProtocolError, match="round 1: no user reached both servers"):
         cs.tag_aggregate(list_message([5], 1))
-    # Round 1 is abandoned: it stays open at both servers until round 2 finalizes.
-    publications = run_honest_round(users, cs, vs, {u.uid: np.full(2, 0.5) for u in users}, 2)
+    # Round 1 is abandoned: its book leaves both servers when round 2 starts.
+    start(2, cs, vs)
+    assert list(cs.rounds) == list(vs.rounds) == [2]
+    assert cs.rounds[2].shares == vs.rounds[2].shares == {}
+    share_all(users, cs, vs, {u.uid: np.full(2, 0.5) for u in users}, 2)
+    publications = aggregate(cs, vs, 2)
     assert cs.rounds == vs.rounds == {}
-    assert cs.finalized_round == vs.finalized_round == 2
     assert_all_verify(users, publications, 2, np.full(2, 0.5))
+
+
+def test_start_round_refuses_the_round_it_last_started_and_every_earlier_one():
+    params = make_params()
+    users, cs, vs = setup(2, params, rng=random.Random(48))
+    start(5, cs, vs)
+    for server, name in ((cs, "CS"), (vs, "VS")):
+        for r in (5, 4, 1, 0):
+            with pytest.raises(ProtocolError,
+                               match=f"{name} already started round 5; got round {r}$"):
+                server.start_round(r)
+        assert list(server.rounds) == [5]
+    share_all(users, cs, vs, {u.uid: np.zeros(2) for u in users}, 5)
+    publications = aggregate(cs, vs, 5)
+    # A finalized round stays started: it cannot open again.
+    for server in (cs, vs):
+        with pytest.raises(ProtocolError, match="already started round 5; got round 5$"):
+            server.start_round(5)
+    assert cs.rounds == vs.rounds == {}
+    assert_all_verify(users, publications, 5, np.zeros(2))
+    # Round indices may skip, as they do after an aborted round.
+    assert_all_verify(users, run_honest_round(users, cs, vs, {u.uid: np.ones(2) for u in users},
+                                              7), 7, np.ones(2))
+
+
+def test_a_round_abandoned_after_its_reshares_never_answers_a_second_list():
+    # Both servers answered round 1's lists, and neither finalized.  A second
+    # answer for another participant set would differ from the first by one
+    # user's mask, so once round 2 starts, round 1 takes no list, no reshare
+    # and no share, and cannot open again.
+    params = make_params()
+    users, cs, vs = setup(3, params, rng=random.Random(49))
+    start(1, cs, vs)
+    share_all(users, cs, vs, {u.uid: np.zeros(2) for u in users}, 1)
+    w_t, b_t = reshares(cs, vs, 1)
+    start(2, cs, vs)
+    assert list(cs.rounds) == list(vs.rounds) == [2]
+    to_cs, to_vs = users[0].share_round(np.zeros(2), 2)
+    cs.receive_share(to_cs)
+    vs.receive_share(to_vs)
+    for name, call, msg in (("VS", vs.model_aggregate, list_message([0, 1], 1, sender=0)),
+                            ("CS", cs.tag_aggregate, list_message([0, 1], 1)),
+                            ("CS", cs.finalize, w_t), ("VS", vs.finalize, b_t)):
+        with pytest.raises(ProtocolError, match=f"{name} has no round 1 open"):
+            call(msg)
+    for server in (cs, vs):
+        with pytest.raises(ProtocolError, match="already started round 2; got round 1"):
+            server.start_round(1)
+    # Round 2 runs on with user 0 alone.
+    assert list(cs.rounds[2].shares) == list(vs.rounds[2].shares) == [0]
+    assert_all_verify(users[:1], aggregate(cs, vs, 2), 2, np.zeros(2))
+
+
+def test_a_message_for_a_round_that_is_not_open_is_refused():
+    params = make_params()
+    users, cs, vs = setup(2, params, rng=random.Random(50))
+    start(2, cs, vs)
+    share_all(users, cs, vs, {u.uid: np.zeros(2) for u in users}, 2)
+    _, w_t = vs.model_aggregate(cs.online_list(2))
+    _, b_t = cs.tag_aggregate(vs.online_list(2))
+    to_cs, to_vs = users[0].share_round(np.zeros(2), 3)
+    for r in (1, 3):
+        for name, call, msg in (
+                ("CS", cs.receive_share, replace(to_cs, round_index=r)),
+                ("VS", vs.receive_share, replace(to_vs, round_index=r)),
+                ("CS", cs.tag_aggregate, list_message([0, 1], r)),
+                ("VS", vs.model_aggregate, list_message([0, 1], r, sender=0)),
+                ("CS", cs.finalize, replace(w_t, round_index=r)),
+                ("VS", vs.finalize, replace(b_t, round_index=r))):
+            with pytest.raises(ProtocolError, match=f"^{name} has no round {r} open$"):
+                call(msg)
+    assert list(cs.rounds) == list(vs.rounds) == [2]
+    assert_all_verify(users, (cs.finalize(w_t), vs.finalize(b_t)), 2, np.zeros(2))
 
 
 @pytest.mark.parametrize("server", ["cs", "vs"])
@@ -394,6 +485,7 @@ def test_a_server_finalizes_only_after_sending_its_own_reshare(server):
     # refuses to finalize.
     params = make_params()
     users, cs, vs = setup(2, params, rng=random.Random(44))
+    start(1, cs, vs)
     share_all(users, cs, vs, {u.uid: np.full(2, 0.25) for u in users}, 1)
     if server == "cs":
         _, w_t = vs.model_aggregate(cs.online_list(1))
@@ -414,15 +506,16 @@ def test_a_server_finalizes_only_after_sending_its_own_reshare(server):
 def test_a_finalized_round_takes_no_second_finalize_or_reshare_request():
     params = make_params()
     users, cs, vs = setup(2, params, rng=random.Random(45))
+    start(1, cs, vs)
     share_all(users, cs, vs, {u.uid: np.zeros(2) for u in users}, 1)
     w_t, b_t = reshares(cs, vs, 1)
     publications = cs.finalize(w_t), vs.finalize(b_t)
     for finalize_again, reshare in ((cs.finalize, w_t), (vs.finalize, b_t)):
-        with pytest.raises(ProtocolError, match="already finalized round 1; got round 1"):
+        with pytest.raises(ProtocolError, match="[CV]S has no round 1 open"):
             finalize_again(reshare)
     # A server reshares only in answer to a list, and takes none for the round.
     for answer, sender in ((vs.model_aggregate, 0), (cs.tag_aggregate, 1)):
-        with pytest.raises(ProtocolError, match="already finalized round 1; got round 1"):
+        with pytest.raises(ProtocolError, match="[CV]S has no round 1 open"):
             answer(list_message([0, 1], 1, sender))
     assert cs.rounds == vs.rounds == {}
     assert_all_verify(users, publications, 1, np.zeros(2))
@@ -432,6 +525,7 @@ def test_a_finalized_round_takes_no_second_finalize_or_reshare_request():
 def test_server_rejects_a_share_after_fixing_participants(server):
     params = make_params()
     users, cs, vs = setup(3, params, rng=random.Random(40))
+    start(1, cs, vs)
     share_all(users[:2], cs, vs, {0: np.zeros(2), 1: np.ones(2)}, 1)
     w_t, b_t = reshares(cs, vs, 1)
     to_cs, to_vs = users[2].share_round(np.full(2, 0.5), 1)
@@ -449,6 +543,7 @@ def test_cs_rejects_duplicate_share():
     params = make_params()
     users, cs, _ = setup(2, params, rng=random.Random(12))
     to_cs, _ = users[0].share_round(np.zeros(2), 1)
+    start(1, cs)
     cs.receive_share(to_cs)
     with pytest.raises(ProtocolError, match="round 1: duplicate share from user 0"):
         cs.receive_share(to_cs)
@@ -660,19 +755,25 @@ def test_server_state_stays_within_one_round_over_many_rounds():
     users, cs, vs = setup(3, params, rng=random.Random(25))
     rng = np.random.default_rng(5)
     for r in range(1, 61):
-        updates = {u.uid: rng.uniform(-1, 1, 8) for u in users}
-        model_msg, tag_msg = run_honest_round(users, cs, vs, updates, r)
+        start(r, cs, vs)
+        share_all(users, cs, vs, {u.uid: rng.uniform(-1, 1, 8) for u in users}, r)
+        # An open round is the one book each server holds.
+        assert list(cs.rounds) == list(vs.rounds) == [r]
+        model_msg, tag_msg = aggregate(cs, vs, r)
         # A finalized round leaves the book: both servers hold no round.
         assert cs.rounds == vs.rounds == {}
         for u in users:
             assert u.reconstruct_round(model_msg, tag_msg, r).verified
-    assert cs.finalized_round == vs.finalized_round == 60
+    for server in (cs, vs):
+        with pytest.raises(ProtocolError, match="already started round 60; got round 60"):
+            server.start_round(60)
 
 
 def test_servers_reject_shares_for_finalized_rounds():
     params = make_params()
     users, cs, vs = setup(3, params, rng=random.Random(26))
     late = {}
+    start(1, cs, vs)
     for u in users:
         to_cs, to_vs = u.share_round(np.zeros(2), 1)
         if u.uid == 2:
@@ -683,7 +784,7 @@ def test_servers_reject_shares_for_finalized_rounds():
     w_t, b_t = reshares(cs, vs, 1)
     cs.finalize(w_t)
     vs.finalize(b_t)
-    stale = "already finalized round 1; got round 1"
+    stale = "has no round 1 open"
     with pytest.raises(ProtocolError, match=f"CS {stale}"):
         cs.receive_share(late["cs"])
     with pytest.raises(ProtocolError, match=f"VS {stale}"):
@@ -692,8 +793,11 @@ def test_servers_reject_shares_for_finalized_rounds():
         cs.finalize(w_t)
     with pytest.raises(ProtocolError, match=f"VS {stale}"):
         vs.finalize(b_t)
-    # The next round is open.
+    # The next round takes shares once it is open.
     to_cs, to_vs = users[2].share_round(np.zeros(2), 2)
+    with pytest.raises(ProtocolError, match="CS has no round 2 open"):
+        cs.receive_share(to_cs)
+    start(2, cs, vs)
     cs.receive_share(to_cs)
     vs.receive_share(to_vs)
     assert list(cs.rounds[2].shares) == list(vs.rounds[2].shares) == [2]
@@ -705,9 +809,10 @@ def test_cs_rejects_non_canonical_share():
     to_cs, _ = users[0].share_round(np.zeros(2), 1)
     bad = field.vec_from_raw(to_cs.payload).copy()
     bad[1] = np.uint64(params.r)
+    start(1, cs)
     with pytest.raises(ProtocolError, match="non-canonical"):
         cs.receive_share(Message(to_cs.kind, 1, 0, field.vec_to_raw(bad)))
-    assert 1 not in cs.rounds
+    assert cs.rounds[1].shares == {}
 
 
 def test_rejected_shares_open_no_round():
@@ -715,7 +820,8 @@ def test_rejected_shares_open_no_round():
     users, cs, vs = setup(2, params, rng=random.Random(41))
     rng = np.random.default_rng(12)
     run_honest_round(users, cs, vs, {u.uid: rng.uniform(-1, 1, 2) for u in users}, 1)
-    # User 0's shares open round 2; round 3 is open at neither server.
+    # Round 2 is open and holds user 0's shares; round 3 is open at neither server.
+    start(2, cs, vs)
     to_cs, to_vs = users[0].share_round(np.zeros(2), 2)
     cs.receive_share(to_cs)
     vs.receive_share(to_vs)
@@ -723,7 +829,7 @@ def test_rejected_shares_open_no_round():
     non_canonical[0] = np.uint64(params.r)
     model, tag = MessageKind.MODEL_SHARE, MessageKind.TAG_SHARE
     bad = [(cs.receive_share, to_cs), (vs.receive_share, to_vs),  # duplicates
-           (cs.receive_share, Message(model, 1, 1, to_cs.payload)),  # finalized round
+           (cs.receive_share, Message(model, 1, 1, to_cs.payload)),  # a finalized round
            (vs.receive_share, Message(tag, 1, 1, to_vs.payload))]
     for r in (2, 3):
         bad += [(cs.receive_share, Message(tag, r, 1, to_vs.payload)),
@@ -750,6 +856,81 @@ def test_rejected_shares_open_no_round():
     cs.receive_share(to_cs)
     vs.receive_share(to_vs)
     assert_all_verify(users, aggregate(cs, vs, 2), 2, np.zeros(2))
+
+
+def test_hostile_messages_are_refused_and_leave_at_most_one_round_book():
+    # A seeded stream of messages fed to every server entry point, between
+    # honest rounds and during them: forged ones of every kind a server
+    # takes, for every round but the open one, and replays of delivered
+    # ones.  Each is a ProtocolError that leaves both servers' books as they
+    # were, and every honest round still verifies.
+    gen = random.Random(52)
+    params = make_params(dim=3)
+    users, cs, vs = setup(4, params, rng=random.Random(53))
+    entries = (cs.receive_share, vs.receive_share, cs.tag_aggregate, vs.model_aggregate,
+               cs.finalize, vs.finalize)
+    delivered = []  # every message a server took, for replay
+    last = 0  # the last round started
+
+    def right_payload(kind):
+        if kind is MessageKind.ONLINE_LIST:
+            return pack_online_list(gen.sample(range(6), gen.randint(0, 6)))
+        if kind in (MessageKind.MODEL_SHARE, MessageKind.RESHARE_MODEL):
+            words = [gen.randrange(params.r) for _ in range(params.words)]
+            return field.vec_to_raw(np.array(words, dtype=np.uint64))
+        return tags.tag_to_bytes(gen.randrange(params.r))
+
+    def forged(open_round):
+        kind = gen.choice([MessageKind.MODEL_SHARE, MessageKind.TAG_SHARE,
+                           MessageKind.ONLINE_LIST, MessageKind.RESHARE_MODEL,
+                           MessageKind.RESHARE_TAG])
+        past = gen.randint(0, last)
+        r = gen.choice([x for x in (past, last, last + 1, 10**6, 2**40) if x != open_round])
+        sender = gen.choice([gen.randrange(len(users)), len(users), 999, 2**32 - 1])
+        right = right_payload(kind)
+        payload = right if gen.random() < 0.5 else gen.randbytes(
+            gen.choice([0, 3, abs(len(right) - 1), len(right) + 8]))
+        return Message(kind, r, sender, payload)
+
+    def books():
+        return [{r: (sorted(book.shares), book.participants)
+                 for r, book in server.rounds.items()} for server in (cs, vs)]
+
+    def feed(open_round):
+        before = books()
+        replays = gen.sample(delivered, min(len(delivered), 10))
+        for msg in [forged(open_round) for _ in range(25)] + replays:
+            for entry in entries:
+                with pytest.raises(ProtocolError):
+                    entry(msg)
+                assert len(cs.rounds) <= 1 and len(vs.rounds) <= 1
+                assert books() == before
+
+    # Rounds 3, 6 and 7 are skipped, as rounds nobody is online for are.
+    for r in (1, 2, 4, 5, 8):
+        feed(None)
+        start(r, cs, vs)
+        last = r
+        feed(r)
+        online = [u for u in users if gen.random() < 0.75] or users[:1]
+        updates = {u.uid: np.array([gen.uniform(-1, 1) for _ in range(3)]) for u in online}
+        for u in online:
+            for server, msg in zip((cs, vs), u.share_round(updates[u.uid], r)):
+                server.receive_share(msg)
+                delivered.append(msg)
+        feed(r)
+        lists = cs.online_list(r), vs.online_list(r)
+        (_, w_t), (_, b_t) = vs.model_aggregate(lists[0]), cs.tag_aggregate(lists[1])
+        delivered += lists
+        feed(r)
+        publications = cs.finalize(w_t), vs.finalize(b_t)
+        delivered += [w_t, b_t]
+        mean = np.mean(list(updates.values()), axis=0)
+        for u in online:
+            res = u.reconstruct_round(*publications, r)
+            assert res.verified and np.allclose(res.model, mean, atol=1e-9)
+    feed(None)
+    assert cs.rounds == vs.rounds == {}
 
 
 @pytest.mark.parametrize("r", [BIG_PRIME, MERSENNE_61])
@@ -789,6 +970,7 @@ def test_user_fails_closed_on_wrong_length_aggregate():
 def test_cs_rejects_non_canonical_reshare():
     params = make_params(dim=3, r=MERSENNE_61)
     users, cs, vs = setup(2, params, rng=random.Random(30))
+    start(1, cs, vs)
     for u in users:
         to_cs, to_vs = u.share_round(np.zeros(3), 1)
         cs.receive_share(to_cs)
@@ -799,7 +981,7 @@ def test_cs_rejects_non_canonical_reshare():
     for bad in (one_high, np.full(3, HIGH_WORD, dtype=np.uint64)):
         with pytest.raises(ProtocolError, match="non-canonical"):
             cs.finalize(reshare_model(bad, 1))
-    assert cs.finalized_round == 0
+    assert cs.rounds[1].participants == (0, 1)  # still open
     model_msg = cs.finalize(w_t)
     m, w1pp = read_model(model_msg)
     assert (model_msg.kind, model_msg.round_index, model_msg.sender) == (
@@ -851,6 +1033,7 @@ def test_user_rejects_a_publication_that_does_not_parse(kind):
 def test_finalize_rejects_a_reshare_of_the_wrong_kind_or_round():
     params = make_params(dim=2)
     users, cs, vs = setup(2, params, rng=random.Random(33))
+    start(2, cs, vs)
     for u in users:
         to_cs, to_vs = u.share_round(np.zeros(2), 2)
         cs.receive_share(to_cs)
@@ -864,10 +1047,9 @@ def test_finalize_rejects_a_reshare_of_the_wrong_kind_or_round():
                 replace(b_t, payload=b"abc")):
         with pytest.raises(ProtocolError):
             vs.finalize(bad)
-    assert cs.finalized_round == vs.finalized_round == 0
     assert list(cs.rounds) == list(vs.rounds) == [2]
     publications = cs.finalize(w_t), vs.finalize(b_t)
-    assert cs.finalized_round == vs.finalized_round == 2
+    assert cs.rounds == vs.rounds == {}
     assert_all_verify(users, publications, 2, np.zeros(2))
 
 
