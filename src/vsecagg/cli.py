@@ -19,16 +19,11 @@ from .roles import setup
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--users", type=int, default=RunConfig.users)
     p.add_argument("--dim", type=int, default=RunConfig.dim)
-    p.add_argument("--rounds", type=int, default=RunConfig.rounds)
     p.add_argument("--dropout", type=float, default=RunConfig.dropout)
     p.add_argument("--seed", type=int, default=RunConfig.seed)
     p.add_argument("--prime-bits", type=int, default=RunConfig.prime_bits,
                    help="modulus size: the largest prime in (2^bits, 2^(bits+1))")
     p.add_argument("--delta-exp", type=int, default=RunConfig.delta_exp)
-    p.add_argument("--mode", choices=("memory", "socket"), default=RunConfig.mode)
-    p.add_argument("--adversary", type=str, default=None,
-                   help="target:action:round[:magnitude], e.g. cs:tamper_aggregate:1; "
-                        "target:action is one of " + supported_adversaries())
     p.add_argument("--weights-file", type=str, default=None,
                    help="one decimal weight per line, matched to user ids ascending")
     p.add_argument("--report-out", type=str, default=None)
@@ -78,6 +73,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     sim = sub.add_parser("simulate", help="run aggregation rounds; report stage times, alarms")
     _add_run_flags(sim)
+    sim.add_argument("--rounds", type=int, default=RunConfig.rounds)
+    sim.add_argument("--mode", choices=("memory", "socket"), default=RunConfig.mode)
+    sim.add_argument("--adversary", type=str, default=None,
+                     help="target:action:round[:magnitude], e.g. cs:tamper_aggregate:1; "
+                          "target:action is one of " + supported_adversaries())
 
     cal = sub.add_parser("calibrate", help="Monte Carlo forgery pass-rate calibration")
     cal.add_argument("--modulus", type=int, default=11)
@@ -86,8 +86,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     cal.add_argument("--dim", type=int, default=4)
     cal.add_argument("--report-out", type=str, default=None)
 
-    ora = sub.add_parser("oracle", help="print the plaintext-pipeline mean of round 1")
+    ora = sub.add_parser("oracle", help="print the plaintext mean of round 1 as simulate draws it")
     _add_run_flags(ora)
+    ora.set_defaults(rounds=RunConfig.rounds, mode=RunConfig.mode, adversary=None)
 
     args = parser.parse_args(argv)
     try:

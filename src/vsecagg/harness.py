@@ -16,14 +16,14 @@ import random
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import codec, field, roles, tags, wire
 from .field import FieldModulus, find_prime_below
-from .roles import CsState, ProtocolParams, UserState, VsState, setup
+from .roles import Alarm, CsState, ProtocolParams, UserState, VsState, setup
 from .wire import AlarmReason, MemoryLink, Message, MessageKind, TrafficLedger, socket_link_pair
 
 
@@ -66,7 +66,7 @@ def _forge_tag(vs: VsState, spec, rng, shares, m, tag):
 
 @dataclass(frozen=True)
 class Attack:
-    """A malicious server's rewrite of every message of one kind that it sends.
+    """A malicious server's rewrite of the one message of one kind it sends in a round.
 
     ``apply(server, spec, rng, shares, count, body)`` returns the (count, body)
     the server sends in place of a publication's, where a body is the
@@ -166,17 +166,6 @@ class RunConfig:
         if self.adversary is not None and self.adversary.round_index > self.rounds:
             raise ConfigError(f"adversary round {self.adversary.round_index} is past the "
                               f"last of {self.rounds} rounds")
-
-
-@dataclass(frozen=True)
-class Alarm:
-    """A participant's rejection of a round: the check that fired and its two values."""
-
-    round_index: int
-    uid: int
-    reason: AlarmReason
-    first: int
-    second: int
 
 
 # The stages run_round times, in the order a round runs them.
@@ -349,15 +338,13 @@ class _RoundOutcome:
 
     @property
     def alarms(self) -> List[Alarm]:
-        """One per participant that rejected the round, in participant order."""
-        return [Alarm(res.round_index, uid, *res.alarm)
-                for uid, res in self.results.items() if not res.verified]
+        """The alarm of each participant that rejected the round, in participant order."""
+        return [res.alarm for res in self.results.values() if res.alarm]
 
     @property
     def mismatch_errors(self) -> int:
-        """COUNT_MISMATCH results; the round benchmark's checker reads this count."""
-        return sum(1 for res in self.results.values()
-                   if res.alarm and res.alarm[0] is AlarmReason.COUNT_MISMATCH)
+        """COUNT_MISMATCH alarms; the round benchmark's checker reads this count."""
+        return sum(1 for alarm in self.alarms if alarm.reason is AlarmReason.COUNT_MISMATCH)
 
 
 def run_round(users_online: Sequence[UserState], all_users: Sequence[UserState],
@@ -379,12 +366,13 @@ def run_round(users_online: Sequence[UserState], all_users: Sequence[UserState],
     attack = ADVERSARY_ACTIONS[adv.action] if adv else None
     spans: Dict[str, List[float]] = {}
     cs_inbox, vs_inbox = [], []
-    rewritten: Dict[int, Tuple[Message, Message]] = {}  # id(sent): (sent, rewrite)
+    rewrite: Optional[Message] = None
 
-    # The attack rewrites each message of its kind that its server sends, once per message.
+    # A server sends one message of each kind a round: the attack rewrites it on its first send.
     def send(name: str, msg: Message) -> Message:
+        nonlocal rewrite
         if attack and msg.kind is attack.kind and name.startswith(attack.server + "->"):
-            if id(msg) not in rewritten:
+            if rewrite is None:
                 server, inbox, ids = ((cs, cs_inbox, cs_ids) if attack.server == "cs"
                                       else (vs, vs_inbox, vs_ids))
                 delivered = {share.sender: share for share in inbox}
@@ -392,9 +380,8 @@ def run_round(users_online: Sequence[UserState], all_users: Sequence[UserState],
                 read, write = _PUBLICATIONS[msg.kind]
                 m, body = wire.unpack_publication(msg.payload)
                 m, body = attack.apply(server, adv, rng, shares, m, read(body))
-                rewritten[id(msg)] = msg, Message(msg.kind, round_index, msg.sender,
-                                                  wire.pack_publication(m, write(body)))
-            msg = rewritten[id(msg)][1]
+                rewrite = replace(msg, payload=wire.pack_publication(m, write(body)))
+            msg = rewrite
         return net.transfer(name, msg)
 
     def timed(stage: str, call: Callable, *args, **kwargs):

@@ -85,13 +85,13 @@ _HEAD_WORDS = 4
 # 2^31 - 1 bytes a call.  Every length a frame can carry is shorter.
 MAX_EXPAND_LEN = _HEAD_WORDS + ((1 << 31) - 1) // 8
 # Shortest output whose words 4 on go through GCM.  That path builds
-# one more cipher context per key and pays GCM's per-call context copy;
-# in a round at n = 100 that costs about 2 µs more per expansion than
-# one CTR draw, and GCM's faster bulk saves about 0.7 µs per 1000 words.
-# Measured per call inside such rounds on a 2-core Xeon host with VAES,
-# CTR alone -> GCM path (its head then drawn by a third, ECB context):
-# 13.1 -> 15.0 µs at d = 1000, 18.2 -> 16.0 at d = 2000 and
-# 33.2 -> 26.9 at d = 8000.
+# one more cipher context per key and pays GCM's per-call context copy,
+# about 1.5 µs more per expansion than one CTR draw at d = 1000, and
+# GCM's faster bulk saves about 0.8 µs per 1000 words.  Measured per
+# call over 400 keys, medians of 40 alternations, on a 2-core Xeon host
+# with VAES (OpenSSL 4.0), CTR alone -> GCM path: 8.83 -> 10.36 µs at
+# d = 1000, 9.71 -> 10.72 at 1500, 10.81 -> 11.61 at 2047, 14.94 ->
+# 14.02 at 4096 and 17.37 -> 13.28 at 8000.
 _GCM_MIN_WORDS = 1 << 11
 # The plaintext of every draw: keystream is the encryption of zeros.
 # Grown by ``_zero_bytes`` to the longest draw made so far.

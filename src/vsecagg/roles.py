@@ -32,7 +32,7 @@ agree before decoding: the tag covers the sum but not the divisor, so a
 lying CS could otherwise skew the mean undetected.  Counts that disagree
 are a COUNT_MISMATCH alarm, a publication of the wrong kind or that does
 not parse a MALFORMED_PUBLICATION alarm, and one of another round a
-ROUND_MISMATCH alarm, each returned like every other failed check.
+ROUND_MISMATCH alarm, each an ``Alarm`` returned like every other failed check.
 """
 
 from __future__ import annotations
@@ -84,18 +84,27 @@ def init_model_from_seeds(s1: KeyMaterial, s2: KeyMaterial, dim: int, r: int) ->
     return model
 
 
+@dataclass(frozen=True)
+class Alarm:
+    """A user's rejection of a round: the round, the user, the check and its two values."""
+
+    round_index: int
+    uid: int
+    reason: AlarmReason
+    first: int
+    second: int
+
+
 @dataclass
 class ReconstructResult:
-    round_index: int
-    verified: bool
+    """A participant's round: its decoded mean, or no model and the alarm it raised."""
+
     model: Optional[np.ndarray]
-    # Set when not verified: the check that fired and its two values.
-    alarm: Optional[Tuple[AlarmReason, int, int]] = None
+    alarm: Optional[Alarm] = None
 
-
-def _rejected(round_index: int, reason: AlarmReason, first: int,
-              second: int) -> ReconstructResult:
-    return ReconstructResult(round_index, False, None, (reason, first, second))
+    @property
+    def verified(self) -> bool:
+        return self.alarm is None
 
 
 class UserState:
@@ -162,6 +171,9 @@ class UserState:
                     tags.tag_to_bytes(b_i2)),
         )
 
+    def _rejected(self, round_index: int, reason: AlarmReason, *values: int) -> ReconstructResult:
+        return ReconstructResult(None, Alarm(round_index, self.uid, reason, *values))
+
     def reconstruct_round(self, model_msg: Message, tag_msg: Message,
                           round_index: int) -> ReconstructResult:
         """Read both publications, unmask the aggregate, check the tag, decode on success."""
@@ -169,11 +181,11 @@ class UserState:
         for msg, kind in ((model_msg, MessageKind.PUBLISH_MODEL),
                           (tag_msg, MessageKind.PUBLISH_TAG)):
             if msg.kind is not kind:
-                return _rejected(round_index, AlarmReason.MALFORMED_PUBLICATION,
-                                 int(msg.kind), len(msg.payload))
+                return self._rejected(round_index, AlarmReason.MALFORMED_PUBLICATION,
+                                      int(msg.kind), len(msg.payload))
             if msg.round_index != round_index:
-                return _rejected(round_index, AlarmReason.ROUND_MISMATCH,
-                                 round_index, msg.round_index)
+                return self._rejected(round_index, AlarmReason.ROUND_MISMATCH,
+                                      round_index, msg.round_index)
         reading = model_msg
         try:
             m_cs, body = unpack_publication(model_msg.payload)
@@ -182,17 +194,17 @@ class UserState:
             m_vs, body = unpack_publication(tag_msg.payload)
             b2p = tags.tag_from_bytes(body)
         except (WireError, field.FieldError):
-            return _rejected(round_index, AlarmReason.MALFORMED_PUBLICATION,
-                             int(reading.kind), len(reading.payload))
+            return self._rejected(round_index, AlarmReason.MALFORMED_PUBLICATION,
+                                  int(reading.kind), len(reading.payload))
         if m_cs != m_vs:
-            return _rejected(round_index, AlarmReason.COUNT_MISMATCH, m_cs, m_vs)
+            return self._rejected(round_index, AlarmReason.COUNT_MISMATCH, m_cs, m_vs)
         # Fail closed before any arithmetic on an aggregate that is not
         # ``words`` residues mod R.
         if w1pp.size != p.words:
-            return _rejected(round_index, AlarmReason.LENGTH_MISMATCH, p.words, int(w1pp.size))
+            return self._rejected(round_index, AlarmReason.LENGTH_MISMATCH, p.words, w1pp.size)
         bad = field.first_non_canonical(w1pp, p.r)
         if bad is not None:
-            return _rejected(round_index, AlarmReason.NON_CANONICAL, bad, int(w1pp[bad]))
+            return self._rejected(round_index, AlarmReason.NON_CANONICAL, bad, int(w1pp[bad]))
         expected = (expand_one(self.k_cg, round_index, p.r) + b2p) % p.r
         w_prime = field.vec_add(w1pp, expand(self.k_vg, round_index, p.words, p.r), p.r)
         if self._tag_key is not None and self._tag_key[0] == round_index:
@@ -203,13 +215,13 @@ class UserState:
         computed = tags.gen_tag(w_prime, key_vec, p.r)
         if computed != expected:
             # State stays untouched; the caller surfaces the alarm.
-            return _rejected(round_index, AlarmReason.TAG_MISMATCH, expected, computed)
+            return self._rejected(round_index, AlarmReason.TAG_MISMATCH, expected, computed)
         # A weighted mean divides by the weight sum, the decoded last word.
         divisor = codec.decode(w_prime[-1:], p.codec, 1)[0] if p.weighted else m_cs
         model = codec.decode(w_prime[:p.dim], p.codec, divisor)
         self.current_model = model
         self.last_verified_round = round_index
-        return ReconstructResult(round_index, True, model)
+        return ReconstructResult(model)
 
 
 @dataclass

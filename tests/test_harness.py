@@ -239,8 +239,30 @@ def test_count_mismatches_are_counted_per_participant():
     net.close()
     assert honest.mismatch_errors == 0
     assert lying.mismatch_errors == len(lying.results) == 4
-    assert all(res.alarm == (AlarmReason.COUNT_MISMATCH, 5, 4)
-               for res in lying.results.values())
+    assert all(res.alarm == Alarm(2, uid, AlarmReason.COUNT_MISMATCH, 5, 4)
+               for uid, res in lying.results.items())
+
+
+def test_a_rejecting_user_builds_the_alarm_the_report_lists(monkeypatch):
+    outcomes = []
+    run_round = harness.run_round
+
+    def spy(*args, **kwargs):
+        outcomes.append(run_round(*args, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(harness, "run_round", spy)
+    report = run_simulation(RunConfig(users=4, dim=3, rounds=2, seed=6,
+                                      adversary=AdversarySpec("cs", "lie_about_m", 2)))
+    honest, lying = outcomes
+    assert all(res.alarm is None and res.verified for res in honest.results.values())
+    assert honest.alarms == []
+    assert len(lying.alarms) == len(report.alarms) == len(lying.results) > 0
+    for (uid, res), listed, printed in zip(lying.results.items(), lying.alarms, report.alarms):
+        assert res.alarm is listed is printed
+        assert (res.alarm.round_index, res.alarm.uid) == (2, uid)
+        assert res.alarm.reason is AlarmReason.COUNT_MISMATCH
+        assert not res.verified and res.model is None
 
 
 def test_length_mismatch_alarm_per_participant(monkeypatch):
@@ -546,6 +568,20 @@ def test_cli_calibrate_and_oracle(tmp_path, capsys):
     assert "tamper_rate=" in capsys.readouterr().out
     rc = cli_main(["oracle", "--users", "2", "--dim", "2", "--seed", "3"])
     assert rc == 0
+
+
+@pytest.mark.parametrize("flag, value", [("--rounds", "7"), ("--mode", "socket"),
+                                         ("--adversary", "cs:tamper_aggregate:1")])
+def test_cli_oracle_refuses_the_flags_that_shape_no_draw(capsys, flag, value):
+    # Round 1's online users and updates do not depend on the run's length,
+    # channel or attack, so only simulate takes these flags.
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["oracle", "--users", "3", "--dim", "2", "--seed", "5", flag, value])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    argv = ["simulate", "--users", "3", "--dim", "2", "--seed", "5", flag, value]
+    assert cli_main(argv) == 0
+    assert "exit_ok=True" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("weights", [None, (2.0, 1.0, 3.0, 4.0)])

@@ -10,7 +10,7 @@ from vsecagg.codec import CodecParams, decode, encode
 from vsecagg.field import FieldModulus
 from vsecagg.harness import RunConfig, default_params
 from vsecagg.prf import KeyMaterial, concat_keys, expand
-from vsecagg.roles import (CsState, ProtocolError, ProtocolParams, UserState, VsState,
+from vsecagg.roles import (Alarm, CsState, ProtocolError, ProtocolParams, UserState, VsState,
                            init_model_from_seeds, join_new_user, setup)
 from vsecagg.wire import (AlarmReason, Message, MessageKind, pack_online_list,
                           pack_publication, unpack_publication)
@@ -620,11 +620,11 @@ def test_user_reconstruct_detects_flipped_coordinate():
     assert not res.verified
     assert res.model is None
     assert users[0].current_model is None  # state unchanged on alarm
-    reason, expected, computed = res.alarm
-    assert reason == AlarmReason.TAG_MISMATCH and expected != computed
     # The expected tag is the one the publications vouch for.
     b1p = int(expand(users[0].k_cg, 1, 1, params.r)[0])
-    assert expected == (b1p + b2p) % params.r
+    expected = (b1p + b2p) % params.r
+    assert res.alarm == Alarm(1, 0, AlarmReason.TAG_MISMATCH, expected, res.alarm.second)
+    assert res.alarm.second != expected
 
 
 def test_user_reconstruct_rejects_m_mismatch():
@@ -641,7 +641,7 @@ def test_user_reconstruct_rejects_m_mismatch():
     res = users[0].reconstruct_round(model_publication(w1pp, m + 1, 2), tag_msg, 2)
     assert not res.verified
     assert res.model is None
-    assert res.alarm == (AlarmReason.COUNT_MISMATCH, m + 1, m)
+    assert res.alarm == Alarm(2, 0, AlarmReason.COUNT_MISMATCH, m + 1, m)
     assert users[0].current_model is model and users[0].last_verified_round == 1
 
 
@@ -947,7 +947,7 @@ def test_user_fails_closed_on_non_canonical_aggregate(r):
     for published, index, value in ((one_high, 2, r), (everywhere, 0, HIGH_WORD)):
         res = users[0].reconstruct_round(model_publication(published, m, 1), tag_msg, 1)
         assert not res.verified and res.model is None
-        assert res.alarm == (AlarmReason.NON_CANONICAL, index, value)
+        assert res.alarm == Alarm(1, 0, AlarmReason.NON_CANONICAL, index, value)
     assert users[0].current_model is None
     assert users[0].reconstruct_round(model_msg, tag_msg, 1).verified
 
@@ -962,7 +962,7 @@ def test_user_fails_closed_on_wrong_length_aggregate():
     for published in (w1pp[:3], np.append(w1pp, w1pp[:1]), w1pp[:0]):
         res = users[0].reconstruct_round(model_publication(published, m, 1), tag_msg, 1)
         assert not res.verified and res.model is None
-        assert res.alarm == (AlarmReason.LENGTH_MISMATCH, 4, published.size)
+        assert res.alarm == Alarm(1, 0, AlarmReason.LENGTH_MISMATCH, 4, published.size)
     assert users[0].current_model is None
     assert users[0].reconstruct_round(model_msg, tag_msg, 1).verified
 
@@ -1025,7 +1025,7 @@ def test_user_rejects_a_publication_that_does_not_parse(kind):
     pair = (short, tag_msg) if kind is MessageKind.PUBLISH_MODEL else (model_msg, short)
     res = users[0].reconstruct_round(*pair, 1)
     assert not res.verified and res.model is None
-    assert res.alarm == (AlarmReason.MALFORMED_PUBLICATION, int(kind), 3)
+    assert res.alarm == Alarm(1, 0, AlarmReason.MALFORMED_PUBLICATION, int(kind), 3)
     assert users[0].current_model is None and users[0].last_verified_round is None
     assert users[0].reconstruct_round(model_msg, tag_msg, 1).verified
 
@@ -1066,7 +1066,7 @@ def test_user_rejects_a_publication_of_another_round():
     for pair in ((model_1, tag_1), (model_1, tag_2), (model_2, tag_1)):
         res = users[0].reconstruct_round(*pair, 2)
         assert not res.verified and res.model is None
-        assert res.alarm == (AlarmReason.ROUND_MISMATCH, 2, 1)
+        assert res.alarm == Alarm(2, 0, AlarmReason.ROUND_MISMATCH, 2, 1)
         assert users[0].current_model is model and users[0].last_verified_round == 1
     assert users[0].reconstruct_round(model_2, tag_2, 2).verified
 
@@ -1082,7 +1082,7 @@ def test_user_rejects_publications_of_the_wrong_kind():
     for pair, wrong in (((tag_msg, model_msg), tag_msg), ((model_msg, model_msg), model_msg)):
         res = users[0].reconstruct_round(*pair, 1)
         assert not res.verified and res.model is None
-        assert res.alarm == (AlarmReason.MALFORMED_PUBLICATION, int(wrong.kind),
-                             len(wrong.payload))
+        assert res.alarm == Alarm(1, 0, AlarmReason.MALFORMED_PUBLICATION, int(wrong.kind),
+                                  len(wrong.payload))
         assert users[0].current_model is None and users[0].last_verified_round is None
     assert users[0].reconstruct_round(model_msg, tag_msg, 1).verified
